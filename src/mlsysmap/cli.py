@@ -13,6 +13,7 @@ import sys
 from . import report as report_mod
 from .dataset import load_csv
 from .errors import MsmError
+from .mechanisms import shift_test
 from .msmformat import parse_map
 from .simulator import ScenarioConfig, generate
 from .traversal import TraceConfig, detect_alerts, trace
@@ -68,7 +69,6 @@ def cmd_trace(args) -> int:
         eager_environment=args.eager_environment,
     )
     result = trace(system_map, ds, args.alert, config)
-    from .mechanisms import shift_test
     # stream offset keeps this independent of the per-node detect streams
     alert_test = shift_test(ds, system_map, args.alert,
                             B=config.test_permutations, seed=[args.seed, 10_000])

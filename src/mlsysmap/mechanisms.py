@@ -75,7 +75,7 @@ class CategoryList:
     def encode(self, values: np.ndarray) -> np.ndarray:
         index = {c: i for i, c in enumerate(self.categories)}
         unseen = len(self.categories)
-        return np.array([index.get(v, unseen) for v in values], dtype=np.int64)
+        return np.array([index.get(str(v), unseen) for v in values], dtype=np.int64)
 
     def labels(self) -> tuple[str, ...]:
         return self.categories + (UNSEEN,)
@@ -97,25 +97,31 @@ class Discretization:
         return self.variables[qname].encode(values)
 
 
-def _is_numeric(values) -> bool:
+def _as_floats(values) -> Optional[np.ndarray]:
+    """The values as float64, or None when any of them is not a number."""
     try:
-        for v in values:
-            float(v)
+        return np.array([float(v) for v in values], dtype=float)
     except (TypeError, ValueError):
-        return False
-    return True
+        return None
 
 
 def fit_variable(ref_values, k: int, kind: NodeKind = NodeKind.DATA,
                  extra_values=None) -> VariableBins:
-    """Bins for one variable: pooled quantiles (numeric) or categories."""
+    """Bins for one variable: pooled quantiles (numeric) or categories.
+
+    Quantile edges are placed on the finite values only, so a ``nan`` or
+    ``inf`` cell can never become an edge.
+    """
     ref_values = np.asarray(ref_values, dtype=object)
     pooled = ref_values
     if extra_values is not None and len(extra_values):
         pooled = np.concatenate([ref_values, np.asarray(extra_values, dtype=object)])
-    if kind is NodeKind.MODULATOR or not _is_numeric(pooled):
+    floats = None if kind is NodeKind.MODULATOR else _as_floats(pooled)
+    if floats is None:
         return CategoryList(tuple(sorted(set(map(str, ref_values)))))
-    floats = np.array([float(v) for v in pooled])
+    floats = floats[np.isfinite(floats)]
+    if not len(floats):
+        return NumericBins(())
     qs = np.quantile(floats, [i / k for i in range(1, k)])
     edges = []
     for e in qs:
@@ -409,8 +415,23 @@ def divergence(p, q, kind: str = "jsd") -> float:
     raise ValueError(f"unknown divergence '{kind}'")
 
 
+def _row_divergences(p: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
+    """``divergence(p[i], q[i], kind)`` for every row i, in one pass."""
+    if kind == "jsd":
+        m = 0.5 * (p + q)
+
+        def kl(a):
+            ratio = np.divide(a, m, out=np.ones_like(a), where=a > 0)
+            return np.sum(a * np.log(ratio), axis=1)
+
+        return 0.5 * kl(p) + 0.5 * kl(q)
+    if kind == "tv":
+        return 0.5 * np.abs(p - q).sum(axis=1)
+    raise ValueError(f"unknown divergence '{kind}'")
+
+
 # ---------------------------------------------------------------------------
-# two-sample permutation shift test
+# two-sample shift test
 
 @dataclass(frozen=True)
 class ShiftTestResult:
@@ -422,45 +443,47 @@ class ShiftTestResult:
 def shift_test(ds: WindowedDataset, system_map: SystemMap, node: str,
                B: int = 1000, seed=0, k: int = DEFAULT_BINS,
                div: str = "jsd") -> ShiftTestResult:
-    """Permutation two-sample test on one variable's binned marginals.
+    """Two-sample re-split test on one variable's binned marginals.
 
-    Statistic: divergence between the per-window bin histograms. The
-    pooled rows are re-split ``B`` times preserving window sizes;
-    p = (1 + #{permutation statistic >= observed}) / (B + 1).
+    Statistic: divergence between the per-window bin histograms. Empty
+    cells, and non-finite cells of a numeric variable, are dropped. The
+    null re-splits the pooled rows at random preserving window sizes; as
+    the statistic depends only on the histograms, the reference histogram
+    of a re-split is multivariate hypergeometric over the pooled bin
+    counts, so ``B`` such histograms are drawn exactly and scored in one
+    pass, alongside the observed split.
+    p = (1 + #{re-split statistic >= observed}) / (B + 1).
     """
     if B < 100:
         raise ValueError(f"need at least 100 permutations, got {B}")
     col = resolve_column(ds, system_map, node)
     if col is None:
         raise InsufficientData(f"no data column for '{node}'")
+    kind = system_map.node(node).kind
     values = ds.columns[col]
     present = values != ""
+    floats = None if kind is NodeKind.MODULATOR else _as_floats(values[present])
+    if floats is not None:
+        present[present] = np.isfinite(floats)
     ref_vals = values[present & ds.window_mask("ref")]
     cur_vals = values[present & ds.window_mask("cur")]
-    if len(ref_vals) < 30 or len(cur_vals) < 30:
+    n_ref, n_cur = len(ref_vals), len(cur_vals)
+    if n_ref < 30 or n_cur < 30:
         raise InsufficientData(
-            f"'{node}': {len(ref_vals)} ref / {len(cur_vals)} cur rows (need 30 each)"
+            f"'{node}': {n_ref} ref / {n_cur} cur rows (need 30 each)"
         )
-    bins = fit_variable(ref_vals, k, system_map.node(node).kind, cur_vals)
-    n_states = bins.n_states
-    ref_codes = bins.encode(ref_vals)
-    cur_codes = bins.encode(cur_vals)
+    bins = fit_variable(ref_vals, k, kind, cur_vals)
+    ref_counts = np.bincount(bins.encode(ref_vals), minlength=bins.n_states)
+    cur_counts = np.bincount(bins.encode(cur_vals), minlength=bins.n_states)
+    observed = divergence(ref_counts / n_ref, cur_counts / n_cur, div)
 
-    def stat(a, b):
-        return divergence(
-            np.bincount(a, minlength=n_states) / len(a),
-            np.bincount(b, minlength=n_states) / len(b),
-            div,
-        )
-
-    observed = stat(ref_codes, cur_codes)
-    pooled = np.concatenate([ref_codes, cur_codes])
-    n_ref = len(ref_codes)
+    pooled = ref_counts + cur_counts
     rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(B):
-        perm = rng.permutation(pooled)
-        if stat(perm[:n_ref], perm[n_ref:]) >= observed:
-            hits += 1
+    splits = np.vstack([ref_counts,
+                        rng.multivariate_hypergeometric(pooled, n_ref, size=B)])
+    # row 0, the observed split, is scored like the re-splits so that
+    # equal histograms tie exactly
+    stats = _row_divergences(splits / n_ref, (pooled - splits) / n_cur, div)
+    hits = int(np.count_nonzero(stats[1:] >= stats[0]))
     return ShiftTestResult(node=node, statistic=observed,
                            p_value=(1 + hits) / (B + 1))

@@ -1,5 +1,5 @@
 """Discretization, mechanism fitting, exact/sampled inference, divergences,
-and the permutation shift test.
+and the re-split shift test.
 
 Exact inference is checked against a brute-force joint-enumeration oracle
 that shares no code with variable elimination.
@@ -80,6 +80,21 @@ def test_categories_come_from_reference_only():
     assert bins.categories == ("a", "b")
     assert bins.labels() == ("a", "b", UNSEEN)
     assert list(bins.encode(np.array(["a", "c", "b"], dtype=object))) == [0, 2, 1]
+
+
+def test_category_encode_matches_non_string_values():
+    bins = CategoryList(("1", "2"))
+    assert list(bins.encode(np.array([1, 2, 3]))) == [0, 1, 2]
+    assert list(bins.encode(np.array(["2", "1"], dtype=object))) == [1, 0]
+
+
+def test_quantile_edges_ignore_non_finite_values():
+    bins = fit_variable(["0", "1"] * 30, k=2,
+                        extra_values=np.array(["0"] * 59 + ["nan"], dtype=object))
+    assert bins == NumericBins((0.0,))
+    bins = fit_variable(["0", "1", "2", "3", "inf", "-inf"], k=8)
+    assert all(math.isfinite(e) for e in bins.edges)
+    assert fit_variable(["nan", "inf"], k=4) == NumericBins(())
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +296,7 @@ def test_jsd_properties(a, b):
 
 
 # ---------------------------------------------------------------------------
-# permutation shift test
+# re-split shift test
 
 ONE_MAP = parse_map("map one\nview system\n  data a\n")
 
@@ -325,3 +340,87 @@ def test_shift_test_guards():
     big = load_csv(ONE_MAP, _csv(["0"] * 40, ["1"] * 40))
     with pytest.raises(ValueError):
         shift_test(big, ONE_MAP, "system.a", B=99)
+
+
+def test_shift_test_drops_non_finite_cells():
+    # a single nan cell must not collapse the bins and hide the shift
+    ds = load_csv(ONE_MAP, _csv(["0", "1"] * 30, ["0"] * 59 + ["nan"]))
+    r = shift_test(ds, ONE_MAP, "system.a", B=200, seed=0)
+    assert r.p_value == pytest.approx(1 / 201)
+    ds = load_csv(ONE_MAP, _csv(["0", "1"] * 30, ["0"] * 29 + ["inf"] * 30))
+    with pytest.raises(InsufficientData):
+        shift_test(ds, ONE_MAP, "system.a", B=200)
+
+
+def _window_histograms(ds, k=8):
+    values = ds.columns["system.a"]
+    ref = values[ds.window_mask("ref")]
+    cur = values[ds.window_mask("cur")]
+    bins = fit_variable(ref, k, extra_values=cur)
+    return bins, bins.encode(ref), bins.encode(cur)
+
+
+def _permutation_p_value(ds, B, seed):
+    """Reference null: the pooled rows re-split one permutation at a time."""
+    bins, ref_codes, cur_codes = _window_histograms(ds)
+    n = bins.n_states
+
+    def stat(a, b):
+        return jsd(np.bincount(a, minlength=n) / len(a),
+                   np.bincount(b, minlength=n) / len(b))
+
+    observed = stat(ref_codes, cur_codes)
+    pooled = np.concatenate([ref_codes, cur_codes])
+    n_ref = len(ref_codes)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(B):
+        perm = rng.permutation(pooled)
+        if stat(perm[:n_ref], perm[n_ref:]) >= observed:
+            hits += 1
+    return (1 + hits) / (B + 1)
+
+
+def _counts_csv(ref_counts, cur_counts):
+    return _csv([str(v) for v, c in enumerate(ref_counts) for _ in range(c)],
+                [str(v) for v, c in enumerate(cur_counts) for _ in range(c)])
+
+
+def test_shift_test_agrees_with_permutation_loop():
+    ds = load_csv(ONE_MAP, _counts_csv([30, 30, 30, 30], [44, 30, 24, 22]))
+    want = _permutation_p_value(ds, B=2000, seed=1)
+    assert 0.05 < want < 0.5            # a mild shift, far from either end
+    got = shift_test(ds, ONE_MAP, "system.a", B=2000, seed=0).p_value
+    assert abs(got - want) <= 0.03
+
+
+def test_shift_test_total_variation():
+    rng = np.random.default_rng(12)
+    ref = [f"{v:.3f}" for v in rng.normal(0, 1, 80)]
+    cur = [f"{v:.3f}" for v in rng.normal(0.5, 1, 70)]
+    ds = load_csv(ONE_MAP, _csv(ref, cur))
+    bins, ref_codes, cur_codes = _window_histograms(ds)
+    want = total_variation(np.bincount(ref_codes, minlength=bins.n_states) / 80,
+                           np.bincount(cur_codes, minlength=bins.n_states) / 70)
+    r = shift_test(ds, ONE_MAP, "system.a", B=200, seed=0, div="tv")
+    assert r.statistic == want
+    assert 0 < r.p_value <= 1
+    with pytest.raises(ValueError):
+        shift_test(ds, ONE_MAP, "system.a", B=200, div="hellinger")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_shift_test_ignores_row_order(data):
+    values = st.integers(0, 4).map(str)
+    ref = data.draw(st.lists(values, min_size=30, max_size=50))
+    cur = data.draw(st.lists(values, min_size=30, max_size=50))
+    rows = [("ref", v) for v in ref] + [("cur", v) for v in cur]
+    shuffled = data.draw(st.permutations(rows))
+
+    def result(rows):
+        text = "window,system.a\n" + "".join(f"{w},{v}\n" for w, v in rows)
+        r = shift_test(load_csv(ONE_MAP, text), ONE_MAP, "system.a", B=100, seed=5)
+        return r.statistic, r.p_value
+
+    assert result(shuffled) == result(rows)
