@@ -15,7 +15,7 @@ from .dataset import load_csv
 from .errors import MsmError
 from .mechanisms import shift_test
 from .msmformat import parse_map
-from .simulator import ScenarioConfig, generate
+from .simulator import ScenarioConfig, churn_map_text, generate_csv
 from .traversal import TraceConfig, detect_alerts, trace
 
 
@@ -44,7 +44,7 @@ def cmd_validate(args) -> int:
 
 def cmd_detect(args) -> int:
     system_map = parse_map(_read(args.map))
-    ds = load_csv(system_map, _read(args.data))
+    ds = load_csv(system_map, args.data)
     alerts = detect_alerts(system_map, ds, alpha=args.alpha,
                            B=args.permutations, seed=args.seed)
     doc = report_mod.detect_document(system_map.name, alerts, args.alpha,
@@ -58,7 +58,7 @@ def cmd_detect(args) -> int:
 
 def cmd_trace(args) -> int:
     system_map = parse_map(_read(args.map))
-    ds = load_csv(system_map, _read(args.data))
+    ds = load_csv(system_map, args.data)
     config = TraceConfig(
         bins=args.bins,
         tau=args.tau,
@@ -82,11 +82,11 @@ def cmd_trace(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = ScenarioConfig(scenario=args.scenario, n=args.n, seed=args.seed)
-    out = generate(config)
+    data = generate_csv(config)
     with open(args.out_data, "w", encoding="utf-8", newline="") as fh:
-        fh.write(out.csv_text)
+        fh.write(data)
     with open(args.out_map, "w", encoding="utf-8", newline="") as fh:
-        fh.write(out.map_text)
+        fh.write(churn_map_text())
     print(f"wrote {args.out_data} and {args.out_map}")
     return 0
 

@@ -2,10 +2,13 @@
 
 Input is a CSV with a header row, one ``window`` column labeling each row
 ``ref`` or ``cur``, and one column per observed variable named by any
-member of its equivalence class. Columns are unified to the canonical
-(lexicographically smallest) class member on load. Cells are kept as raw
-strings; the empty string means missing. Numeric/categorical typing is
-decided downstream at discretization time.
+member of its equivalence class; the simulator hands over the same
+columns as arrays. :func:`build_dataset` unifies columns to the canonical
+(lexicographically smallest) class member and types each column once: a
+column is numeric (float64, ``NaN`` = missing, i.e. empty or non-finite)
+when its node is not a modulator and every non-empty cell is a number,
+else categorical (``str`` cells, ``""`` = missing). Past that point only
+:func:`present` tests for the two missing markers.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -30,11 +33,18 @@ WINDOW_COLUMN = "window"
 WINDOWS = ("ref", "cur")
 
 
+def present(column: np.ndarray) -> np.ndarray:
+    """Mask of the cells of a typed column that are not missing."""
+    if column.dtype == object:
+        return column != ""
+    return ~np.isnan(column)
+
+
 @dataclass
 class WindowedDataset:
     """Column store keyed by canonical qualified name, plus window labels."""
 
-    columns: dict[str, np.ndarray]   # qname -> object array of str, '' = missing
+    columns: dict[str, np.ndarray]   # qname -> float64 or object array of str
     window: np.ndarray               # object array of 'ref' / 'cur'
     warnings: list[str] = field(default_factory=list)
 
@@ -51,37 +61,45 @@ class WindowedDataset:
         return qname in self.columns
 
 
-def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> WindowedDataset:
-    """Read a CSV file (path, text, or open stream) against a map.
+def _typed_column(values: np.ndarray, modulator: bool) -> tuple[np.ndarray, int]:
+    """The column as float64 or as str cells, and its non-finite cell count.
 
-    Any member of an equivalence class is accepted as a column header and
-    unified to the canonical member; two columns from one class are an
-    error. Columns matching no map node are reported as warnings.
+    Text is numeric when every non-empty cell parses with ``float``, which
+    the object-to-float cast calls per cell.
     """
-    if isinstance(source, str):
-        if "\n" in source or "," in source:
-            stream = io.StringIO(source)
-            rows = list(csv.reader(stream))
-        else:
-            with open(source, newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
+    empty = np.zeros(len(values), dtype=bool)
+    if values.dtype.kind in "biuf" and not modulator:
+        floats = values.astype(np.float64)
     else:
-        rows = list(csv.reader(source))
+        cells = values if values.dtype == object else values.astype(str).astype(object)
+        if modulator:
+            return cells, 0
+        empty = cells == ""
+        try:
+            floats = np.where(empty, "nan", cells).astype(np.float64)
+        except (TypeError, ValueError):
+            return cells, 0
+    non_finite = ~np.isfinite(floats)
+    floats[non_finite] = np.nan
+    return floats, int(np.count_nonzero(non_finite & ~empty))
 
-    if not rows:
-        raise MissingWindowColumn("empty CSV input")
-    header, data_rows = rows[0], rows[1:]
 
-    if WINDOW_COLUMN not in header:
-        raise MissingWindowColumn("CSV has no 'window' column")
-    window_idx = header.index(WINDOW_COLUMN)
+def build_dataset(system_map: SystemMap, columns: Iterable[tuple[str, np.ndarray]],
+                  window: np.ndarray) -> WindowedDataset:
+    """A dataset from (name, cells) columns aligned with ``window``.
 
+    A name may be any member of an equivalence class; two columns from one
+    class are an error. Columns matching no map node, and non-finite cells
+    (loaded as missing), are reported as warnings.
+    """
+    window = np.asarray(window, dtype=object)
+    for label in WINDOWS:
+        if not np.any(window == label):
+            raise EmptyWindow(f"window '{label}' has no rows")
     warnings: list[str] = []
-    col_for: dict[str, int] = {}
     claimed_by: dict[str, str] = {}
-    for i, name in enumerate(header):
-        if i == window_idx:
-            continue
+    typed: dict[str, np.ndarray] = {}
+    for name, values in columns:
         if not system_map.has_node(name):
             warnings.append(f"column '{name}' matches no map node")
             continue
@@ -91,25 +109,44 @@ def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> Window
                 f"columns '{claimed_by[canonical]}' and '{name}' both map to '{canonical}'"
             )
         claimed_by[canonical] = name
-        col_for[canonical] = i
+        modulator = system_map.node(canonical).kind is NodeKind.MODULATOR
+        typed[canonical], non_finite = _typed_column(np.asarray(values), modulator)
+        if non_finite:
+            warnings.append(
+                f"column '{name}': {non_finite} non-finite cells loaded as missing"
+            )
+    return WindowedDataset(columns=typed, window=window, warnings=warnings)
 
-    labels = []
-    for r, row in enumerate(data_rows, start=2):
-        label = row[window_idx] if window_idx < len(row) else ""
-        if label not in WINDOWS:
-            raise BadWindowLabel(f"row {r}: window label '{label}' (expected ref/cur)")
-        labels.append(label)
-    window = np.array(labels, dtype=object)
-    for label in WINDOWS:
-        if not np.any(window == label):
-            raise EmptyWindow(f"window '{label}' has no rows")
 
-    columns = {}
-    for canonical, i in col_for.items():
-        columns[canonical] = np.array(
-            [row[i] if i < len(row) else "" for row in data_rows], dtype=object
-        )
-    return WindowedDataset(columns=columns, window=window, warnings=warnings)
+def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> WindowedDataset:
+    """Read a CSV file (path, text, or open stream) against a map.
+
+    A string holding a newline is CSV text; any other string is a path.
+    """
+    if isinstance(source, str):
+        if "\n" in source:
+            rows = list(csv.reader(io.StringIO(source)))
+        else:
+            with open(source, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+    else:
+        rows = list(csv.reader(source))
+
+    if not rows:
+        raise MissingWindowColumn("empty CSV input")
+    header, data_rows = rows[0], rows[1:]
+    if WINDOW_COLUMN not in header:
+        raise MissingWindowColumn("CSV has no 'window' column")
+    window_idx = header.index(WINDOW_COLUMN)
+    cells = [np.array([row[i] if i < len(row) else "" for row in data_rows], dtype=object)
+             for i in range(len(header))]
+    window = cells[window_idx]
+    bad = np.flatnonzero((window != "ref") & (window != "cur"))
+    if len(bad):
+        raise BadWindowLabel(
+            f"row {bad[0] + 2}: window label '{window[bad[0]]}' (expected ref/cur)")
+    columns = [(name, c) for i, (name, c) in enumerate(zip(header, cells)) if i != window_idx]
+    return build_dataset(system_map, columns, window)
 
 
 @dataclass
@@ -119,7 +156,7 @@ class ViewTable:
     view: View
     window: str
     nodes: tuple[str, ...]                 # included qnames, canonical node order
-    columns: dict[str, np.ndarray]         # qname -> object array, aligned rows
+    columns: dict[str, np.ndarray]         # qname -> typed column, aligned rows
     excluded: tuple[str, ...]              # view nodes without any usable data
     n_rows: int
 
@@ -158,11 +195,7 @@ def view_matrix(ds: WindowedDataset, system_map: SystemMap, view: View,
     source: dict[str, str] = {}
     for node in graph.nodes:
         col = resolve_column(ds, system_map, node.qname)
-        if col is None:
-            excluded.append(node.qname)
-            continue
-        values = ds.columns[col][mask]
-        if not np.any(values != ""):
+        if col is None or not np.any(present(ds.columns[col][mask])):
             excluded.append(node.qname)
             continue
         included.append(node.qname)
@@ -170,7 +203,7 @@ def view_matrix(ds: WindowedDataset, system_map: SystemMap, view: View,
 
     complete = mask.copy()
     for qname in included:
-        complete &= ds.columns[source[qname]] != ""
+        complete &= present(ds.columns[source[qname]])
     n = int(np.count_nonzero(complete))
     if n == 0 or not included:
         raise NoDataForView(

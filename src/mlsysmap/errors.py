@@ -153,10 +153,6 @@ class UnknownAlert(MsmError):
     pass
 
 
-class NoEnvironmentView(MsmError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # simulator
 

@@ -125,14 +125,19 @@ class ViewGraph:
         return tuple(n.qname for n in self.nodes)
 
     def ancestors(self, qname: str) -> set:
-        seen = set()
-        stack = list(self.parents[qname])
-        while stack:
-            p = stack.pop()
-            if p not in seen:
-                seen.add(p)
-                stack.extend(self.parents[p])
-        return seen
+        return ancestors(self.parents, qname)
+
+
+def ancestors(parents: dict, qname: str) -> set:
+    """All nodes with a directed path to ``qname`` under a parents mapping."""
+    seen = set()
+    stack = list(parents[qname])
+    while stack:
+        p = stack.pop()
+        if p not in seen:
+            seen.add(p)
+            stack.extend(parents[p])
+    return seen
 
 
 class SystemMap:
@@ -148,6 +153,7 @@ class SystemMap:
         self.relations = relations     # tuple[Relation], canonical order
         self.views = views             # tuple[View], canonical order
         self._equiv = equiv            # qname -> tuple of class members
+        self._graphs = {}              # View -> ViewGraph, built on first use
 
     # -- basic access --------------------------------------------------
 
@@ -190,7 +196,12 @@ class SystemMap:
     # -- operations ----------------------------------------------------
 
     def view_graph(self, view: View) -> ViewGraph:
-        """Causal DAG restricted to one view (acyclicity re-checked)."""
+        """Causal DAG restricted to one view (acyclicity re-checked).
+
+        The map is immutable, so each view's graph is built once and shared.
+        """
+        if view in self._graphs:
+            return self._graphs[view]
         if view not in self.views:
             raise UnknownView(f"view '{view.name}' not in map '{self.name}'")
         nodes = self.view_nodes(view)
@@ -205,7 +216,8 @@ class SystemMap:
         topo = _topo_sort(sorted(names), parents)
         if topo is None:  # pragma: no cover - build_map already rejects cycles
             raise CycleError(f"cycle in view '{view.name}'", cycle=sorted(names))
-        return ViewGraph(view, nodes, edges, parents, children, tuple(topo))
+        self._graphs[view] = ViewGraph(view, nodes, edges, parents, children, tuple(topo))
+        return self._graphs[view]
 
     def equivalence_class(self, qname: str) -> tuple[str, ...]:
         """All nodes representing the same quantity, including ``qname``."""

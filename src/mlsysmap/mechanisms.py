@@ -8,9 +8,12 @@ assignment are computed by variable elimination; a sampled fallback uses
 ancestral sampling. Jensen-Shannon divergence (natural log) is the
 default shift measure, with total variation available as an alternative.
 
-Numeric variables are binned on quantiles of both windows pooled, so a
-location shift in the current window keeps parent-child conditionals
-expressible instead of collapsing into a single edge bin. Categorical
+Column types and missing cells are decided once, when the dataset is
+built (see :mod:`mlsysmap.dataset`); here a float64 column is numeric and
+an object column is categorical, and missing cells are dropped. Numeric
+variables are binned on quantiles of both windows pooled, so a location
+shift in the current window keeps parent-child conditionals expressible
+instead of collapsing into a single edge bin. Categorical
 variables keep the reference window's categories plus an "unseen" bucket.
 Conditional rows for parent configurations with no observations in one
 window fall back to the pooled fit: absent evidence, the mechanism is
@@ -27,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dataset import ViewTable, WindowedDataset, resolve_column, view_matrix
+from .dataset import ViewTable, WindowedDataset, present, resolve_column, view_matrix
 from .errors import (
     EmptyTable,
     InsufficientData,
@@ -36,7 +39,7 @@ from .errors import (
     NotNormalized,
     StateSpaceTooLarge,
 )
-from .mapcore import NodeKind, SystemMap, View
+from .mapcore import SystemMap, View, ancestors
 
 DEFAULT_BINS = 8
 DEFAULT_ALPHA = 1.0
@@ -58,8 +61,7 @@ class NumericBins:
         return len(self.edges) + 1
 
     def encode(self, values: np.ndarray) -> np.ndarray:
-        floats = np.array([float(v) for v in values])
-        return np.searchsorted(np.array(self.edges), floats, side="right")
+        return np.searchsorted(np.array(self.edges), values, side="right")
 
 
 @dataclass(frozen=True)
@@ -97,32 +99,17 @@ class Discretization:
         return self.variables[qname].encode(values)
 
 
-def _as_floats(values) -> Optional[np.ndarray]:
-    """The values as float64, or None when any of them is not a number."""
-    try:
-        return np.array([float(v) for v in values], dtype=float)
-    except (TypeError, ValueError):
-        return None
-
-
-def fit_variable(ref_values, k: int, kind: NodeKind = NodeKind.DATA,
-                 extra_values=None) -> VariableBins:
+def fit_variable(ref_values, k: int, extra_values=None) -> VariableBins:
     """Bins for one variable: pooled quantiles (numeric) or categories.
 
-    Quantile edges are placed on the finite values only, so a ``nan`` or
-    ``inf`` cell can never become an edge.
+    A number array is numeric, anything else categorical; the values are
+    the present cells of a typed column, so all numbers are finite.
     """
-    ref_values = np.asarray(ref_values, dtype=object)
-    pooled = ref_values
-    if extra_values is not None and len(extra_values):
-        pooled = np.concatenate([ref_values, np.asarray(extra_values, dtype=object)])
-    floats = None if kind is NodeKind.MODULATOR else _as_floats(pooled)
-    if floats is None:
+    ref_values = np.asarray(ref_values)
+    if not np.issubdtype(ref_values.dtype, np.number):
         return CategoryList(tuple(sorted(set(map(str, ref_values)))))
-    floats = floats[np.isfinite(floats)]
-    if not len(floats):
-        return NumericBins(())
-    qs = np.quantile(floats, [i / k for i in range(1, k)])
+    pooled = ref_values if extra_values is None else np.concatenate([ref_values, extra_values])
+    qs = np.quantile(pooled, [i / k for i in range(1, k)])
     edges = []
     for e in qs:
         if not edges or e > edges[-1]:
@@ -130,26 +117,24 @@ def fit_variable(ref_values, k: int, kind: NodeKind = NodeKind.DATA,
     return NumericBins(tuple(edges))
 
 
-def fit_discretization(system_map: SystemMap, table: ViewTable, k: int,
+def fit_discretization(table: ViewTable, k: int,
                        cur_table: Optional[ViewTable] = None) -> Discretization:
     """Fit bins for every node of a view table.
 
-    ``table`` is the reference window; when ``cur_table`` is given, numeric
-    quantiles are computed on both windows pooled (categories still come
-    from the reference window only).
+    ``table`` is the reference window; when ``cur_table`` is given, bins
+    cover the nodes of both tables and numeric quantiles are computed on
+    both windows pooled (categories still come from the reference window
+    only).
     """
     if k < 2:
         raise ValueError(f"bin count must be >= 2, got {k}")
     if table.n_rows == 0:
         raise EmptyTable("cannot fit a discretization on an empty table")
-    variables = {}
-    for qname in table.nodes:
-        kind = system_map.node(qname).kind
-        extra = None
-        if cur_table is not None and qname in cur_table.columns:
-            extra = cur_table.columns[qname]
-        variables[qname] = fit_variable(table.columns[qname], k, kind, extra)
-    return Discretization(variables)
+    cur = {} if cur_table is None else cur_table.columns
+    return Discretization({
+        q: fit_variable(table.columns[q], k, cur.get(q))
+        for q in table.nodes if cur_table is None or q in cur
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +165,7 @@ class MechanismSet:
         return self.tables[qname][window]
 
     def ancestors(self, qname: str) -> set:
-        seen = set()
-        stack = list(self.parents[qname])
-        while stack:
-            p = stack.pop()
-            if p not in seen:
-                seen.add(p)
-                stack.extend(self.parents[p])
-        return seen
+        return ancestors(self.parents, qname)
 
     def changed(self, qname: str) -> bool:
         """Whether the ref and cur tables differ at all."""
@@ -210,14 +188,7 @@ def fit_mechanisms(system_map: SystemMap, ds: WindowedDataset, view: View,
     excluded = tuple(sorted(set(ref_t.excluded) | set(cur_t.excluded)
                             | (set(ref_t.nodes) ^ set(cur_t.nodes))))
 
-    disc = fit_discretization(
-        system_map,
-        ViewTable(view, "ref", common, {q: ref_t.columns[q] for q in common},
-                  ref_t.excluded, ref_t.n_rows),
-        k,
-        ViewTable(view, "cur", common, {q: cur_t.columns[q] for q in common},
-                  cur_t.excluded, cur_t.n_rows),
-    )
+    disc = fit_discretization(ref_t, k, cur_t)
 
     graph = system_map.view_graph(view)
     in_set = set(common)
@@ -445,13 +416,13 @@ def shift_test(ds: WindowedDataset, system_map: SystemMap, node: str,
                div: str = "jsd") -> ShiftTestResult:
     """Two-sample re-split test on one variable's binned marginals.
 
-    Statistic: divergence between the per-window bin histograms. Empty
-    cells, and non-finite cells of a numeric variable, are dropped. The
-    null re-splits the pooled rows at random preserving window sizes; as
-    the statistic depends only on the histograms, the reference histogram
-    of a re-split is multivariate hypergeometric over the pooled bin
-    counts, so ``B`` such histograms are drawn exactly and scored in one
-    pass, alongside the observed split.
+    Statistic: divergence between the per-window bin histograms. Missing
+    cells are dropped. The null re-splits the pooled rows at random
+    preserving window sizes; as the statistic depends only on the
+    histograms, the reference histogram of a re-split is multivariate
+    hypergeometric over the pooled bin counts, so ``B`` such histograms
+    are drawn exactly and scored in one pass, alongside the observed
+    split.
     p = (1 + #{re-split statistic >= observed}) / (B + 1).
     """
     if B < 100:
@@ -459,20 +430,16 @@ def shift_test(ds: WindowedDataset, system_map: SystemMap, node: str,
     col = resolve_column(ds, system_map, node)
     if col is None:
         raise InsufficientData(f"no data column for '{node}'")
-    kind = system_map.node(node).kind
     values = ds.columns[col]
-    present = values != ""
-    floats = None if kind is NodeKind.MODULATOR else _as_floats(values[present])
-    if floats is not None:
-        present[present] = np.isfinite(floats)
-    ref_vals = values[present & ds.window_mask("ref")]
-    cur_vals = values[present & ds.window_mask("cur")]
+    keep = present(values)
+    ref_vals = values[keep & ds.window_mask("ref")]
+    cur_vals = values[keep & ds.window_mask("cur")]
     n_ref, n_cur = len(ref_vals), len(cur_vals)
     if n_ref < 30 or n_cur < 30:
         raise InsufficientData(
             f"'{node}': {n_ref} ref / {n_cur} cur rows (need 30 each)"
         )
-    bins = fit_variable(ref_vals, k, kind, cur_vals)
+    bins = fit_variable(ref_vals, k, cur_vals)
     ref_counts = np.bincount(bins.encode(ref_vals), minlength=bins.n_states)
     cur_counts = np.bincount(bins.encode(cur_vals), minlength=bins.n_states)
     observed = divergence(ref_counts / n_ref, cur_counts / n_cur, div)

@@ -18,6 +18,8 @@ parameters; scenarios change exactly one knob in the current window:
 Generation is fully deterministic given (scenario, n, seed); the
 reference window stream is independent of the scenario, so reference
 distributions are identical across scenarios at a fixed seed.
+:func:`generate` hands the generated arrays straight to the dataset;
+:func:`generate_csv` formats the same arrays as CSV text.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import WindowedDataset, load_csv
+from .dataset import WindowedDataset, build_dataset
 from .errors import UnknownScenario
 from .mapcore import SystemMap
 from .msmformat import parse_map
@@ -171,35 +173,8 @@ def _generate_window(rng, params: WindowParams, n: int, stale_rng=None):
     }
 
 
-_COLUMNS = (
-    "window",
-    "application.outreach_out",
-    "application.outreach_policy",
-    "application2.sent_out",
-    "env.quality_of_service",
-    "env.user_demographics",
-    "pipeline.activity_events",
-    "pipeline.activity_features",
-    "pipeline.daily_counts",
-    "pipeline.data_freshness",
-    "pipeline.parse_quality",
-    "serving.churn_score_out",
-    "serving.model_version",
-    "serving2.promo_out",
-    "system.demographic_features",
-)
-
-
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def generate_csv(config: ScenarioConfig) -> str:
-    """Deterministic CSV text: n reference rows then n current rows."""
+def _windows(config: ScenarioConfig):
+    """The reference and current windows' arrays, keyed by column name."""
     if config.n < 1:
         raise ValueError(f"rows per window must be >= 1, got {config.n}")
     ref = _generate_window(
@@ -209,11 +184,22 @@ def generate_csv(config: ScenarioConfig) -> str:
         np.random.default_rng([config.seed, 1]), config.current_params(), config.n,
         stale_rng=np.random.default_rng([config.seed, 2]),
     )
-    lines = [",".join(_COLUMNS)]
+    return ref, cur
+
+
+def generate_csv(config: ScenarioConfig) -> str:
+    """Deterministic CSV text: n reference rows then n current rows.
+
+    The window label comes first, then the columns in name order.
+    """
+    ref, cur = _windows(config)
+    names = sorted(ref)
+    lines = [",".join(["window"] + names)]
     for label, window in (("ref", ref), ("cur", cur)):
-        for i in range(config.n):
-            row = [label] + [_cell(window[c][i]) for c in _COLUMNS[1:]]
-            lines.append(",".join(row))
+        # tolist() yields str, int and float cells; repr of a float round-trips
+        for row in zip(*(window[c].tolist() for c in names)):
+            lines.append(",".join([label] + [v if isinstance(v, str) else repr(v)
+                                             for v in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -221,18 +207,20 @@ def generate_csv(config: ScenarioConfig) -> str:
 class SimulationOutput:
     system_map: SystemMap
     dataset: WindowedDataset
-    csv_text: str
     map_text: str
 
 
 def generate(config: ScenarioConfig) -> SimulationOutput:
-    """Generate one scenario: the churn map plus a loaded windowed dataset."""
+    """Generate one scenario: the churn map plus its windowed dataset.
+
+    The dataset equals ``load_csv(churn_map(), generate_csv(config))``.
+    """
     system_map = churn_map()
-    csv_text = generate_csv(config)
-    dataset = load_csv(system_map, csv_text)
+    ref, cur = _windows(config)
+    columns = [(c, np.concatenate([ref[c], cur[c]])) for c in sorted(ref)]
+    window = np.repeat(np.array(["ref", "cur"], dtype=object), config.n)
     return SimulationOutput(
         system_map=system_map,
-        dataset=dataset,
-        csv_text=csv_text,
+        dataset=build_dataset(system_map, columns, window),
         map_text=churn_map_text(),
     )

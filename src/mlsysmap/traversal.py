@@ -40,7 +40,6 @@ class TraceConfig:
     tau: float = 0.5
     epsilon: float = 2e-3
     branch_cutoff: float = 0.2
-    alert_level: float = 0.01
     permutations: int = 500          # sampled-Shapley player orders
     test_permutations: int = 1000    # two-sample permutation test re-splits
     seed: int = 0

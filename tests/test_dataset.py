@@ -1,9 +1,12 @@
-"""CSV loading, equivalence unification, and per-view complete-case tables."""
+"""CSV loading, equivalence unification, column typing, and per-view
+complete-case tables."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlsysmap.dataset import load_csv, resolve_column, view_matrix
+from mlsysmap.dataset import load_csv, present, resolve_column, view_matrix
 from mlsysmap.errors import (
     BadWindowLabel,
     DuplicateEquivalenceColumn,
@@ -12,7 +15,9 @@ from mlsysmap.errors import (
     NoDataForView,
 )
 from mlsysmap.mapcore import View
+from mlsysmap.mechanisms import fit_mechanisms
 from mlsysmap.msmformat import parse_map
+from mlsysmap.simulator import SCENARIOS, ScenarioConfig, churn_map, generate, generate_csv
 
 MAP = parse_map("""\
 map tiny
@@ -96,6 +101,49 @@ def test_load_from_path(tmp_path):
     assert ds.n_rows == 4
 
 
+def test_load_from_path_with_comma(tmp_path):
+    p = tmp_path / "a,b" / "d.csv"
+    p.parent.mkdir()
+    p.write_text(CSV, encoding="utf-8")
+    assert load_csv(MAP, str(p)).n_rows == 4
+
+
+def test_numeric_and_categorical_columns():
+    ds = load_csv(MAP, CSV)
+    assert ds.columns["pipe.out"].dtype == np.float64
+    assert list(ds.columns["pipe.out"]) == [1.0, 2.0, 3.0, 4.0]
+    assert ds.columns["pipe.raw"].dtype == object
+
+
+def test_modulator_column_stays_categorical():
+    m = parse_map("map m\nview system\n  data s\n"
+                  "view subsystem sub\n  data out\n  modulator knob\n"
+                  "  edge knob -> out\nequiv sub.out = system.s\n")
+    ds = load_csv(m, "window,sub.knob,sub.out\nref,1,1\ncur,2,2\nref,1,3\n")
+    assert ds.columns["sub.knob"].dtype == object
+    assert list(ds.columns["sub.knob"]) == ["1", "2", "1"]
+    assert ds.columns["sub.out"].dtype == np.float64
+
+
+def test_mixed_values_are_categorical():
+    ds = load_csv(MAP, "window,system.score\nref,1\nref,\ncur,a\n")
+    assert ds.columns["system.score"].dtype == object
+    assert list(ds.columns["system.score"]) == ["1", "", "a"]
+    assert list(present(ds.columns["system.score"])) == [True, False, True]
+
+
+def test_non_finite_cells_are_missing():
+    text = ("window,system.score,system.features\n"
+            "ref,nan,1\nref,inf,2\nref,,3\ncur,-inf,4\ncur,0.5,5\n")
+    ds = load_csv(MAP, text)
+    score = ds.columns["system.score"]
+    assert score.dtype == np.float64
+    assert list(present(score)) == [False, False, False, False, True]
+    assert score[4] == 0.5
+    assert ds.warnings == [
+        "column 'system.score': 3 non-finite cells loaded as missing"]
+
+
 def test_resolve_column_direct_and_proxy():
     ds = load_csv(MAP, CSV)
     assert resolve_column(ds, MAP, "system.features") == "pipe.out"
@@ -112,8 +160,8 @@ def test_view_matrix_shapes_and_exclusions():
     # node names stay view-local; data is sourced from canonical columns
     assert t.nodes == ("system.features", "system.score")
     assert t.n_rows == 2
-    assert list(t.column("system.score")) == ["0.1", "0.2"]
-    assert list(t.column("system.features")) == ["1.0", "2.0"]
+    assert list(t.column("system.score")) == [0.1, 0.2]
+    assert list(t.column("system.features")) == [1.0, 2.0]
 
     sub = view_matrix(ds, MAP, View.subsystem("pipe"), "cur")
     assert sub.nodes == ("pipe.out", "pipe.raw")
@@ -130,7 +178,7 @@ def test_view_matrix_drops_incomplete_rows():
     ref = view_matrix(ds, MAP, View.system(), "ref")
     cur = view_matrix(ds, MAP, View.system(), "cur")
     assert ref.n_rows == 1 and cur.n_rows == 1
-    assert list(cur.column("system.features")) == ["4.0"]
+    assert list(cur.column("system.features")) == [4.0]
 
 
 def test_view_matrix_excludes_all_missing_columns():
@@ -146,3 +194,69 @@ def test_view_matrix_no_data():
     ds = load_csv(MAP, "window,system.score\nref,1\ncur,2\n")
     with pytest.raises(NoDataForView):
         view_matrix(ds, MAP, View.subsystem("pipe"), "ref")
+
+
+def _assert_same_dataset(got, want):
+    assert list(got.columns) == list(want.columns)
+    for name, col in want.columns.items():
+        assert got.columns[name].dtype == col.dtype, name
+        if col.dtype == object:
+            assert list(got.columns[name]) == list(col), name
+        else:
+            np.testing.assert_array_equal(got.columns[name], col, err_msg=name)
+    assert got.window.dtype == want.window.dtype
+    assert list(got.window) == list(want.window)
+    assert got.warnings == want.warnings
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_generated_dataset_equals_csv_round_trip(scenario):
+    cfg = ScenarioConfig(scenario, n=300, seed=3)
+    _assert_same_dataset(generate(cfg).dataset,
+                         load_csv(churn_map(), generate_csv(cfg)))
+
+
+# -- invariance of the fitted mechanisms under layout-only changes ----------
+
+_NUMBER = st.one_of(st.integers(-3, 3).map(str),
+                    st.floats(-5, 5, allow_nan=False).map(repr),
+                    st.just(""))
+_ROW = st.tuples(_NUMBER, _NUMBER, st.sampled_from(["a", "b", "c", ""]))
+_VIEWS = (View.system(), View.subsystem("pipe"), View.environment())
+
+
+def _fitted(header, rows):
+    text = ",".join(header) + "\n" + "".join(",".join(r) + "\n" for r in rows)
+    ds = load_csv(MAP, text)
+    out = []
+    for view in _VIEWS:
+        try:
+            mech = fit_mechanisms(MAP, ds, view, k=4)
+        except NoDataForView:
+            out.append(None)
+            continue
+        out.append((mech.nodes, repr(mech.disc.variables),
+                    {q: {w: t.tobytes() for w, t in mech.tables[q].items()}
+                     for q in mech.nodes}))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fitted_mechanisms_ignore_data_layout(data):
+    ref = data.draw(st.lists(_ROW, min_size=1, max_size=25))
+    cur = data.draw(st.lists(_ROW, min_size=1, max_size=25))
+    header = ["window", "system.features", "system.score", "pipe.raw"]
+    rows = [("ref",) + r for r in ref] + [("cur",) + r for r in cur]
+    want = _fitted(header, rows)
+
+    order = data.draw(st.permutations(range(len(header))))
+    assert _fitted([header[i] for i in order],
+                   [tuple(r[i] for i in order) for r in rows]) == want
+
+    renamed = ["pipe.out" if h == "system.features" else h for h in header]
+    assert _fitted(renamed, rows) == want
+
+    shuffled = ([("ref",) + r for r in data.draw(st.permutations(ref))]
+                + [("cur",) + r for r in data.draw(st.permutations(cur))])
+    assert _fitted(header, shuffled) == want

@@ -17,10 +17,11 @@ from mlsysmap.errors import (
     EmptyTable,
     InsufficientData,
     LengthMismatch,
+    NoDataForView,
     NotNormalized,
     StateSpaceTooLarge,
 )
-from mlsysmap.mapcore import NodeKind, View
+from mlsysmap.mapcore import View
 from mlsysmap.mechanisms import (
     UNSEEN,
     CategoryList,
@@ -42,35 +43,50 @@ from helpers import brute_force_marginal, random_mechanism_set
 LN2 = math.log(2.0)
 
 
+ONE_MAP = parse_map("map one\nview system\n  data a\n")
+
+
+def _csv(ref_vals, cur_vals):
+    rows = ["window,system.a"]
+    rows += [f"ref,{v}" for v in ref_vals]
+    rows += [f"cur,{v}" for v in cur_vals]
+    return "\n".join(rows) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # discretization
 
 def test_numeric_quantile_bins():
-    bins = fit_variable(["0", "1", "2", "3"], k=2)
+    bins = fit_variable(np.array([0.0, 1.0, 2.0, 3.0]), k=2)
     assert isinstance(bins, NumericBins)
     assert bins.edges == (1.5,)
     assert bins.n_states == 2
-    assert list(bins.encode(np.array(["0", "1", "2", "3"], dtype=object))) == [0, 0, 1, 1]
+    assert list(bins.encode(np.array([0.0, 1.0, 2.0, 3.0]))) == [0, 0, 1, 1]
 
 
 def test_numeric_bins_deduplicate_tied_quantiles():
-    bins = fit_variable(["1"] * 10 + ["2"], k=8)
+    bins = fit_variable(np.array([1.0] * 10 + [2.0]), k=8)
     assert len(bins.edges) < 8
     assert bins.edges == tuple(sorted(set(bins.edges)))
 
 
 def test_pooled_quantiles_cover_both_windows():
-    ref = [str(v) for v in range(10)]
-    cur = [str(v) for v in range(100, 110)]
-    bins = fit_variable(ref, k=2, extra_values=np.array(cur, dtype=object))
+    ref = np.arange(10, dtype=float)
+    cur = np.arange(100, 110, dtype=float)
+    bins = fit_variable(ref, k=2, extra_values=cur)
     # the median of the pooled sample separates the windows
     assert 9 < bins.edges[0] < 100
 
 
 def test_modulator_is_always_categorical():
-    bins = fit_variable(["1", "2", "1"], k=4, kind=NodeKind.MODULATOR)
-    assert isinstance(bins, CategoryList)
-    assert bins.categories == ("1", "2")
+    # a modulator column loads as text, so its numbers bin as categories
+    ds = load_csv(BACKOFF_MAP, "window,sub.m,sub.out\nref,1,1\nref,2,2\n"
+                               "ref,1,3\ncur,2,4\n")
+    mech = fit_mechanisms(BACKOFF_MAP, ds, View.subsystem("sub"))
+    assert mech.disc.variables["sub.m"] == CategoryList(("1", "2"))
+    assert isinstance(mech.disc.variables["sub.out"], NumericBins)
+    bins = fit_variable(np.array(["1", "2", "1"], dtype=object), k=4)
+    assert bins == CategoryList(("1", "2"))
 
 
 def test_categories_come_from_reference_only():
@@ -89,12 +105,27 @@ def test_category_encode_matches_non_string_values():
 
 
 def test_quantile_edges_ignore_non_finite_values():
-    bins = fit_variable(["0", "1"] * 30, k=2,
-                        extra_values=np.array(["0"] * 59 + ["nan"], dtype=object))
-    assert bins == NumericBins((0.0,))
-    bins = fit_variable(["0", "1", "2", "3", "inf", "-inf"], k=8)
-    assert all(math.isfinite(e) for e in bins.edges)
-    assert fit_variable(["nan", "inf"], k=4) == NumericBins(())
+    # non-finite cells load as missing, so they never reach the quantiles
+    ds = load_csv(ONE_MAP, _csv(["0", "1"] * 30, ["0"] * 59 + ["nan"]))
+    mech = fit_mechanisms(ONE_MAP, ds, View.system(), k=2)
+    assert mech.disc.variables["system.a"] == NumericBins((0.0,))
+    ds = load_csv(ONE_MAP, _csv(["0", "1", "inf"], ["2", "3", "-inf"]))
+    mech = fit_mechanisms(ONE_MAP, ds, View.system(), k=8)
+    assert all(math.isfinite(e) for e in mech.disc.variables["system.a"].edges)
+    # a column with no finite cell has no data at all
+    ds = load_csv(ONE_MAP, _csv(["nan"] * 40, ["inf"] * 40))
+    with pytest.raises(NoDataForView):
+        fit_mechanisms(ONE_MAP, ds, View.system())
+    with pytest.raises(InsufficientData):
+        shift_test(ds, ONE_MAP, "system.a", B=200)
+
+
+def test_non_finite_cells_do_not_fake_a_mechanism_change():
+    values = [str(v) for v in range(40)]
+    ds = load_csv(ONE_MAP, _csv(values, values + ["nan"] * 4))
+    assert ds.warnings == ["column 'system.a': 4 non-finite cells loaded as missing"]
+    mech = fit_mechanisms(ONE_MAP, ds, View.system())
+    assert not mech.changed("system.a")
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +206,7 @@ def test_empty_table_rejected():
     from mlsysmap.mechanisms import fit_discretization
     empty = ViewTable(View.system(), "ref", (), {}, (), 0)
     with pytest.raises(EmptyTable):
-        fit_discretization(CHAIN_MAP, empty, 8)
+        fit_discretization(empty, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +328,6 @@ def test_jsd_properties(a, b):
 
 # ---------------------------------------------------------------------------
 # re-split shift test
-
-ONE_MAP = parse_map("map one\nview system\n  data a\n")
-
-
-def _csv(ref_vals, cur_vals):
-    rows = ["window,system.a"]
-    rows += [f"ref,{v}" for v in ref_vals]
-    rows += [f"cur,{v}" for v in cur_vals]
-    return "\n".join(rows) + "\n"
-
 
 def test_shift_test_detects_disjoint_windows():
     ds = load_csv(ONE_MAP, _csv(["0"] * 40, ["1"] * 40))
