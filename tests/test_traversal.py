@@ -3,9 +3,12 @@ scenarios."""
 
 import pytest
 
+from mlsysmap import traversal
 from mlsysmap.attribution import AttributionResult, Classification
+from mlsysmap.dataset import load_csv
 from mlsysmap.errors import UnknownAlert, ViewMismatch
 from mlsysmap.mapcore import View
+from mlsysmap.msmformat import parse_map
 from mlsysmap.traversal import (
     Pattern,
     TraceConfig,
@@ -155,3 +158,166 @@ def test_detect_alerts_s1_vs_s0():
 
     s0 = simulate("S0")
     assert detect_alerts(s0.system_map, s0.dataset, alpha=0.01, B=200) == []
+
+
+# ---------------------------------------------------------------------------
+# routing on hand-placed attribution mass
+
+PIN_CORE = """\
+map pin
+
+view system
+  data extra
+  data feat
+  data orphan
+  data rank
+  data score
+  edge extra -> score
+  edge feat -> score
+  edge orphan -> score
+  edge score -> rank
+
+view subsystem pipe
+  data raw boundary
+  data clean
+  data out
+  modulator knob
+  edge raw -> clean
+  edge clean -> out
+  edge knob -> out
+
+view subsystem pipe2
+  data inlet boundary
+  data out2
+  edge inlet -> out2
+
+view subsystem scorer
+  data score_out
+
+equiv pipe.out = system.feat
+equiv pipe2.out2 = system.extra
+equiv scorer.score_out = system.score
+"""
+
+PIN_MAP = PIN_CORE + """
+view environment
+  random up
+  random act
+  random side
+  edge up -> act
+
+measure env.act -> system.feat
+"""
+
+PIN_CSV = "window,system.feat\nref,1\ncur,2\n"
+
+
+def pinned_trace(monkeypatch, plan, alert="system.score", config=TraceConfig(),
+                 map_text=PIN_MAP):
+    """Trace with mass placed by hand: ``plan`` maps (view name, target) to
+    (classification kind, nodes); any other step is negligible."""
+    system_map = parse_map(map_text)
+
+    def fake_attribute(view, target, **_):
+        kind, nodes = plan.get((view.name, target), ("negligible", ()))
+        return result_on(view, target, list(nodes), kind=kind)
+
+    monkeypatch.setattr(traversal, "fit_mechanisms", lambda m, ds, view, **_: view)
+    monkeypatch.setattr(traversal, "attribute", fake_attribute)
+    return trace(system_map, load_csv(system_map, PIN_CSV), alert, config)
+
+
+def test_distributed_mass_opens_one_branch_per_node(monkeypatch):
+    report = pinned_trace(monkeypatch, {
+        ("system", "system.score"): ("distributed", ("system.feat", "system.extra")),
+    })
+    assert report.root.pattern is Pattern.DISTRIBUTED
+    assert [(c.aq, c.view.name, c.target) for c in report.root.children] == [
+        (2, "pipe", "pipe.out"), (2, "pipe2", "pipe2.out2")]
+    assert report.warnings == ()
+
+
+def test_distributed_mass_beyond_max_branches_warns(monkeypatch):
+    report = pinned_trace(monkeypatch, {
+        ("system", "system.score"): ("distributed",
+                                     ("system.feat", "system.extra", "system.orphan")),
+    }, config=TraceConfig(max_branches=1))
+    assert [c.view.name for c in report.root.children] == ["pipe"]
+    assert report.warnings == (
+        "system: distributed mass, branches not expanded: system.extra, system.orphan",)
+
+
+def test_environment_step_notes_non_ancestral_mass(monkeypatch):
+    def env_step(node):
+        report = pinned_trace(monkeypatch, {
+            ("system", "system.score"): ("concentrated", ("system.feat",)),
+            ("pipe", "pipe.out"): ("concentrated", ("pipe.raw",)),
+            ("env", "env.act"): ("concentrated", (node,)),
+        })
+        pipe = report.root.children[0]
+        assert pipe.pattern is Pattern.AP2_3 and pipe.routed_to == "env"
+        (env,) = pipe.children
+        assert env.aq == 3 and env.target == "env.act"
+        return env
+
+    sideways = env_step("env.side")
+    assert sideways.pattern is Pattern.AP3_2
+    assert sideways.note == "non-ancestral mass"
+    assert [(v.kind, v.node) for v in sideways.verdicts] == [("undetermined", "env.side")]
+    self_mass = env_step("env.act")
+    assert self_mass.pattern is Pattern.AP3_2 and self_mass.note is None
+    assert [(v.kind, v.node) for v in self_mass.verdicts] == [("undetermined", "env.act")]
+    upstream = env_step("env.up")
+    assert upstream.pattern is Pattern.AP3_1 and upstream.note is None
+    assert [(v.kind, v.node) for v in upstream.verdicts] == [("external", "env.up")]
+
+
+def test_undetermined_when_no_subsystem_produces_the_node(monkeypatch):
+    report = pinned_trace(monkeypatch, {
+        ("system", "system.score"): ("concentrated", ("system.orphan",)),
+    })
+    assert report.root.pattern is Pattern.AP1_2
+    assert report.root.children == [] and report.root.routed_to is None
+    assert [(v.kind, v.node, v.detail) for v in report.verdicts] == [
+        ("undetermined", "system.orphan", "no subsystem view produces 'system.orphan'")]
+
+
+def test_undetermined_when_boundary_has_no_environment_view(monkeypatch):
+    report = pinned_trace(monkeypatch, {
+        ("system", "system.score"): ("concentrated", ("system.feat",)),
+        ("pipe", "pipe.out"): ("concentrated", ("pipe.raw",)),
+    }, map_text=PIN_CORE)
+    pipe = report.root.children[0]
+    assert pipe.pattern is Pattern.AP2_3 and pipe.children == []
+    assert [(v.kind, v.node, v.detail) for v in report.verdicts] == [
+        ("undetermined", "pipe.raw",
+         "boundary reached but no environment view is modeled")]
+
+
+def test_undetermined_when_boundary_has_no_measured_proxy(monkeypatch):
+    report = pinned_trace(monkeypatch, {
+        ("system", "system.score"): ("concentrated", ("system.extra",)),
+        ("pipe2", "pipe2.out2"): ("concentrated", ("pipe2.inlet",)),
+    })
+    pipe2 = report.root.children[0]
+    assert pipe2.pattern is Pattern.AP2_3 and pipe2.children == []
+    assert pipe2.routed_to is None
+    assert [(v.kind, v.node, v.detail) for v in report.verdicts] == [
+        ("undetermined", "pipe2.inlet",
+         "no measured environment proxy for the boundary")]
+
+
+def test_eager_environment_steps_only_under_a_root(monkeypatch):
+    eager = TraceConfig(eager_environment=True)
+    root = pinned_trace(monkeypatch, {
+        ("system", "system.score"): ("concentrated", ("system.feat",)),
+    }, config=eager)
+    assert root.root.pattern is Pattern.AP1_2
+    assert [(c.aq, c.view.name, c.target) for c in root.root.children] == [
+        (2, "pipe", "pipe.out"), (3, "env", "env.act")]
+    conditional = pinned_trace(monkeypatch, {
+        ("system", "system.rank"): ("concentrated", ("system.score",)),
+    }, alert="system.rank", config=eager)
+    assert conditional.root.pattern is Pattern.AP1_1
+    assert [(c.aq, c.view.name) for c in conditional.root.children] == [
+        (2, "scorer")]
