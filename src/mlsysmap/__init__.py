@@ -13,9 +13,6 @@ from .attribution import (
     classify,
     exact_shapley,
     sampled_shapley,
-    set_function,
-    shapley_exact,
-    shapley_sampled,
 )
 from .dataset import WindowedDataset, load_csv, view_matrix
 from .mapcore import (

@@ -1,12 +1,18 @@
-"""Mechanism-swap set function and Shapley attribution.
+"""Mechanism-swap Shapley attribution.
 
 The game value of a node subset S is the divergence between the target's
 marginal when the nodes in S use their current-window mechanisms (all
 others staying on reference) and the all-reference marginal. Shapley
 values over this game split the observed shift across the nodes whose
-mechanisms changed. Players are all fitted nodes of the view, including
-the target itself, so a local mechanism change at the target is
-attributable to it.
+mechanisms changed (Budhathoki et al., "Why did the distribution
+change?", AISTATS 2021). Players are all fitted nodes of the view,
+including the target itself, so a local mechanism change at the target
+is attributable to it.
+
+``attribute`` is the one entry point on a mechanism set: it builds the
+game, solves it exactly or by sampled player orders, and classifies
+where the mass lands. ``exact_shapley`` and ``sampled_shapley`` solve
+any set function.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import mechanisms as mech_mod
-from .errors import StateSpaceTooLarge, TooManyPlayers
+from .errors import InsufficientData, StateSpaceTooLarge, TooManyPlayers
 from .mapcore import View
 from .mechanisms import MechanismSet, divergence, sample_marginal, target_marginal
 
@@ -93,13 +99,6 @@ class MechanismSwapGame:
         return self._cache[key]
 
 
-def set_function(mech: MechanismSet, subset, target: str, div: str = "jsd",
-                 state_limit: int = mech_mod.DEFAULT_STATE_LIMIT) -> float:
-    """v(S): shift of the target marginal when S uses current mechanisms."""
-    game = MechanismSwapGame(mech, target, div, state_limit)
-    return game(frozenset(subset))
-
-
 # ---------------------------------------------------------------------------
 # generic Shapley solvers (usable with any set function)
 
@@ -154,7 +153,7 @@ def sampled_shapley(v: Callable, players: Sequence[str], permutations: int,
 
 
 # ---------------------------------------------------------------------------
-# classification and top-level entry points
+# classification and the mechanism-level entry point
 
 def classify(phi: dict, total: float, tau: float = DEFAULT_TAU,
              epsilon: float = DEFAULT_EPSILON,
@@ -162,10 +161,9 @@ def classify(phi: dict, total: float, tau: float = DEFAULT_TAU,
     """Concentrated / distributed / negligible, on absolute-value shares."""
     if total < epsilon:
         return Classification("negligible")
-    abs_sum = sum(abs(x) for x in phi.values())
-    if abs_sum == 0.0:
+    shares = shares_of(phi)
+    if not any(shares.values()):
         return Classification("negligible")
-    shares = {p: abs(x) / abs_sum for p, x in phi.items()}
     ranked = sorted(shares.items(), key=lambda kv: (-kv[1], kv[0]))
     if ranked[0][1] >= tau:
         return Classification("concentrated", (ranked[0][0],))
@@ -180,7 +178,34 @@ def shares_of(phi: dict) -> dict:
     return {p: abs(x) / abs_sum for p, x in phi.items()}
 
 
-def _build_result(mech, target, phi, total, mode, tau, epsilon, branch_cutoff):
+MODES = ("auto", "exact", "sampled")
+
+
+def attribute(mech: MechanismSet, target: str, mode: str = "auto",
+              permutations: int = 500, seed=0, div: str = "jsd",
+              tau: float = DEFAULT_TAU, epsilon: float = DEFAULT_EPSILON,
+              branch_cutoff: float = DEFAULT_BRANCH_CUTOFF,
+              state_limit: int = mech_mod.DEFAULT_STATE_LIMIT) -> AttributionResult:
+    """Mechanism-swap Shapley attribution of the shift in one target.
+
+    ``mode`` "exact" enumerates every coalition, "sampled" averages over
+    ``permutations`` seeded player orders, and "auto" is exact up to
+    ``EXACT_PLAYER_LIMIT`` players. The result's mode is "sampled" also
+    when variable elimination exceeded ``state_limit`` and the game fell
+    back to ancestral sampling.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown attribution mode '{mode}' (expected one of {MODES})")
+    if target not in mech.nodes:
+        raise InsufficientData(
+            f"no fitted data for '{target}' in view '{mech.view.name}'")
+    game = MechanismSwapGame(mech, target, div, state_limit, seed=seed)
+    exact = mode == "exact" or (mode == "auto" and len(game.players) <= EXACT_PLAYER_LIMIT)
+    if exact:
+        phi = exact_shapley(game, game.players)
+    else:
+        phi = sampled_shapley(game, game.players, permutations, seed)
+    total = game(frozenset(game.players))
     return AttributionResult(
         view=mech.view,
         target=target,
@@ -188,39 +213,6 @@ def _build_result(mech, target, phi, total, mode, tau, epsilon, branch_cutoff):
         phi=phi,
         total=total,
         shares=shares_of(phi),
-        mode=mode,
+        mode="exact" if exact and not game.used_sampling else "sampled",
         classification=classify(phi, total, tau, epsilon, branch_cutoff),
     )
-
-
-def shapley_exact(mech: MechanismSet, target: str, div: str = "jsd",
-                  tau: float = DEFAULT_TAU, epsilon: float = DEFAULT_EPSILON,
-                  branch_cutoff: float = DEFAULT_BRANCH_CUTOFF,
-                  state_limit: int = mech_mod.DEFAULT_STATE_LIMIT,
-                  seed=0) -> AttributionResult:
-    """Exact mechanism-swap Shapley attribution for one target."""
-    game = MechanismSwapGame(mech, target, div, state_limit, seed=seed)
-    phi = exact_shapley(game, game.players)
-    total = game(frozenset(game.players))
-    mode = "sampled" if game.used_sampling else "exact"
-    return _build_result(mech, target, phi, total, mode, tau, epsilon, branch_cutoff)
-
-
-def shapley_sampled(mech: MechanismSet, target: str, permutations: int, seed,
-                    div: str = "jsd", tau: float = DEFAULT_TAU,
-                    epsilon: float = DEFAULT_EPSILON,
-                    branch_cutoff: float = DEFAULT_BRANCH_CUTOFF,
-                    state_limit: int = mech_mod.DEFAULT_STATE_LIMIT) -> AttributionResult:
-    """Permutation-sampled Shapley attribution; deterministic given seed."""
-    game = MechanismSwapGame(mech, target, div, state_limit, seed=seed)
-    phi = sampled_shapley(game, game.players, permutations, seed)
-    total = game(frozenset(game.players))
-    return _build_result(mech, target, phi, total, "sampled", tau, epsilon, branch_cutoff)
-
-
-def attribute(mech: MechanismSet, target: str, mode: str = "auto",
-              permutations: int = 500, seed=0, **kwargs) -> AttributionResult:
-    """Dispatch to exact or sampled attribution based on player count."""
-    if mode == "exact" or (mode == "auto" and len(mech.nodes) <= EXACT_PLAYER_LIMIT):
-        return shapley_exact(mech, target, seed=seed, **kwargs)
-    return shapley_sampled(mech, target, permutations, seed, **kwargs)

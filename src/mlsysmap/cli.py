@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from . import report as report_mod
+from .attribution import MODES
 from .dataset import load_csv
 from .errors import MsmError
 from .mechanisms import shift_test
@@ -119,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=8)
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--epsilon", type=float, default=TraceConfig().epsilon)
-    p.add_argument("--mode", choices=("auto", "exact", "sampled"), default="auto")
+    p.add_argument("--mode", choices=MODES, default="auto")
     p.add_argument("--permutations", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eager-environment", action="store_true")

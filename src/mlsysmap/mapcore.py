@@ -116,7 +116,6 @@ class ViewGraph:
 
     view: View
     nodes: tuple[Node, ...]
-    edges: tuple[tuple[str, str], ...]
     parents: dict = field(hash=False)
     children: dict = field(hash=False)
     topo: tuple[str, ...]
@@ -175,9 +174,6 @@ class SystemMap:
                 return v
         raise UnknownView(f"unknown view '{name}'")
 
-    def has_view(self, name: str) -> bool:
-        return any(v.name == name for v in self.views)
-
     def system_view(self) -> View:
         return self.view(SYSTEM_VIEW_NAME)
 
@@ -189,9 +185,6 @@ class SystemMap:
 
     def view_nodes(self, view: View) -> tuple[Node, ...]:
         return tuple(n for n in self._nodes.values() if n.view == view)
-
-    def relations_of_kind(self, kind: RelationKind) -> tuple[Relation, ...]:
-        return tuple(r for r in self.relations if r.kind == kind)
 
     # -- operations ----------------------------------------------------
 
@@ -216,7 +209,7 @@ class SystemMap:
         topo = _topo_sort(sorted(names), parents)
         if topo is None:  # pragma: no cover - build_map already rejects cycles
             raise CycleError(f"cycle in view '{view.name}'", cycle=sorted(names))
-        self._graphs[view] = ViewGraph(view, nodes, edges, parents, children, tuple(topo))
+        self._graphs[view] = ViewGraph(view, nodes, parents, children, tuple(topo))
         return self._graphs[view]
 
     def equivalence_class(self, qname: str) -> tuple[str, ...]:

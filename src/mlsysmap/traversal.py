@@ -1,11 +1,14 @@
 """Symptom-to-source traversal: AQ1 (route) -> AQ2 (localize) -> AQ3
 (externalize).
 
-One attribution run per view. Where the Shapley mass concentrates
-determines the attribution pattern, which either terminates the trace
-with a verdict or routes to the next view: system view to the implicated
-subsystem, subsystem boundary to the environment. Distributed mass opens
-bounded parallel branches instead of committing to a single path.
+One attribution run per view; the view's type fixes the analysis
+question (system AQ1, subsystem AQ2, environment AQ3). Each node that
+carries the mass gets its pattern from ``node_pattern``, and the trace
+routes on that pattern: it either ends with a verdict or moves to the
+next view, from the system view to the implicated subsystem and from a
+subsystem boundary to the environment. Distributed mass opens one
+branch per node, up to ``TraceConfig.max_branches``, instead of
+committing to a single path.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional
 
 from .attribution import AttributionResult, attribute
 from .dataset import WindowedDataset, resolve_column
-from .errors import InsufficientData, NoDataForView, NoRoute, UnknownAlert, ViewMismatch
+from .errors import InsufficientData, NoRoute, UnknownAlert, ViewMismatch
 from .mapcore import NodeKind, SystemMap, View, ViewType
 from .mechanisms import MechanismSet, ShiftTestResult, fit_mechanisms, shift_test
 
@@ -58,9 +61,11 @@ class Verdict:
     detail: str = ""
 
 
+_AQ = {ViewType.ML_SYSTEM: 1, ViewType.SUBSYSTEM: 2, ViewType.ENVIRONMENT: 3}
+
+
 @dataclass
 class TraceStep:
-    aq: int
     view: View
     target: str
     result: AttributionResult
@@ -69,6 +74,11 @@ class TraceStep:
     verdicts: list = field(default_factory=list)      # verdicts decided at this step
     children: list = field(default_factory=list)      # deeper TraceSteps
     routed_to: Optional[str] = None                   # view name, when routing
+
+    @property
+    def aq(self) -> int:
+        """Analysis question answered at this step: 1, 2 or 3."""
+        return _AQ[self.view.type]
 
 
 @dataclass
@@ -80,13 +90,30 @@ class TraceReport:
     warnings: tuple
 
 
-def match_pattern(view: View, system_map: SystemMap, result: AttributionResult,
-                  implicated: Optional[str] = None) -> Pattern:
-    """Attribution pattern for one result on one view.
+def node_pattern(system_map: SystemMap, view: View, node: str,
+                 implicated: str) -> Pattern:
+    """Pattern of attribution mass on one node of ``view``.
 
-    For the environment view, ``implicated`` defaults to the result's
-    target (the random variable whose proxy routed us here).
+    ``implicated`` is the step's target; it matters only on the
+    environment view, where mass on one of its ancestors explains the
+    shift externally and any other mass leaves it undetermined.
     """
+    if view.type is ViewType.ML_SYSTEM:
+        parents = system_map.view_graph(view).parents[node]
+        return Pattern.AP1_1 if parents else Pattern.AP1_2
+    if view.type is ViewType.SUBSYSTEM:
+        n = system_map.node(node)
+        if n.kind is NodeKind.MODULATOR:
+            return Pattern.AP2_1
+        return Pattern.AP2_3 if n.boundary else Pattern.AP2_2
+    if node in system_map.view_graph(view).ancestors(implicated):
+        return Pattern.AP3_1
+    return Pattern.AP3_2
+
+
+def match_pattern(view: View, system_map: SystemMap,
+                  result: AttributionResult) -> Pattern:
+    """Attribution pattern for one result on one view."""
     if result.view != view:
         raise ViewMismatch(
             f"result computed on view '{result.view.name}', not '{view.name}'"
@@ -96,25 +123,7 @@ def match_pattern(view: View, system_map: SystemMap, result: AttributionResult,
         return Pattern.NEGLIGIBLE
     if cls.kind == "distributed":
         return Pattern.DISTRIBUTED
-    node = cls.top
-    graph = system_map.view_graph(view)
-    if view.type is ViewType.ML_SYSTEM:
-        return Pattern.AP1_1 if graph.parents[node] else Pattern.AP1_2
-    if view.type is ViewType.SUBSYSTEM:
-        n = system_map.node(node)
-        if n.kind is NodeKind.MODULATOR:
-            return Pattern.AP2_1
-        if n.boundary:
-            return Pattern.AP2_3
-        return Pattern.AP2_2
-    # environment view
-    if implicated is None:
-        implicated = result.target
-    if node == implicated:
-        return Pattern.AP3_2
-    if node in graph.ancestors(implicated):
-        return Pattern.AP3_1
-    return Pattern.AP3_2
+    return node_pattern(system_map, view, cls.top, result.target)
 
 
 class _Tracer:
@@ -145,42 +154,57 @@ class _Tracer:
 
     # -- one step per view --------------------------------------------
 
-    def step(self, aq: int, view: View, target: str,
-             implicated: Optional[str] = None) -> TraceStep:
+    def step(self, view: View, target: str) -> TraceStep:
         result = self.attribute(view, target)
-        pattern = match_pattern(view, self.map, result, implicated)
-        step = TraceStep(aq=aq, view=view, target=target, result=result,
-                         pattern=pattern)
+        pattern = match_pattern(view, self.map, result)
+        step = TraceStep(view=view, target=target, result=result, pattern=pattern)
         if pattern is Pattern.NEGLIGIBLE:
             step.verdicts.append(Verdict("negligible", view=view.name,
                                          detail="no attributable shift"))
             return step
-        if pattern is Pattern.DISTRIBUTED:
-            branches = result.classification.nodes
-            kept = branches[: self.config.max_branches]
-            if len(branches) > len(kept):
-                extra = ", ".join(branches[len(kept):])
-                self.warnings.append(
-                    f"{view.name}: distributed mass, branches not expanded: {extra}"
-                )
-            for node in kept:
-                self.route(step, aq, view, node, implicated)
-            return step
-        self.route(step, aq, view, result.classification.top, implicated)
+        nodes = result.classification.nodes
+        kept = nodes[: self.config.max_branches]
+        if len(nodes) > len(kept):
+            self.warnings.append(
+                f"{view.name}: distributed mass, branches not expanded: "
+                + ", ".join(nodes[len(kept):])
+            )
+        for node in kept:
+            self.route(step, node)
         return step
 
-    # -- routing shared by concentrated mass and distributed branches --
+    # -- routing on the pattern of each node that carries mass ---------
 
-    def route(self, step: TraceStep, aq: int, view: View, node: str,
-              implicated: Optional[str]):
-        if aq == 1:
-            self._route_system(step, node)
-        elif aq == 2:
-            self._route_subsystem(step, view, node)
+    def route(self, step: TraceStep, node: str):
+        view = step.view
+        pattern = node_pattern(self.map, view, node, step.target)
+        if pattern in (Pattern.AP1_1, Pattern.AP1_2):
+            self._route_system(step, node, root=pattern is Pattern.AP1_2)
+        elif pattern is Pattern.AP2_1:
+            step.verdicts.append(Verdict("root-cause", node=node, view=view.name,
+                                         detail="mechanism change at a modulator"))
+        elif pattern is Pattern.AP2_2:
+            step.verdicts.append(Verdict(
+                "component", node=node, view=view.name,
+                detail="internal data variable; manual investigation required",
+            ))
+        elif pattern is Pattern.AP2_3:
+            self._route_boundary(step, node)
+        elif pattern is Pattern.AP3_1:
+            step.verdicts.append(Verdict(
+                "external", node=node, view=view.name,
+                detail="shift explained by an upstream environmental change",
+            ))
         else:
-            self._route_environment(step, view, node, implicated)
+            if node != step.target:
+                step.note = "non-ancestral mass"
+            step.verdicts.append(Verdict(
+                "undetermined", node=node, view=view.name,
+                detail="mass on the implicated variable itself; the cause may be "
+                       "internal or a hidden environmental confounder",
+            ))
 
-    def _route_system(self, step: TraceStep, node: str):
+    def _route_system(self, step: TraceStep, node: str, root: bool):
         try:
             subview = self.map.route_subsystem(node)
         except NoRoute:
@@ -190,28 +214,14 @@ class _Tracer:
             ))
             return
         step.routed_to = subview.name
-        terminal = self.map.terminal_of(subview)
-        step.children.append(self.step(2, subview, terminal.qname))
-        is_root = not self.map.view_graph(self.map.system_view()).parents[node]
-        if is_root and self.config.eager_environment:
+        step.children.append(self.step(subview, self.map.terminal_of(subview).qname))
+        if root and self.config.eager_environment:
             env = self.map.environment_view()
-            sources = self.map.measure_sources(node)
-            if env is not None and sources:
-                for src in sources:
-                    step.children.append(self.step(3, env, src, implicated=src))
+            if env is not None:
+                for src in self.map.measure_sources(node):
+                    step.children.append(self.step(env, src))
 
-    def _route_subsystem(self, step: TraceStep, view: View, node: str):
-        n = self.map.node(node)
-        if n.kind is NodeKind.MODULATOR:
-            step.verdicts.append(Verdict("root-cause", node=node, view=view.name,
-                                         detail="mechanism change at a modulator"))
-            return
-        if not n.boundary:
-            step.verdicts.append(Verdict(
-                "component", node=node, view=view.name,
-                detail="internal data variable; manual investigation required",
-            ))
-            return
+    def _route_boundary(self, step: TraceStep, node: str):
         env = self.map.environment_view()
         if env is None:
             step.verdicts.append(Verdict(
@@ -223,8 +233,7 @@ class _Tracer:
         if not sources:
             # the boundary variable itself has no proxy link; fall back to
             # the feature through which the trace entered this subsystem
-            terminal = self.map.terminal_of(view)
-            sources = self.map.measure_sources(terminal.qname)
+            sources = self.map.measure_sources(step.target)
         if not sources:
             step.verdicts.append(Verdict(
                 "undetermined", node=node,
@@ -233,25 +242,7 @@ class _Tracer:
             return
         step.routed_to = env.name
         for src in sources[: self.config.max_branches]:
-            step.children.append(self.step(3, env, src, implicated=src))
-
-    def _route_environment(self, step: TraceStep, view: View, node: str,
-                           implicated: Optional[str]):
-        implicated = implicated or step.target
-        graph = self.map.view_graph(view)
-        if node != implicated and node in graph.ancestors(implicated):
-            step.verdicts.append(Verdict(
-                "external", node=node, view=view.name,
-                detail="shift explained by an upstream environmental change",
-            ))
-            return
-        if node != implicated:
-            step.note = "non-ancestral mass"
-        step.verdicts.append(Verdict(
-            "undetermined", node=node, view=view.name,
-            detail="mass on the implicated variable itself; the cause may be "
-                   "internal or a hidden environmental confounder",
-        ))
+            step.children.append(self.step(env, src))
 
 
 def trace(system_map: SystemMap, ds: WindowedDataset, alert: str,
@@ -264,7 +255,7 @@ def trace(system_map: SystemMap, ds: WindowedDataset, alert: str,
         raise UnknownAlert(f"'{alert}' is not a data node of the ML-system view")
 
     tracer = _Tracer(system_map, ds, config)
-    root = tracer.step(1, system_map.system_view(), alert)
+    root = tracer.step(system_map.system_view(), alert)
 
     verdicts: list[Verdict] = []
 

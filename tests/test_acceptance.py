@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from mlsysmap.attribution import shapley_exact, shapley_sampled
+from mlsysmap.attribution import attribute
 from mlsysmap.cli import main
 from mlsysmap.errors import MapBuildError, ParseError
 from mlsysmap.mechanisms import fit_mechanisms, jsd, target_marginal
@@ -39,7 +39,7 @@ def test_criterion_1_shapley_efficiency():
     for _ in range(100):
         mech = random_mechanism_set(rng, n_nodes=int(rng.integers(2, 9)))
         target = str(rng.choice(mech.nodes))
-        r = shapley_exact(mech, target)
+        r = attribute(mech, target, mode="exact")
         worst = max(worst, abs(sum(r.phi.values()) - r.total))
     elapsed = time.time() - t0
     _crit("C1 efficiency", worst <= 1e-9 and elapsed < 30.0,
@@ -55,7 +55,7 @@ def test_criterion_2_dummy_isolation():
         changed = {int(i) for i in rng.choice(n, size=int(rng.integers(1, n)),
                                               replace=False)}
         mech = random_mechanism_set(rng, n_nodes=n, changed=changed)
-        r = shapley_exact(mech, str(rng.choice(mech.nodes)))
+        r = attribute(mech, str(rng.choice(mech.nodes)), mode="exact")
         for i, p in enumerate(mech.nodes):
             if i not in changed:
                 worst_dummy = max(worst_dummy, abs(r.phi[p]))
@@ -63,7 +63,7 @@ def test_criterion_2_dummy_isolation():
         n = int(rng.integers(3, 7))
         j = int(rng.integers(0, n))
         mech = random_mechanism_set(rng, n_nodes=n, changed={j})
-        r = shapley_exact(mech, mech.nodes[-1])
+        r = attribute(mech, mech.nodes[-1], mode="exact")
         worst_iso = max(worst_iso, abs(r.phi[mech.nodes[j]] - r.total))
     ok = worst_dummy <= 1e-9 and worst_iso <= 1e-9
     _crit("C2 dummy/isolation", ok,
@@ -94,8 +94,9 @@ def test_criterion_4_sampled_vs_exact():
         out = simulate("S2", 5000, seed)
         mech = fit_mechanisms(out.system_map, out.dataset,
                               out.system_map.system_view())
-        exact = shapley_exact(mech, "system.promo_ranking")
-        sampled = shapley_sampled(mech, "system.promo_ranking", 500, seed)
+        exact = attribute(mech, "system.promo_ranking", mode="exact")
+        sampled = attribute(mech, "system.promo_ranking", mode="sampled",
+                            permutations=500, seed=seed)
         gap = max(abs(sampled.phi[p] - exact.phi[p]) for p in exact.players)
         tol = 0.05 * max(max(abs(v) for v in exact.phi.values()), 0.01)
         hits += gap <= tol

@@ -11,12 +11,9 @@ from mlsysmap.attribution import (
     classify,
     exact_shapley,
     sampled_shapley,
-    set_function,
-    shapley_exact,
-    shapley_sampled,
     shares_of,
 )
-from mlsysmap.errors import TooManyPlayers
+from mlsysmap.errors import InsufficientData, TooManyPlayers
 
 from helpers import random_mechanism_set
 
@@ -123,7 +120,7 @@ def test_game_empty_set_is_zero():
     mech = random_mechanism_set(np.random.default_rng(31), n_nodes=4)
     game = MechanismSwapGame(mech, mech.nodes[-1])
     assert game(frozenset()) == 0.0
-    assert set_function(mech, (), mech.nodes[-1]) == 0.0
+    assert MechanismSwapGame(mech, mech.nodes[-1])(frozenset()) == 0.0
 
 
 def test_game_values_cached_and_deterministic():
@@ -131,13 +128,13 @@ def test_game_values_cached_and_deterministic():
     game = MechanismSwapGame(mech, mech.nodes[-1])
     s = frozenset(mech.nodes[:2])
     assert game(s) == game(s)
-    assert game(s) == set_function(mech, s, mech.nodes[-1])
+    assert game(s) == MechanismSwapGame(mech, mech.nodes[-1])(frozenset(s))
 
 
 def test_identical_windows_give_null_game():
     mech = random_mechanism_set(np.random.default_rng(33), n_nodes=4,
                                 changed=set())
-    result = shapley_exact(mech, mech.nodes[-1])
+    result = attribute(mech, mech.nodes[-1], mode="exact")
     assert result.total == 0.0
     assert all(x == 0.0 for x in result.phi.values())
     assert result.classification.kind == "negligible"
@@ -148,7 +145,7 @@ def test_single_changed_mechanism_takes_all_mass():
     for _ in range(5):
         mech = random_mechanism_set(rng, n_nodes=4, changed={1})
         target = mech.nodes[-1]
-        result = shapley_exact(mech, target)
+        result = attribute(mech, target, mode="exact")
         changed = mech.nodes[1]
         for p in result.players:
             if p == changed:
@@ -161,7 +158,7 @@ def test_efficiency_on_mechanism_games():
     rng = np.random.default_rng(35)
     for _ in range(10):
         mech = random_mechanism_set(rng)
-        result = shapley_exact(mech, mech.nodes[-1])
+        result = attribute(mech, mech.nodes[-1], mode="exact")
         assert sum(result.phi.values()) == pytest.approx(result.total, abs=1e-9)
         assert result.mode == "exact"
 
@@ -169,8 +166,8 @@ def test_efficiency_on_mechanism_games():
 def test_sampled_entrypoint_and_auto_dispatch():
     mech = random_mechanism_set(np.random.default_rng(36), n_nodes=4)
     target = mech.nodes[-1]
-    exact = shapley_exact(mech, target)
-    sampled = shapley_sampled(mech, target, 800, seed=7)
+    exact = attribute(mech, target, mode="exact")
+    sampled = attribute(mech, target, mode="sampled", permutations=800, seed=7)
     assert sampled.mode == "sampled"
     for p in exact.players:
         assert sampled.phi[p] == pytest.approx(exact.phi[p], abs=0.05)
@@ -179,6 +176,29 @@ def test_sampled_entrypoint_and_auto_dispatch():
     forced = attribute(mech, target, mode="sampled", permutations=10, seed=0)
     assert forced.mode == "sampled"
 
+
+
+def test_unknown_mode_is_rejected():
+    mech = random_mechanism_set(np.random.default_rng(38), n_nodes=3)
+    with pytest.raises(ValueError, match="exat"):
+        attribute(mech, mech.nodes[-1], mode="exat")
+
+
+def test_target_without_fitted_data_is_insufficient():
+    mech = random_mechanism_set(np.random.default_rng(39), n_nodes=3)
+    with pytest.raises(InsufficientData, match="'system.nope' in view 'system'"):
+        attribute(mech, "system.nope")
+
+
+def test_state_limit_falls_back_to_sampling():
+    mech = random_mechanism_set(np.random.default_rng(40), n_nodes=4, p_edge=1.0)
+    target = mech.nodes[-1]
+    result = attribute(mech, target, mode="exact", state_limit=2)
+    assert result.mode == "sampled"
+    assert sum(result.phi.values()) == pytest.approx(result.total, abs=1e-9)
+    again = attribute(mech, target, mode="exact", state_limit=2)
+    assert again.phi == result.phi
+    assert attribute(mech, target, mode="exact").mode == "exact"
 
 # ---------------------------------------------------------------------------
 # classification
@@ -215,7 +235,7 @@ def test_shares_of_zero_vector():
 
 def test_result_ordered_shares():
     mech = random_mechanism_set(np.random.default_rng(37), n_nodes=3)
-    r = shapley_exact(mech, mech.nodes[-1])
+    r = attribute(mech, mech.nodes[-1], mode="exact")
     ordered = r.ordered_shares()
     assert [s for _, s in ordered] == sorted(r.shares.values(), reverse=True)
     assert sum(r.shares.values()) in (0.0, pytest.approx(1.0))

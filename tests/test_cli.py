@@ -1,5 +1,6 @@
 """CLI: exit codes, output formats, and byte-level determinism."""
 
+import csv
 import json
 
 import pytest
@@ -122,3 +123,18 @@ def test_trace_unknown_alert(workspace, capsys):
     rc = main(["trace", map_path, data_path, "--alert", "system.nope"])
     assert rc == 1
     assert "alert" in capsys.readouterr().err
+
+
+def test_trace_alert_without_data_is_a_domain_error(workspace, tmp_path, capsys):
+    _, map_path, data_path = workspace
+    with open(data_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index("serving2.promo_out")
+    no_promo = tmp_path / "no_promo.csv"
+    with open(no_promo, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(r[:drop] + r[drop + 1:] for r in rows)
+    rc = main(["trace", map_path, str(no_promo), "--alert", "system.promo_ranking"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "system.promo_ranking" in err

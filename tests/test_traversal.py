@@ -5,9 +5,8 @@ import pytest
 
 from mlsysmap import traversal
 from mlsysmap.attribution import AttributionResult, Classification
-from mlsysmap.dataset import load_csv
-from mlsysmap.errors import UnknownAlert, ViewMismatch
-from mlsysmap.mapcore import View
+from mlsysmap.dataset import WindowedDataset, load_csv
+from mlsysmap.errors import InsufficientData, UnknownAlert, ViewMismatch
 from mlsysmap.msmformat import parse_map
 from mlsysmap.traversal import (
     Pattern,
@@ -62,9 +61,6 @@ def test_ap3_patterns(churn):
     # mass on a non-ancestor of the implicated variable is also undecidable
     sideways = result_on(env, "env.quality_of_service", ["env.user_demographics"])
     assert match_pattern(env, churn, sideways) is Pattern.AP3_2
-    # implicated can be passed explicitly
-    assert match_pattern(env, churn, upstream,
-                         implicated="env.user_activity") is Pattern.AP3_1
 
 
 def test_distributed_and_negligible_patterns(churn):
@@ -147,6 +143,22 @@ def test_trace_rejects_bad_alerts():
         trace(out.system_map, out.dataset, "env.user_activity")
 
 
+
+def test_trace_rejects_unknown_mode():
+    out = simulate("S2")
+    with pytest.raises(ValueError, match="Exact"):
+        trace(out.system_map, out.dataset, "system.promo_ranking",
+              TraceConfig(mode="Exact"))
+
+
+def test_trace_alert_without_data_is_insufficient():
+    out = simulate("S2")
+    columns = {k: v for k, v in out.dataset.columns.items()
+               if k != "serving2.promo_out"}
+    ds = WindowedDataset(columns=columns, window=out.dataset.window)
+    with pytest.raises(InsufficientData, match="system.promo_ranking"):
+        trace(out.system_map, ds, "system.promo_ranking")
+
 def test_detect_alerts_s1_vs_s0():
     s1 = simulate("S1")
     alerts = detect_alerts(s1.system_map, s1.dataset, alpha=0.01, B=200)
@@ -207,6 +219,7 @@ view environment
   edge up -> act
 
 measure env.act -> system.feat
+measure env.side -> scorer.score_out
 """
 
 PIN_CSV = "window,system.feat\nref,1\ncur,2\n"
