@@ -63,7 +63,14 @@ class AttributionResult:
 
 
 class MechanismSwapGame:
-    """Cached set function v(S) over one mechanism set and target."""
+    """Cached set function v(S) over one mechanism set and target.
+
+    Values are keyed on the players in ancestors(target) | {target}: the
+    target's marginal ignores every other mechanism, so coalitions that
+    differ only in non-ancestors share one evaluation (and, when variable
+    elimination exceeds ``state_limit``, one sampling seed), which makes
+    non-ancestors exact Shapley dummies.
+    """
 
     def __init__(self, mech: MechanismSet, target: str, div: str = "jsd",
                  state_limit: int = mech_mod.DEFAULT_STATE_LIMIT,
@@ -75,26 +82,27 @@ class MechanismSwapGame:
         self.fallback_samples = fallback_samples
         self.seed = seed
         self.players = mech.nodes
-        self._index = {p: 1 << i for i, p in enumerate(self.players)}
-        self._cache: dict[int, float] = {}
+        relevant = mech.ancestors(target) | {target}
+        self._index = {p: (1 << i if p in relevant else 0)
+                       for i, p in enumerate(self.players)}
         self.used_sampling = False
-        self._baseline = self._marginal(frozenset())
+        self._baseline = self._marginal(frozenset(), 0)
+        self._cache = {0: divergence(self._baseline, self._baseline, div)}
 
-    def _marginal(self, subset) -> np.ndarray:
+    def _marginal(self, subset, key: int) -> np.ndarray:
         assignment = mech_mod.window_assignment(self.mech, subset)
         try:
             return target_marginal(self.mech, assignment, self.target,
                                    limit=self.state_limit)
         except StateSpaceTooLarge:
             self.used_sampling = True
-            key = sum(self._index[p] for p in subset)
             return sample_marginal(self.mech, assignment, self.target,
                                    self.fallback_samples, [self.seed, key])
 
     def __call__(self, subset) -> float:
         key = sum(self._index[p] for p in subset)
         if key not in self._cache:
-            p = self._marginal(subset)
+            p = self._marginal(subset, key)
             self._cache[key] = divergence(p, self._baseline, self.div)
         return self._cache[key]
 

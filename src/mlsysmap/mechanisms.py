@@ -146,7 +146,9 @@ class MechanismSet:
 
     ``tables[node][window]`` has shape ``(*parent_states, child_states)``
     with parent axes in lexicographic parent order. Every row is a
-    probability vector with strictly positive entries.
+    probability vector with strictly positive entries. Elimination plans
+    built by ``target_marginal`` are cached here, so the tables are not
+    to be replaced once inference has run.
     """
 
     view: View
@@ -157,6 +159,7 @@ class MechanismSet:
     tables: dict[str, dict[str, np.ndarray]]
     alpha: float
     excluded: tuple[str, ...] = ()
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def n_states(self, qname: str) -> int:
         return self.disc.n_states(qname)
@@ -233,34 +236,73 @@ def fit_mechanisms(system_map: SystemMap, ds: WindowedDataset, view: View,
 # ---------------------------------------------------------------------------
 # exact inference by variable elimination
 
-def _factor_for(mech: MechanismSet, node: str, window: str):
-    pa = mech.parents[node]
-    scope = pa + (node,)
-    order = tuple(sorted(scope))
-    table = mech.table(node, window)
-    perm = [scope.index(v) for v in order]
-    return order, np.transpose(table, perm)
+@dataclass(frozen=True)
+class _EliminationPlan:
+    """Variable elimination for one target, fixed before any arithmetic.
+
+    ``leaves[i]`` is the i-th ancestral node (sorted) with its ref and cur
+    tables transposed to sorted-scope axis order. Each step multiplies the
+    factors in ``slots`` left to right, reshaping the running product and
+    the next factor to the shapes in ``shapes`` so they broadcast over the
+    union scope, then sums out ``axis``; the result takes the next slot.
+    The marginal is the product of the ``target_slots`` factors times the
+    ``scalar_slots`` constants. ``error`` is set, and nothing else used,
+    when some product would exceed the state limit.
+    """
+
+    leaves: tuple = ()
+    steps: tuple = ()
+    target_slots: tuple = ()
+    scalar_slots: tuple = ()
+    error: Optional[str] = None
 
 
-def _broadcast(array: np.ndarray, scope, allvars) -> np.ndarray:
-    dims = dict(zip(scope, array.shape))
-    return array.reshape([dims.get(v, 1) for v in allvars])
+def _plan_elimination(mech: MechanismSet, target: str, limit: int) -> _EliminationPlan:
+    """Min-degree elimination order, lexicographic tie-breaks."""
+    relevant = mech.ancestors(target) | {target}
+    leaves, factors, dims = [], [], {}
+    for slot, q in enumerate(sorted(relevant)):
+        scope = mech.parents[q] + (q,)
+        order = tuple(sorted(scope))
+        perm = [scope.index(v) for v in order]
+        windows = {w: np.transpose(t, perm) for w, t in mech.tables[q].items()}
+        dims.update(zip(order, windows["ref"].shape))
+        leaves.append((q, windows))
+        factors.append((order, slot))
 
+    steps = []
+    to_eliminate = relevant - {target}
+    while to_eliminate:
+        neighbors = {v: set() for v in to_eliminate}
+        for scope, _ in factors:
+            for v in scope:
+                if v in neighbors:
+                    neighbors[v].update(scope)
+        victim = min(to_eliminate, key=lambda v: (len(neighbors[v] - {v}), v))
+        group = [f for f in factors if victim in f[0]]
+        factors = [f for f in factors if victim not in f[0]]
+        scope, shapes = group[0][0], []
+        for other, _ in group[1:]:
+            allvars = tuple(sorted(set(scope) | set(other)))
+            size = math.prod(dims[v] for v in allvars)
+            if size > limit:
+                return _EliminationPlan(
+                    error=f"factor over {allvars} has {size} states (limit {limit})")
+            shapes.append(tuple(tuple(dims[v] if v in s else 1 for v in allvars)
+                                for s in (scope, other)))
+            scope = allvars
+        steps.append((tuple(slot for _, slot in group), tuple(shapes),
+                      scope.index(victim)))
+        factors.append((tuple(v for v in scope if v != victim),
+                        len(leaves) + len(steps) - 1))
+        to_eliminate.discard(victim)
 
-def _multiply(f1, f2, limit):
-    s1, a1 = f1
-    s2, a2 = f2
-    allvars = tuple(sorted(set(s1) | set(s2)))
-    dims = dict(zip(s1, a1.shape))
-    dims.update(zip(s2, a2.shape))
-    size = 1
-    for v in allvars:
-        size *= dims[v]
-    if size > limit:
-        raise StateSpaceTooLarge(
-            f"factor over {allvars} has {size} states (limit {limit})"
-        )
-    return allvars, _broadcast(a1, s1, allvars) * _broadcast(a2, s2, allvars)
+    # scalar factors can arise from disconnected eliminated components
+    return _EliminationPlan(
+        leaves=tuple(leaves), steps=tuple(steps),
+        target_slots=tuple(slot for scope, slot in factors if scope == (target,)),
+        scalar_slots=tuple(slot for scope, slot in factors if scope == ()),
+    )
 
 
 def window_assignment(mech: MechanismSet, cur_nodes) -> dict:
@@ -275,47 +317,30 @@ def target_marginal(mech: MechanismSet, assignment: dict, target: str,
 
     Only the target's ancestors participate (other factors integrate to
     one). Elimination order is min-degree with lexicographic tie-breaks,
-    so results are bit-deterministic.
+    so results are bit-deterministic. The order, the factor transposes,
+    the broadcast shapes and the state-limit check depend only on the
+    structure, so they are planned on the first call for a ``(target,
+    limit)`` pair and cached on the mechanism set; each call then runs
+    the planned multiplies and sums on the assigned tables.
     """
     if target not in mech.parents:
         raise KeyError(f"'{target}' is not a fitted node of view '{mech.view.name}'")
-    relevant = mech.ancestors(target) | {target}
-    factors = [
-        _factor_for(mech, q, assignment.get(q, "ref")) for q in sorted(relevant)
-    ]
-    to_eliminate = set(relevant) - {target}
-
-    while to_eliminate:
-        neighbors = {v: set() for v in to_eliminate}
-        for scope, _ in factors:
-            for v in scope:
-                if v in neighbors:
-                    neighbors[v].update(scope)
-        victim = min(to_eliminate, key=lambda v: (len(neighbors[v] - {v}), v))
-        group = [f for f in factors if victim in f[0]]
-        rest = [f for f in factors if victim not in f[0]]
-        prod = group[0]
-        for f in group[1:]:
-            prod = _multiply(prod, f, limit)
-        scope, array = prod
-        axis = scope.index(victim)
-        summed = array.sum(axis=axis)
-        new_scope = tuple(v for v in scope if v != victim)
-        if new_scope:
-            rest.append((new_scope, summed))
-        else:
-            rest.append(((), summed))
-        factors = rest
-        to_eliminate.discard(victim)
-
-    out = None
-    for scope, array in factors:
-        if scope == (target,):
-            out = array.copy() if out is None else out * array
-    # scalar factors can arise from disconnected eliminated components
-    for scope, array in factors:
-        if scope == ():
-            out = out * float(array)
+    plan = mech._plans.get((target, limit))
+    if plan is None:
+        plan = mech._plans[(target, limit)] = _plan_elimination(mech, target, limit)
+    if plan.error is not None:
+        raise StateSpaceTooLarge(plan.error)
+    values = [tables[assignment.get(q, "ref")] for q, tables in plan.leaves]
+    for slots, shapes, axis in plan.steps:
+        prod = values[slots[0]]
+        for slot, (lhs, rhs) in zip(slots[1:], shapes):
+            prod = prod.reshape(lhs) * values[slot].reshape(rhs)
+        values.append(prod.sum(axis=axis))
+    out = values[plan.target_slots[0]].copy()
+    for slot in plan.target_slots[1:]:
+        out = out * values[slot]
+    for slot in plan.scalar_slots:
+        out = out * float(values[slot])
     return out
 
 

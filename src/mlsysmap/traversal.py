@@ -195,13 +195,18 @@ class _Tracer:
                 "external", node=node, view=view.name,
                 detail="shift explained by an upstream environmental change",
             ))
-        else:
-            if node != step.target:
-                step.note = "non-ancestral mass"
+        elif node == step.target:
             step.verdicts.append(Verdict(
                 "undetermined", node=node, view=view.name,
                 detail="mass on the implicated variable itself; the cause may be "
                        "internal or a hidden environmental confounder",
+            ))
+        else:
+            step.note = "non-ancestral mass"
+            step.verdicts.append(Verdict(
+                "undetermined", node=node, view=view.name,
+                detail="mass on a non-ancestor of the implicated variable; the map "
+                       "may lack an edge or a hidden confounder may link them",
             ))
 
     def _route_system(self, step: TraceStep, node: str, root: bool):

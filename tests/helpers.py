@@ -1,7 +1,10 @@
 """Shared oracles and random-instance builders for the test suite.
 
 The inference oracle enumerates the full joint distribution directly, so
-it shares no code path with variable elimination. The random builders
+it shares no code path with variable elimination. The reference
+elimination redoes the whole schedule on every call, as ``target_marginal``
+did before it planned once per target; the two must agree bit for bit.
+The random builders
 produce structurally valid maps and mechanism sets from a seeded
 generator, for property-style checks over many instances.
 """
@@ -14,7 +17,13 @@ import itertools
 import numpy as np
 
 from mlsysmap.mapcore import Node, NodeKind, Relation, RelationKind, View, build_map
-from mlsysmap.mechanisms import Discretization, MechanismSet, NumericBins
+from mlsysmap.errors import StateSpaceTooLarge
+from mlsysmap.mechanisms import (
+    DEFAULT_STATE_LIMIT,
+    Discretization,
+    MechanismSet,
+    NumericBins,
+)
 from mlsysmap.simulator import ScenarioConfig, generate
 
 
@@ -34,6 +43,65 @@ def brute_force_marginal(mech: MechanismSet, assignment: dict, target: str):
             idx = tuple(state[pa] for pa in mech.parents[q]) + (state[q],)
             p *= float(table[idx])
         out[state[target]] += p
+    return out
+
+
+def reference_target_marginal(mech: MechanismSet, assignment: dict, target: str,
+                              limit: int = DEFAULT_STATE_LIMIT):
+    """Variable elimination re-planned on every call (min-degree order,
+    lexicographic ties), multiplying and summing in the same order as
+    ``target_marginal``."""
+
+    def factor_for(node, window):
+        scope = mech.parents[node] + (node,)
+        order = tuple(sorted(scope))
+        perm = [scope.index(v) for v in order]
+        return order, np.transpose(mech.table(node, window), perm)
+
+    def broadcast(array, scope, allvars):
+        dims = dict(zip(scope, array.shape))
+        return array.reshape([dims.get(v, 1) for v in allvars])
+
+    def multiply(f1, f2):
+        (s1, a1), (s2, a2) = f1, f2
+        allvars = tuple(sorted(set(s1) | set(s2)))
+        dims = dict(zip(s1, a1.shape))
+        dims.update(zip(s2, a2.shape))
+        size = 1
+        for v in allvars:
+            size *= dims[v]
+        if size > limit:
+            raise StateSpaceTooLarge(
+                f"factor over {allvars} has {size} states (limit {limit})")
+        return allvars, broadcast(a1, s1, allvars) * broadcast(a2, s2, allvars)
+
+    relevant = mech.ancestors(target) | {target}
+    factors = [factor_for(q, assignment.get(q, "ref")) for q in sorted(relevant)]
+    to_eliminate = set(relevant) - {target}
+    while to_eliminate:
+        neighbors = {v: set() for v in to_eliminate}
+        for scope, _ in factors:
+            for v in scope:
+                if v in neighbors:
+                    neighbors[v].update(scope)
+        victim = min(to_eliminate, key=lambda v: (len(neighbors[v] - {v}), v))
+        group = [f for f in factors if victim in f[0]]
+        factors = [f for f in factors if victim not in f[0]]
+        prod = group[0]
+        for f in group[1:]:
+            prod = multiply(prod, f)
+        scope, array = prod
+        factors.append((tuple(v for v in scope if v != victim),
+                        array.sum(axis=scope.index(victim))))
+        to_eliminate.discard(victim)
+
+    out = None
+    for scope, array in factors:
+        if scope == (target,):
+            out = array.copy() if out is None else out * array
+    for scope, array in factors:
+        if scope == ():
+            out = out * float(array)
     return out
 
 

@@ -5,6 +5,7 @@ classification."""
 import numpy as np
 import pytest
 
+from mlsysmap import attribution
 from mlsysmap.attribution import (
     MechanismSwapGame,
     attribute,
@@ -199,6 +200,43 @@ def test_state_limit_falls_back_to_sampling():
     again = attribute(mech, target, mode="exact", state_limit=2)
     assert again.phi == result.phi
     assert attribute(mech, target, mode="exact").mode == "exact"
+
+def non_ancestors(mech, target):
+    return sorted(set(mech.nodes) - mech.ancestors(target) - {target})
+
+
+def test_exact_attribution_evaluates_each_ancestor_coalition_once(monkeypatch):
+    real = attribution.target_marginal
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attribution, "target_marginal", counting)
+    checked = 0
+    for seed in range(4):
+        mech = random_mechanism_set(np.random.default_rng(seed), n_nodes=6)
+        for target in mech.nodes:
+            outside = non_ancestors(mech, target)
+            calls.clear()
+            result = attribute(mech, target, mode="exact")
+            assert len(calls) == 2 ** (len(mech.nodes) - len(outside))
+            assert all(result.phi[p] == 0.0 for p in outside)
+            checked += bool(outside)
+    assert checked >= 10
+
+
+def test_fallback_sampling_keeps_non_ancestors_dummies():
+    mech = random_mechanism_set(np.random.default_rng(7), n_nodes=6)
+    target = "system.n3"
+    result = attribute(mech, target, mode="exact", state_limit=4)
+    assert result.mode == "sampled"
+    outside = non_ancestors(mech, target)
+    assert outside
+    assert [result.phi[p] for p in outside] == [0.0] * len(outside)
+    assert sum(result.phi.values()) == pytest.approx(result.total, abs=1e-9)
+
 
 # ---------------------------------------------------------------------------
 # classification

@@ -38,7 +38,7 @@ from mlsysmap.mechanisms import (
 )
 from mlsysmap.msmformat import parse_map
 
-from helpers import brute_force_marginal, random_mechanism_set
+from helpers import brute_force_marginal, random_mechanism_set, reference_target_marginal
 
 LN2 = math.log(2.0)
 
@@ -254,6 +254,42 @@ def test_state_space_limit():
     mech = random_mechanism_set(rng, n_nodes=3, max_states=4, p_edge=1.0)
     with pytest.raises(StateSpaceTooLarge):
         target_marginal(mech, {}, mech.nodes[-1], limit=7)
+
+
+def test_planned_elimination_is_bit_identical_to_reference():
+    rng = np.random.default_rng(2025)
+    for _ in range(40):
+        mech = random_mechanism_set(rng, n_nodes=int(rng.integers(2, 9)))
+        for target in mech.nodes:
+            for _ in range(3):
+                assignment = {q: ("cur" if rng.random() < 0.5 else "ref")
+                              for q in mech.nodes}
+                got = target_marginal(mech, assignment, target)
+                want = reference_target_marginal(mech, assignment, target)
+                assert np.array_equal(got, want)
+
+
+def test_cached_plan_is_per_state_limit():
+    def fresh():
+        rng = np.random.default_rng(3)
+        return random_mechanism_set(rng, n_nodes=3, max_states=4, p_edge=1.0)
+
+    mech = fresh()
+    target = mech.nodes[-1]
+    want = reference_target_marginal(mech, {}, target)
+    with pytest.raises(StateSpaceTooLarge) as ref_err:
+        reference_target_marginal(mech, {}, target, limit=7)
+    # default limit first: its plan must not serve the limit-7 call
+    assert np.array_equal(target_marginal(mech, {}, target), want)
+    for _ in range(2):
+        with pytest.raises(StateSpaceTooLarge) as err:
+            target_marginal(mech, {}, target, limit=7)
+        assert str(err.value) == str(ref_err.value)
+    # limit 7 first: its cached failure must not block the default limit
+    mech = fresh()
+    with pytest.raises(StateSpaceTooLarge):
+        target_marginal(mech, {}, target, limit=7)
+    assert np.array_equal(target_marginal(mech, {}, target), want)
 
 
 def test_window_assignment():

@@ -277,9 +277,13 @@ def test_environment_step_notes_non_ancestral_mass(monkeypatch):
     assert sideways.pattern is Pattern.AP3_2
     assert sideways.note == "non-ancestral mass"
     assert [(v.kind, v.node) for v in sideways.verdicts] == [("undetermined", "env.side")]
+    assert sideways.verdicts[0].detail.startswith(
+        "mass on a non-ancestor of the implicated variable;")
     self_mass = env_step("env.act")
     assert self_mass.pattern is Pattern.AP3_2 and self_mass.note is None
     assert [(v.kind, v.node) for v in self_mass.verdicts] == [("undetermined", "env.act")]
+    assert self_mass.verdicts[0].detail.startswith(
+        "mass on the implicated variable itself;")
     upstream = env_step("env.up")
     assert upstream.pattern is Pattern.AP3_1 and upstream.note is None
     assert [(v.kind, v.node) for v in upstream.verdicts] == [("external", "env.up")]
