@@ -25,7 +25,7 @@ import numpy as np
 
 from . import mechanisms as mech_mod
 from .errors import InsufficientData, StateSpaceTooLarge, TooManyPlayers
-from .mapcore import View
+from .mapcore import View, ancestors
 from .mechanisms import MechanismSet, divergence, sample_marginal, target_marginal
 
 EXACT_PLAYER_LIMIT = 12
@@ -58,9 +58,6 @@ class AttributionResult:
     mode: str                    # "exact" | "sampled"
     classification: Classification
 
-    def ordered_shares(self) -> list[tuple[str, float]]:
-        return sorted(self.shares.items(), key=lambda kv: (-kv[1], kv[0]))
-
 
 class MechanismSwapGame:
     """Cached set function v(S) over one mechanism set and target.
@@ -82,7 +79,7 @@ class MechanismSwapGame:
         self.fallback_samples = fallback_samples
         self.seed = seed
         self.players = mech.nodes
-        relevant = mech.ancestors(target) | {target}
+        relevant = ancestors(mech.parents, target) | {target}
         self._index = {p: (1 << i if p in relevant else 0)
                        for i, p in enumerate(self.players)}
         self.used_sampling = False
@@ -90,7 +87,7 @@ class MechanismSwapGame:
         self._cache = {0: divergence(self._baseline, self._baseline, div)}
 
     def _marginal(self, subset, key: int) -> np.ndarray:
-        assignment = mech_mod.window_assignment(self.mech, subset)
+        assignment = dict.fromkeys(subset, "cur")
         try:
             return target_marginal(self.mech, assignment, self.target,
                                    limit=self.state_limit)

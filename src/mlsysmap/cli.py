@@ -8,6 +8,7 @@ default to 0; nothing reads wall-clock entropy.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import report as report_mod
@@ -25,9 +26,12 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _emit(doc: dict, args):
+    """Render a report document in the requested format to --out or stdout."""
+    render = report_mod.render_json if args.format == "json" else report_mod.render_text
+    text = render(doc)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -48,12 +52,8 @@ def cmd_detect(args) -> int:
     ds = load_csv(system_map, args.data)
     alerts = detect_alerts(system_map, ds, alpha=args.alpha,
                            B=args.permutations, seed=args.seed)
-    doc = report_mod.detect_document(system_map.name, alerts, args.alpha,
-                                     args.permutations, args.seed)
-    if args.format == "json":
-        _emit(report_mod.render_json(doc), args.out)
-    else:
-        _emit(report_mod.render_text(doc), args.out)
+    _emit(report_mod.detect_document(system_map.name, alerts, args.alpha,
+                                     args.permutations, args.seed), args)
     return 0
 
 
@@ -73,11 +73,7 @@ def cmd_trace(args) -> int:
     # stream offset keeps this independent of the per-node detect streams
     alert_test = shift_test(ds, system_map, args.alert,
                             B=config.test_permutations, seed=[args.seed, 10_000])
-    doc = report_mod.trace_document(system_map.name, result, config, alert_test)
-    if args.format == "json":
-        _emit(report_mod.render_json(doc), args.out)
-    else:
-        _emit(report_mod.render_text(doc), args.out)
+    _emit(report_mod.trace_document(system_map.name, result, config, alert_test), args)
     return 0
 
 
@@ -103,12 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("map")
     p.set_defaults(func=cmd_validate)
 
+    detect = {k: v.default for k, v in inspect.signature(detect_alerts).parameters.items()}
     p = sub.add_parser("detect", help="run shift tests on system variables")
     p.add_argument("map")
     p.add_argument("data")
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--permutations", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=float, default=detect["alpha"])
+    p.add_argument("--permutations", type=int, default=detect["B"])
+    p.add_argument("--seed", type=int, default=detect["seed"])
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_detect)
@@ -117,12 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("map")
     p.add_argument("data")
     p.add_argument("--alert", required=True)
-    p.add_argument("--bins", type=int, default=8)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=TraceConfig().epsilon)
-    p.add_argument("--mode", choices=MODES, default="auto")
-    p.add_argument("--permutations", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    config = TraceConfig()
+    p.add_argument("--bins", type=int, default=config.bins)
+    p.add_argument("--tau", type=float, default=config.tau)
+    p.add_argument("--epsilon", type=float, default=config.epsilon)
+    p.add_argument("--mode", choices=MODES, default=config.mode)
+    p.add_argument("--permutations", type=int, default=config.permutations)
+    p.add_argument("--seed", type=int, default=config.seed)
     p.add_argument("--eager-environment", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)

@@ -3,11 +3,13 @@
 Input is a CSV with a header row, one ``window`` column labeling each row
 ``ref`` or ``cur``, and one column per observed variable named by any
 member of its equivalence class; the simulator hands over the same
-columns as arrays. :func:`build_dataset` unifies columns to the canonical
-(lexicographically smallest) class member and types each column once: a
-column is numeric (float64, ``NaN`` = missing, i.e. empty or non-finite)
-when its node is not a modulator and every non-empty cell is a number,
-else categorical (``str`` cells, ``""`` = missing). Past that point only
+columns as arrays. Every CSV row must have as many cells as the header.
+:func:`build_dataset` unifies columns to the canonical (lexicographically
+smallest) class member and types each column once: a column is numeric
+(float64, ``NaN`` = missing, i.e. empty, non-finite or one of
+``MISSING_TOKENS``) when its node is not a modulator and every non-empty
+cell is a number or a missing token, else categorical (``str`` cells,
+``""`` = missing, tokens kept as labels). Past that point only
 :func:`present` tests for the two missing markers.
 """
 
@@ -26,11 +28,13 @@ from .errors import (
     EmptyWindow,
     MissingWindowColumn,
     NoDataForView,
+    RaggedRow,
 )
 from .mapcore import NodeKind, SystemMap, View
 
 WINDOW_COLUMN = "window"
 WINDOWS = ("ref", "cur")
+MISSING_TOKENS = ("NA", "N/A", "null", "NULL", "None")
 
 
 def present(column: np.ndarray) -> np.ndarray:
@@ -57,31 +61,38 @@ class WindowedDataset:
             raise BadWindowLabel(f"unknown window label '{label}'")
         return self.window == label
 
-    def has_column(self, qname: str) -> bool:
-        return qname in self.columns
 
-
-def _typed_column(values: np.ndarray, modulator: bool) -> tuple[np.ndarray, int]:
-    """The column as float64 or as str cells, and its non-finite cell count.
+def _typed_column(values: np.ndarray, modulator: bool) -> tuple[np.ndarray, dict]:
+    """The column as float64 or as str cells, and by reason the number of
+    non-empty cells loaded as missing.
 
     Text is numeric when every non-empty cell parses with ``float``, which
-    the object-to-float cast calls per cell.
+    the object-to-float cast calls per cell, or is a missing token; tokens
+    are looked for only once that cast has failed.
     """
-    empty = np.zeros(len(values), dtype=bool)
+    missing = np.zeros(len(values), dtype=bool)
+    tokens = 0
     if values.dtype.kind in "biuf" and not modulator:
         floats = values.astype(np.float64)
     else:
         cells = values if values.dtype == object else values.astype(str).astype(object)
         if modulator:
-            return cells, 0
-        empty = cells == ""
+            return cells, {}
+        missing = cells == ""
         try:
-            floats = np.where(empty, "nan", cells).astype(np.float64)
+            floats = np.where(missing, "nan", cells).astype(np.float64)
         except (TypeError, ValueError):
-            return cells, 0
+            token = np.isin(cells, MISSING_TOKENS)
+            try:
+                floats = np.where(missing | token, "nan", cells).astype(np.float64)
+            except (TypeError, ValueError):
+                return cells, {}
+            missing |= token
+            tokens = int(np.count_nonzero(token))
     non_finite = ~np.isfinite(floats)
     floats[non_finite] = np.nan
-    return floats, int(np.count_nonzero(non_finite & ~empty))
+    return floats, {"non-finite": int(np.count_nonzero(non_finite & ~missing)),
+                    "missing-token": tokens}
 
 
 def build_dataset(system_map: SystemMap, columns: Iterable[tuple[str, np.ndarray]],
@@ -89,8 +100,8 @@ def build_dataset(system_map: SystemMap, columns: Iterable[tuple[str, np.ndarray
     """A dataset from (name, cells) columns aligned with ``window``.
 
     A name may be any member of an equivalence class; two columns from one
-    class are an error. Columns matching no map node, and non-finite cells
-    (loaded as missing), are reported as warnings.
+    class are an error. Columns matching no map node, and non-finite or
+    missing-token cells (loaded as missing), are reported as warnings.
     """
     window = np.asarray(window, dtype=object)
     for label in WINDOWS:
@@ -110,11 +121,9 @@ def build_dataset(system_map: SystemMap, columns: Iterable[tuple[str, np.ndarray
             )
         claimed_by[canonical] = name
         modulator = system_map.node(canonical).kind is NodeKind.MODULATOR
-        typed[canonical], non_finite = _typed_column(np.asarray(values), modulator)
-        if non_finite:
-            warnings.append(
-                f"column '{name}': {non_finite} non-finite cells loaded as missing"
-            )
+        typed[canonical], dropped = _typed_column(np.asarray(values), modulator)
+        warnings.extend(f"column '{name}': {n} {reason} cells loaded as missing"
+                        for reason, n in dropped.items() if n)
     return WindowedDataset(columns=typed, window=window, warnings=warnings)
 
 
@@ -138,7 +147,10 @@ def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> Window
     if WINDOW_COLUMN not in header:
         raise MissingWindowColumn("CSV has no 'window' column")
     window_idx = header.index(WINDOW_COLUMN)
-    cells = [np.array([row[i] if i < len(row) else "" for row in data_rows], dtype=object)
+    for n, row in enumerate(data_rows, start=2):
+        if len(row) != len(header):
+            raise RaggedRow(f"row {n}: {len(row)} cells, header has {len(header)}")
+    cells = [np.array([row[i] for row in data_rows], dtype=object)
              for i in range(len(header))]
     window = cells[window_idx]
     bad = np.flatnonzero((window != "ref") & (window != "cur"))
@@ -160,21 +172,18 @@ class ViewTable:
     excluded: tuple[str, ...]              # view nodes without any usable data
     n_rows: int
 
-    def column(self, qname: str) -> np.ndarray:
-        return self.columns[qname]
-
 
 def resolve_column(ds: WindowedDataset, system_map: SystemMap, qname: str):
     """Column name backing a node: its class column, or a measure proxy."""
     canonical = system_map.canonical_name(qname)
-    if ds.has_column(canonical):
+    if canonical in ds.columns:
         return canonical
     node = system_map.node(qname)
     if node.kind is NodeKind.RANDOM:
         target = system_map.measure_target(qname)
         if target is not None:
             proxy = system_map.canonical_name(target)
-            if ds.has_column(proxy):
+            if proxy in ds.columns:
                 return proxy
     return None
 

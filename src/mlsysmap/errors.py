@@ -107,6 +107,10 @@ class BadWindowLabel(DatasetError):
     pass
 
 
+class RaggedRow(DatasetError):
+    pass
+
+
 class EmptyWindow(DatasetError):
     pass
 

@@ -9,7 +9,8 @@ environment boundary.
 
 Maps are immutable after :func:`build_map`, which performs all structural
 validation and canonicalizes ordering so downstream output is
-deterministic.
+deterministic. It also builds each view's causal DAG (:class:`ViewGraph`)
+once, rejecting a cyclic view as it does; the map keeps those graphs.
 """
 
 from __future__ import annotations
@@ -120,12 +121,6 @@ class ViewGraph:
     children: dict = field(hash=False)
     topo: tuple[str, ...]
 
-    def node_names(self) -> tuple[str, ...]:
-        return tuple(n.qname for n in self.nodes)
-
-    def ancestors(self, qname: str) -> set:
-        return ancestors(self.parents, qname)
-
 
 def ancestors(parents: dict, qname: str) -> set:
     """All nodes with a directed path to ``qname`` under a parents mapping."""
@@ -146,13 +141,13 @@ class SystemMap:
     instantiation skips validation.
     """
 
-    def __init__(self, name, nodes, relations, views, equiv):
+    def __init__(self, name, nodes, relations, views, equiv, graphs):
         self.name = name
         self._nodes = nodes            # qname -> Node, canonical order
         self.relations = relations     # tuple[Relation], canonical order
         self.views = views             # tuple[View], canonical order
         self._equiv = equiv            # qname -> tuple of class members
-        self._graphs = {}              # View -> ViewGraph, built on first use
+        self._graphs = graphs          # View -> ViewGraph
 
     # -- basic access --------------------------------------------------
 
@@ -189,28 +184,11 @@ class SystemMap:
     # -- operations ----------------------------------------------------
 
     def view_graph(self, view: View) -> ViewGraph:
-        """Causal DAG restricted to one view (acyclicity re-checked).
-
-        The map is immutable, so each view's graph is built once and shared.
-        """
-        if view in self._graphs:
+        """Causal DAG restricted to one view, as built by :func:`build_map`."""
+        try:
             return self._graphs[view]
-        if view not in self.views:
-            raise UnknownView(f"view '{view.name}' not in map '{self.name}'")
-        nodes = self.view_nodes(view)
-        names = {n.qname for n in nodes}
-        edges = tuple(
-            (r.src, r.dst)
-            for r in self.relations
-            if r.kind is RelationKind.CAUSAL and r.src in names and r.dst in names
-        )
-        parents = {n.qname: tuple(sorted(s for s, d in edges if d == n.qname)) for n in nodes}
-        children = {n.qname: tuple(sorted(d for s, d in edges if s == n.qname)) for n in nodes}
-        topo = _topo_sort(sorted(names), parents)
-        if topo is None:  # pragma: no cover - build_map already rejects cycles
-            raise CycleError(f"cycle in view '{view.name}'", cycle=sorted(names))
-        self._graphs[view] = ViewGraph(view, nodes, parents, children, tuple(topo))
-        return self._graphs[view]
+        except KeyError:
+            raise UnknownView(f"view '{view.name}' not in map '{self.name}'") from None
 
     def equivalence_class(self, qname: str) -> tuple[str, ...]:
         """All nodes representing the same quantity, including ``qname``."""
@@ -372,11 +350,11 @@ def build_map(name: str, nodes: Iterable[Node], relations) -> SystemMap:
         norm.add(r)
     relations_t = tuple(sorted(norm, key=lambda r: (r.kind.value, r.src, r.dst)))
 
-    _check_acyclic(views, node_index, relations_t)
+    graphs = {view: _view_graph(view, node_index, relations_t) for view in views}
     equiv = _equivalence_classes(node_index, relations_t)
     _check_measure_roots(node_index, relations_t)
 
-    built = SystemMap(name, node_index, relations_t, tuple(views), equiv)
+    built = SystemMap(name, node_index, relations_t, tuple(views), equiv, graphs)
     _check_terminals(built)
     return built
 
@@ -429,17 +407,22 @@ def _check_relation_kinds(r, node_index):
             raise KindViolation(f"actuate edge {r.src} -> {r.dst} must go data -> random", edge=edge)
 
 
-def _check_acyclic(views, node_index, relations):
-    for view in views:
-        names = [q for q, n in node_index.items() if n.view == view]
-        name_set = set(names)
-        parents = {n: [] for n in names}
-        for r in relations:
-            if r.kind is RelationKind.CAUSAL and r.dst in name_set and r.src in name_set:
-                parents[r.dst].append(r.src)
-        if _topo_sort(sorted(names), parents) is None:
-            cycle = _find_cycle(names, parents)
-            raise CycleError(f"causal cycle in view '{view.name}': {cycle}", cycle=cycle)
+def _view_graph(view, node_index, relations) -> ViewGraph:
+    """The causal DAG of one view; raises CycleError on a causal cycle."""
+    nodes = tuple(n for n in node_index.values() if n.view == view)
+    names = {n.qname for n in nodes}
+    edges = tuple(
+        (r.src, r.dst)
+        for r in relations
+        if r.kind is RelationKind.CAUSAL and r.src in names and r.dst in names
+    )
+    parents = {n.qname: tuple(sorted(s for s, d in edges if d == n.qname)) for n in nodes}
+    children = {n.qname: tuple(sorted(d for s, d in edges if s == n.qname)) for n in nodes}
+    topo = _topo_sort(sorted(names), parents)
+    if topo is None:
+        cycle = _find_cycle(names, parents)
+        raise CycleError(f"causal cycle in view '{view.name}': {cycle}", cycle=cycle)
+    return ViewGraph(view, nodes, parents, children, tuple(topo))
 
 
 def _equivalence_classes(node_index, relations):

@@ -86,19 +86,6 @@ class CategoryList:
 VariableBins = Union[NumericBins, CategoryList]
 
 
-@dataclass(frozen=True)
-class Discretization:
-    """Per-variable binning shared by both windows."""
-
-    variables: dict[str, VariableBins] = field(hash=False)
-
-    def n_states(self, qname: str) -> int:
-        return self.variables[qname].n_states
-
-    def encode(self, qname: str, values: np.ndarray) -> np.ndarray:
-        return self.variables[qname].encode(values)
-
-
 def fit_variable(ref_values, k: int, extra_values=None) -> VariableBins:
     """Bins for one variable: pooled quantiles (numeric) or categories.
 
@@ -118,8 +105,8 @@ def fit_variable(ref_values, k: int, extra_values=None) -> VariableBins:
 
 
 def fit_discretization(table: ViewTable, k: int,
-                       cur_table: Optional[ViewTable] = None) -> Discretization:
-    """Fit bins for every node of a view table.
+                       cur_table: Optional[ViewTable] = None) -> dict[str, VariableBins]:
+    """Fit bins for every node of a view table, shared by both windows.
 
     ``table`` is the reference window; when ``cur_table`` is given, bins
     cover the nodes of both tables and numeric quantiles are computed on
@@ -131,10 +118,10 @@ def fit_discretization(table: ViewTable, k: int,
     if table.n_rows == 0:
         raise EmptyTable("cannot fit a discretization on an empty table")
     cur = {} if cur_table is None else cur_table.columns
-    return Discretization({
+    return {
         q: fit_variable(table.columns[q], k, cur.get(q))
         for q in table.nodes if cur_table is None or q in cur
-    })
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +132,10 @@ class MechanismSet:
     """Fitted ref/cur mechanisms for the nodes of one view DAG.
 
     ``tables[node][window]`` has shape ``(*parent_states, child_states)``
-    with parent axes in lexicographic parent order. Every row is a
-    probability vector with strictly positive entries. Elimination plans
+    with parent axes in lexicographic parent order, and ``disc[node]`` is
+    the node's binning, shared by both windows (``disc[node].n_states``
+    is the table's last axis). Every row is a probability vector with
+    strictly positive entries. Elimination plans
     built by ``target_marginal`` are cached here, so the tables are not
     to be replaced once inference has run.
     """
@@ -155,24 +144,11 @@ class MechanismSet:
     nodes: tuple[str, ...]
     parents: dict[str, tuple[str, ...]]
     topo: tuple[str, ...]
-    disc: Discretization
+    disc: dict[str, VariableBins]
     tables: dict[str, dict[str, np.ndarray]]
     alpha: float
     excluded: tuple[str, ...] = ()
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def n_states(self, qname: str) -> int:
-        return self.disc.n_states(qname)
-
-    def table(self, qname: str, window: str) -> np.ndarray:
-        return self.tables[qname][window]
-
-    def ancestors(self, qname: str) -> set:
-        return ancestors(self.parents, qname)
-
-    def changed(self, qname: str) -> bool:
-        """Whether the ref and cur tables differ at all."""
-        return not np.array_equal(self.tables[qname]["ref"], self.tables[qname]["cur"])
 
 
 def _smoothed(counts: np.ndarray, alpha: float) -> np.ndarray:
@@ -199,15 +175,15 @@ def fit_mechanisms(system_map: SystemMap, ds: WindowedDataset, view: View,
     topo = tuple(q for q in graph.topo if q in in_set)
 
     codes = {
-        "ref": {q: disc.encode(q, ref_t.columns[q]) for q in common},
-        "cur": {q: disc.encode(q, cur_t.columns[q]) for q in common},
+        "ref": {q: disc[q].encode(ref_t.columns[q]) for q in common},
+        "cur": {q: disc[q].encode(cur_t.columns[q]) for q in common},
     }
 
     tables: dict[str, dict[str, np.ndarray]] = {}
     for q in common:
         pa = parents[q]
-        child_k = disc.n_states(q)
-        pa_dims = tuple(disc.n_states(p) for p in pa)
+        child_k = disc[q].n_states
+        pa_dims = tuple(disc[p].n_states for p in pa)
         n_cfg = int(np.prod(pa_dims)) if pa else 1
         counts = {}
         for w in ("ref", "cur"):
@@ -259,7 +235,7 @@ class _EliminationPlan:
 
 def _plan_elimination(mech: MechanismSet, target: str, limit: int) -> _EliminationPlan:
     """Min-degree elimination order, lexicographic tie-breaks."""
-    relevant = mech.ancestors(target) | {target}
+    relevant = ancestors(mech.parents, target) | {target}
     leaves, factors, dims = [], [], {}
     for slot, q in enumerate(sorted(relevant)):
         scope = mech.parents[q] + (q,)
@@ -305,17 +281,12 @@ def _plan_elimination(mech: MechanismSet, target: str, limit: int) -> _Eliminati
     )
 
 
-def window_assignment(mech: MechanismSet, cur_nodes) -> dict:
-    """Assignment using cur mechanisms for ``cur_nodes``, ref elsewhere."""
-    cur = set(cur_nodes)
-    return {q: ("cur" if q in cur else "ref") for q in mech.nodes}
-
-
 def target_marginal(mech: MechanismSet, assignment: dict, target: str,
                     limit: int = DEFAULT_STATE_LIMIT) -> np.ndarray:
     """Exact marginal of ``target`` under a per-node window assignment.
 
-    Only the target's ancestors participate (other factors integrate to
+    A node missing from ``assignment`` uses its ``ref`` table. Only the
+    target's ancestors participate (other factors integrate to
     one). Elimination order is min-degree with lexicographic tie-breaks,
     so results are bit-deterministic. The order, the factor transposes,
     the broadcast shapes and the state-limit check depend only on the
@@ -350,17 +321,17 @@ def sample_marginal(mech: MechanismSet, assignment: dict, target: str,
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
-    relevant = mech.ancestors(target) | {target}
+    relevant = ancestors(mech.parents, target) | {target}
     samples: dict[str, np.ndarray] = {}
     for node in mech.topo:
         if node not in relevant:
             continue
-        table = mech.table(node, assignment.get(node, "ref"))
-        k = mech.n_states(node)
+        table = mech.tables[node][assignment.get(node, "ref")]
+        k = mech.disc[node].n_states
         flat = table.reshape(-1, k)
         pa = mech.parents[node]
         if pa:
-            dims = tuple(mech.n_states(p) for p in pa)
+            dims = tuple(mech.disc[p].n_states for p in pa)
             idx = np.ravel_multi_index([samples[p] for p in pa], dims)
         else:
             idx = np.zeros(m, dtype=np.int64)
@@ -368,7 +339,7 @@ def sample_marginal(mech: MechanismSet, assignment: dict, target: str,
         u = rng.random(m)
         codes = (u[:, None] > cdf).sum(axis=1)
         samples[node] = np.minimum(codes, k - 1)
-    k = mech.n_states(target)
+    k = mech.disc[target].n_states
     return np.bincount(samples[target], minlength=k) / m
 
 

@@ -16,15 +16,6 @@ from .traversal import TraceConfig, TraceReport, TraceStep
 SCHEMA = "msm-report/1"
 
 
-def _verdict_dict(v):
-    return {
-        "kind": v.kind,
-        "node": v.node,
-        "view": v.view,
-        "detail": v.detail,
-    }
-
-
 def step_to_dict(step: TraceStep) -> dict:
     r = step.result
     return {
@@ -42,14 +33,9 @@ def step_to_dict(step: TraceStep) -> dict:
             "nodes": list(r.classification.nodes),
         },
         "note": step.note,
-        "routed_to": step.routed_to,
-        "verdicts": [_verdict_dict(v) for v in step.verdicts],
+        "verdicts": [dataclasses.asdict(v) for v in step.verdicts],
         "children": [step_to_dict(c) for c in step.children],
     }
-
-
-def config_dict(config: TraceConfig) -> dict:
-    return dataclasses.asdict(config)
 
 
 def detect_document(map_name: str, alerts, alpha: float, B: int, seed: int) -> dict:
@@ -58,23 +44,14 @@ def detect_document(map_name: str, alerts, alpha: float, B: int, seed: int) -> d
         "map": map_name,
         "command": "detect",
         "config": {"alpha": alpha, "test_permutations": B, "seed": seed},
-        "alerts": [
-            {"node": a.node, "statistic": a.statistic, "p_value": a.p_value}
-            for a in alerts
-        ],
+        "alerts": [dataclasses.asdict(a) for a in alerts],
         "warnings": [],
     }
 
 
 def trace_document(map_name: str, report: TraceReport, config: TraceConfig,
                    alert_test=None) -> dict:
-    alerts = []
-    if alert_test is not None:
-        alerts.append({
-            "node": alert_test.node,
-            "statistic": alert_test.statistic,
-            "p_value": alert_test.p_value,
-        })
+    alerts = [] if alert_test is None else [dataclasses.asdict(alert_test)]
     warnings = list(report.warnings)
     if report.excluded_environment:
         warnings.append(
@@ -85,11 +62,11 @@ def trace_document(map_name: str, report: TraceReport, config: TraceConfig,
         "schema": SCHEMA,
         "map": map_name,
         "command": "trace",
-        "config": config_dict(config),
+        "config": dataclasses.asdict(config),
         "alerts": alerts,
         "alert": report.alert,
         "trace": step_to_dict(report.root),
-        "verdicts": [_verdict_dict(v) for v in report.verdicts],
+        "verdicts": [dataclasses.asdict(v) for v in report.verdicts],
         "excluded_environment": list(report.excluded_environment),
         "warnings": warnings,
     }

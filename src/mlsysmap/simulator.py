@@ -207,7 +207,6 @@ def generate_csv(config: ScenarioConfig) -> str:
 class SimulationOutput:
     system_map: SystemMap
     dataset: WindowedDataset
-    map_text: str
 
 
 def generate(config: ScenarioConfig) -> SimulationOutput:
@@ -222,5 +221,4 @@ def generate(config: ScenarioConfig) -> SimulationOutput:
     return SimulationOutput(
         system_map=system_map,
         dataset=build_dataset(system_map, columns, window),
-        map_text=churn_map_text(),
     )

@@ -17,11 +17,13 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .attribution import AttributionResult, attribute
+from .attribution import (DEFAULT_BRANCH_CUTOFF, DEFAULT_EPSILON, DEFAULT_TAU,
+                          AttributionResult, attribute)
 from .dataset import WindowedDataset, resolve_column
 from .errors import InsufficientData, NoRoute, UnknownAlert, ViewMismatch
-from .mapcore import NodeKind, SystemMap, View, ViewType
-from .mechanisms import MechanismSet, ShiftTestResult, fit_mechanisms, shift_test
+from .mapcore import NodeKind, SystemMap, View, ViewType, ancestors
+from .mechanisms import (DEFAULT_ALPHA, DEFAULT_BINS, DEFAULT_STATE_LIMIT, MechanismSet,
+                         ShiftTestResult, fit_mechanisms, shift_test)
 
 
 class Pattern(enum.Enum):
@@ -38,11 +40,11 @@ class Pattern(enum.Enum):
 
 @dataclass(frozen=True)
 class TraceConfig:
-    bins: int = 8
-    alpha_smoothing: float = 1.0
-    tau: float = 0.5
-    epsilon: float = 2e-3
-    branch_cutoff: float = 0.2
+    bins: int = DEFAULT_BINS
+    alpha_smoothing: float = DEFAULT_ALPHA
+    tau: float = DEFAULT_TAU
+    epsilon: float = DEFAULT_EPSILON
+    branch_cutoff: float = DEFAULT_BRANCH_CUTOFF
     permutations: int = 500          # sampled-Shapley player orders
     test_permutations: int = 1000    # two-sample permutation test re-splits
     seed: int = 0
@@ -50,7 +52,7 @@ class TraceConfig:
     max_branches: int = 3
     eager_environment: bool = False
     divergence: str = "jsd"
-    state_limit: int = 1_000_000
+    state_limit: int = DEFAULT_STATE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,6 @@ class TraceStep:
     note: Optional[str] = None
     verdicts: list = field(default_factory=list)      # verdicts decided at this step
     children: list = field(default_factory=list)      # deeper TraceSteps
-    routed_to: Optional[str] = None                   # view name, when routing
 
     @property
     def aq(self) -> int:
@@ -106,7 +107,7 @@ def node_pattern(system_map: SystemMap, view: View, node: str,
         if n.kind is NodeKind.MODULATOR:
             return Pattern.AP2_1
         return Pattern.AP2_3 if n.boundary else Pattern.AP2_2
-    if node in system_map.view_graph(view).ancestors(implicated):
+    if node in ancestors(system_map.view_graph(view).parents, implicated):
         return Pattern.AP3_1
     return Pattern.AP3_2
 
@@ -218,7 +219,6 @@ class _Tracer:
                 detail=f"no subsystem view produces '{node}'",
             ))
             return
-        step.routed_to = subview.name
         step.children.append(self.step(subview, self.map.terminal_of(subview).qname))
         if root and self.config.eager_environment:
             env = self.map.environment_view()
@@ -245,7 +245,6 @@ class _Tracer:
                 detail="no measured environment proxy for the boundary",
             ))
             return
-        step.routed_to = env.name
         for src in sources[: self.config.max_branches]:
             step.children.append(self.step(env, src))
 

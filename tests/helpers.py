@@ -16,11 +16,11 @@ import itertools
 
 import numpy as np
 
-from mlsysmap.mapcore import Node, NodeKind, Relation, RelationKind, View, build_map
+from mlsysmap.mapcore import (Node, NodeKind, Relation, RelationKind, View, ancestors,
+                              build_map)
 from mlsysmap.errors import StateSpaceTooLarge
 from mlsysmap.mechanisms import (
     DEFAULT_STATE_LIMIT,
-    Discretization,
     MechanismSet,
     NumericBins,
 )
@@ -32,14 +32,14 @@ from mlsysmap.simulator import ScenarioConfig, generate
 
 def brute_force_marginal(mech: MechanismSet, assignment: dict, target: str):
     """Marginal of ``target`` by full enumeration of its ancestral joint."""
-    relevant = sorted(mech.ancestors(target) | {target})
-    dims = [mech.n_states(q) for q in relevant]
-    out = np.zeros(mech.n_states(target))
+    relevant = sorted(ancestors(mech.parents, target) | {target})
+    dims = [mech.disc[q].n_states for q in relevant]
+    out = np.zeros(mech.disc[target].n_states)
     for combo in itertools.product(*(range(d) for d in dims)):
         state = dict(zip(relevant, combo))
         p = 1.0
         for q in relevant:
-            table = mech.table(q, assignment.get(q, "ref"))
+            table = mech.tables[q][assignment.get(q, "ref")]
             idx = tuple(state[pa] for pa in mech.parents[q]) + (state[q],)
             p *= float(table[idx])
         out[state[target]] += p
@@ -56,7 +56,7 @@ def reference_target_marginal(mech: MechanismSet, assignment: dict, target: str,
         scope = mech.parents[node] + (node,)
         order = tuple(sorted(scope))
         perm = [scope.index(v) for v in order]
-        return order, np.transpose(mech.table(node, window), perm)
+        return order, np.transpose(mech.tables[node][window], perm)
 
     def broadcast(array, scope, allvars):
         dims = dict(zip(scope, array.shape))
@@ -75,7 +75,7 @@ def reference_target_marginal(mech: MechanismSet, assignment: dict, target: str,
                 f"factor over {allvars} has {size} states (limit {limit})")
         return allvars, broadcast(a1, s1, allvars) * broadcast(a2, s2, allvars)
 
-    relevant = mech.ancestors(target) | {target}
+    relevant = ancestors(mech.parents, target) | {target}
     factors = [factor_for(q, assignment.get(q, "ref")) for q in sorted(relevant)]
     to_eliminate = set(relevant) - {target}
     while to_eliminate:
@@ -122,10 +122,10 @@ def random_mechanism_set(rng, n_nodes=None, max_states=3, p_edge=0.5,
     for j, q in enumerate(names):
         parents[q] = tuple(names[i] for i in range(j) if rng.random() < p_edge)
     states = {q: int(rng.integers(2, max_states + 1)) for q in names}
-    disc = Discretization({
+    disc = {
         q: NumericBins(tuple(float(e) for e in range(1, states[q])))
         for q in names
-    })
+    }
     tables = {}
     for j, q in enumerate(names):
         shape = tuple(states[p] for p in parents[q]) + (states[q],)

@@ -1,12 +1,14 @@
 """CLI: exit codes, output formats, and byte-level determinism."""
 
 import csv
+import inspect
 import json
 
 import pytest
 
-from mlsysmap.cli import main
+from mlsysmap.cli import build_parser, main
 from mlsysmap.simulator import churn_map_text
+from mlsysmap.traversal import TraceConfig, detect_alerts
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +91,19 @@ def test_detect_text(workspace, capsys):
 
 # ---------------------------------------------------------------------------
 # trace
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["trace", "m.msm", "d.csv", "--alert", "system.x"])
+    config = TraceConfig()
+    for name in ("bins", "tau", "epsilon", "mode", "permutations", "seed",
+                 "eager_environment"):
+        assert getattr(args, name) == getattr(config, name), name
+    args = parser.parse_args(["detect", "m.msm", "d.csv"])
+    detect = inspect.signature(detect_alerts).parameters
+    assert (args.alpha, args.permutations, args.seed) == (
+        detect["alpha"].default, detect["B"].default, detect["seed"].default)
+
 
 def test_trace_json_deterministic(workspace, tmp_path):
     _, map_path, data_path = workspace

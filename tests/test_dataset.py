@@ -13,6 +13,7 @@ from mlsysmap.errors import (
     EmptyWindow,
     MissingWindowColumn,
     NoDataForView,
+    RaggedRow,
 )
 from mlsysmap.mapcore import View
 from mlsysmap.mechanisms import fit_mechanisms
@@ -50,14 +51,14 @@ def test_load_basics():
     assert list(ds.window_mask("ref")) == [True, True, False, False]
     assert list(ds.window_mask("cur")) == [False, False, True, True]
     # features column unified to the canonical class member
-    assert ds.has_column("pipe.out") and not ds.has_column("system.features")
+    assert "pipe.out" in ds.columns and "system.features" not in ds.columns
     assert list(ds.columns["pipe.raw"]) == ["a", "b", "a", "b"]
     assert ds.warnings == []
 
 
 def test_any_class_member_accepted_as_header():
     ds = load_csv(MAP, CSV.replace("system.features", "pipe.out"))
-    assert ds.has_column("pipe.out")
+    assert "pipe.out" in ds.columns
 
 
 def test_duplicate_class_columns_rejected():
@@ -71,7 +72,7 @@ def test_unknown_columns_become_warnings():
     text = CSV.replace("pipe.raw", "mystery")
     ds = load_csv(MAP, text)
     assert any("mystery" in w for w in ds.warnings)
-    assert not ds.has_column("mystery")
+    assert "mystery" not in ds.columns
 
 
 def test_missing_window_column():
@@ -86,6 +87,14 @@ def test_bad_window_label_reports_row():
     with pytest.raises(BadWindowLabel) as exc:
         load_csv(MAP, text)
     assert "row 4" in str(exc.value)
+
+
+@pytest.mark.parametrize("row, n_cells", [("ref,1,2,99", 4), ("cur,3", 2)])
+def test_ragged_row_rejected(row, n_cells):
+    text = f"window,system.score,system.features\nref,1,2\n{row}\ncur,4,5\n"
+    with pytest.raises(RaggedRow) as exc:
+        load_csv(MAP, text)
+    assert str(exc.value) == f"row 3: {n_cells} cells, header has 3"
 
 
 def test_empty_window_rejected():
@@ -144,6 +153,20 @@ def test_non_finite_cells_are_missing():
         "column 'system.score': 3 non-finite cells loaded as missing"]
 
 
+def test_missing_tokens_in_numeric_column():
+    text = ("window,system.score,pipe.raw\n"
+            "ref,NA,NA\nref,1,a\ncur,null,b\ncur,2.5,\ncur,,None\n")
+    ds = load_csv(MAP, text)
+    score = ds.columns["system.score"]
+    assert score.dtype == np.float64
+    assert list(present(score)) == [False, True, False, True, False]
+    assert list(score[[1, 3]]) == [1.0, 2.5]
+    assert ds.warnings == [
+        "column 'system.score': 2 missing-token cells loaded as missing"]
+    # in a categorical column a token is a label like any other
+    assert list(ds.columns["pipe.raw"]) == ["NA", "a", "b", "", "None"]
+
+
 def test_resolve_column_direct_and_proxy():
     ds = load_csv(MAP, CSV)
     assert resolve_column(ds, MAP, "system.features") == "pipe.out"
@@ -160,8 +183,8 @@ def test_view_matrix_shapes_and_exclusions():
     # node names stay view-local; data is sourced from canonical columns
     assert t.nodes == ("system.features", "system.score")
     assert t.n_rows == 2
-    assert list(t.column("system.score")) == [0.1, 0.2]
-    assert list(t.column("system.features")) == [1.0, 2.0]
+    assert list(t.columns["system.score"]) == [0.1, 0.2]
+    assert list(t.columns["system.features"]) == [1.0, 2.0]
 
     sub = view_matrix(ds, MAP, View.subsystem("pipe"), "cur")
     assert sub.nodes == ("pipe.out", "pipe.raw")
@@ -178,7 +201,7 @@ def test_view_matrix_drops_incomplete_rows():
     ref = view_matrix(ds, MAP, View.system(), "ref")
     cur = view_matrix(ds, MAP, View.system(), "cur")
     assert ref.n_rows == 1 and cur.n_rows == 1
-    assert list(cur.column("system.features")) == [4.0]
+    assert list(cur.columns["system.features"]) == [4.0]
 
 
 def test_view_matrix_excludes_all_missing_columns():
@@ -235,7 +258,7 @@ def _fitted(header, rows):
         except NoDataForView:
             out.append(None)
             continue
-        out.append((mech.nodes, repr(mech.disc.variables),
+        out.append((mech.nodes, repr(mech.disc),
                     {q: {w: t.tobytes() for w, t in mech.tables[q].items()}
                      for q in mech.nodes}))
     return out

@@ -21,6 +21,7 @@ from mlsysmap.mapcore import (
     RelationKind,
     View,
     ViewType,
+    ancestors,
     build_map,
 )
 
@@ -238,8 +239,8 @@ def test_view_graph_topology():
     assert g.topo == ("pipe.knob", "pipe.raw", "pipe.out")
     assert g.parents["pipe.out"] == ("pipe.knob", "pipe.raw")
     assert g.children["pipe.raw"] == ("pipe.out",)
-    assert g.ancestors("pipe.out") == {"pipe.knob", "pipe.raw"}
-    assert g.ancestors("pipe.raw") == set()
+    assert ancestors(g.parents, "pipe.out") == {"pipe.knob", "pipe.raw"}
+    assert ancestors(g.parents, "pipe.raw") == set()
 
 
 def test_view_graph_unknown_view():
@@ -307,7 +308,7 @@ def test_random_maps_build_and_expose_invariants():
         for v in m.views:
             g = m.view_graph(v)
             assert len(g.topo) == len(g.nodes)
-            for q in g.node_names():
+            for q in g.parents:
                 for p in g.parents[q]:
                     assert q in g.children[p]
 

@@ -34,7 +34,6 @@ from mlsysmap.mechanisms import (
     shift_test,
     target_marginal,
     total_variation,
-    window_assignment,
 )
 from mlsysmap.msmformat import parse_map
 
@@ -83,8 +82,8 @@ def test_modulator_is_always_categorical():
     ds = load_csv(BACKOFF_MAP, "window,sub.m,sub.out\nref,1,1\nref,2,2\n"
                                "ref,1,3\ncur,2,4\n")
     mech = fit_mechanisms(BACKOFF_MAP, ds, View.subsystem("sub"))
-    assert mech.disc.variables["sub.m"] == CategoryList(("1", "2"))
-    assert isinstance(mech.disc.variables["sub.out"], NumericBins)
+    assert mech.disc["sub.m"] == CategoryList(("1", "2"))
+    assert isinstance(mech.disc["sub.out"], NumericBins)
     bins = fit_variable(np.array(["1", "2", "1"], dtype=object), k=4)
     assert bins == CategoryList(("1", "2"))
 
@@ -108,10 +107,10 @@ def test_quantile_edges_ignore_non_finite_values():
     # non-finite cells load as missing, so they never reach the quantiles
     ds = load_csv(ONE_MAP, _csv(["0", "1"] * 30, ["0"] * 59 + ["nan"]))
     mech = fit_mechanisms(ONE_MAP, ds, View.system(), k=2)
-    assert mech.disc.variables["system.a"] == NumericBins((0.0,))
+    assert mech.disc["system.a"] == NumericBins((0.0,))
     ds = load_csv(ONE_MAP, _csv(["0", "1", "inf"], ["2", "3", "-inf"]))
     mech = fit_mechanisms(ONE_MAP, ds, View.system(), k=8)
-    assert all(math.isfinite(e) for e in mech.disc.variables["system.a"].edges)
+    assert all(math.isfinite(e) for e in mech.disc["system.a"].edges)
     # a column with no finite cell has no data at all
     ds = load_csv(ONE_MAP, _csv(["nan"] * 40, ["inf"] * 40))
     with pytest.raises(NoDataForView):
@@ -125,7 +124,7 @@ def test_non_finite_cells_do_not_fake_a_mechanism_change():
     ds = load_csv(ONE_MAP, _csv(values, values + ["nan"] * 4))
     assert ds.warnings == ["column 'system.a': 4 non-finite cells loaded as missing"]
     mech = fit_mechanisms(ONE_MAP, ds, View.system())
-    assert not mech.changed("system.a")
+    assert np.array_equal(mech.tables["system.a"]["ref"], mech.tables["system.a"]["cur"])
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +152,11 @@ def test_fit_mechanisms_hand_computed():
     assert mech.parents["system.b"] == ("system.a",)
     assert mech.topo == ("system.a", "system.b")
     # root: counts + Laplace(1) over {x, y, unseen}
-    np.testing.assert_allclose(mech.table("system.a", "ref"),
+    np.testing.assert_allclose(mech.tables["system.a"]["ref"],
                                np.array([3, 2, 1]) / 6.0)
-    np.testing.assert_allclose(mech.table("system.a", "cur"),
+    np.testing.assert_allclose(mech.tables["system.a"]["cur"],
                                np.array([2, 3, 1]) / 6.0)
-    tab = mech.table("system.b", "ref")
+    tab = mech.tables["system.b"]["ref"]
     assert tab.shape == (3, 3)
     np.testing.assert_allclose(tab[0], np.array([2, 2, 1]) / 5.0)  # a = x
     np.testing.assert_allclose(tab[1], np.array([2, 1, 1]) / 4.0)  # a = y
@@ -166,7 +165,7 @@ def test_fit_mechanisms_hand_computed():
     np.testing.assert_allclose(tab[2], np.ones(3) / 3.0)
     # every row is a probability vector with positive entries
     for w in ("ref", "cur"):
-        t = mech.table("system.b", w)
+        t = mech.tables["system.b"][w]
         assert np.all(t > 0)
         np.testing.assert_allclose(t.sum(axis=-1), 1.0)
 
@@ -191,8 +190,8 @@ def test_pooled_backoff_keeps_child_mechanism_unchanged():
     rows += [f"cur,new,{v}" for v in ("q", "q", "p", "q")]
     ds = load_csv(BACKOFF_MAP, "\n".join(rows) + "\n")
     mech = fit_mechanisms(BACKOFF_MAP, ds, View.subsystem("sub"))
-    assert mech.changed("sub.m")
-    assert not mech.changed("sub.out")
+    assert not np.array_equal(mech.tables["sub.m"]["ref"], mech.tables["sub.m"]["cur"])
+    assert np.array_equal(mech.tables["sub.out"]["ref"], mech.tables["sub.out"]["cur"])
 
 
 def test_fit_discretization_rejects_bad_inputs():
@@ -218,7 +217,7 @@ def test_root_marginal_equals_table_row():
     root = mech.topo[0]
     for w in ("ref", "cur"):
         got = target_marginal(mech, {q: w for q in mech.nodes}, root)
-        np.testing.assert_array_equal(got, mech.table(root, w))
+        np.testing.assert_array_equal(got, mech.tables[root][w])
 
 
 def test_target_marginal_matches_enumeration():
@@ -237,7 +236,7 @@ def test_target_marginal_matches_enumeration():
 def test_target_marginal_is_deterministic():
     rng = np.random.default_rng(5)
     mech = random_mechanism_set(rng, n_nodes=5)
-    a = window_assignment(mech, mech.nodes[:2])
+    a = dict.fromkeys(mech.nodes[:2], "cur")
     p1 = target_marginal(mech, a, mech.nodes[-1])
     p2 = target_marginal(mech, a, mech.nodes[-1])
     np.testing.assert_array_equal(p1, p2)
@@ -292,13 +291,6 @@ def test_cached_plan_is_per_state_limit():
     assert np.array_equal(target_marginal(mech, {}, target), want)
 
 
-def test_window_assignment():
-    mech = random_mechanism_set(np.random.default_rng(4), n_nodes=3)
-    a = window_assignment(mech, [mech.nodes[1]])
-    assert a[mech.nodes[1]] == "cur"
-    assert a[mech.nodes[0]] == a[mech.nodes[2]] == "ref"
-
-
 # ---------------------------------------------------------------------------
 # sampled inference
 
@@ -306,7 +298,7 @@ def test_sample_marginal_converges_and_is_seeded():
     rng = np.random.default_rng(6)
     mech = random_mechanism_set(rng, n_nodes=4)
     target = mech.nodes[-1]
-    a = window_assignment(mech, mech.nodes[:1])
+    a = dict.fromkeys(mech.nodes[:1], "cur")
     exact = target_marginal(mech, a, target)
     s1 = sample_marginal(mech, a, target, 40_000, seed=9)
     s2 = sample_marginal(mech, a, target, 40_000, seed=9)

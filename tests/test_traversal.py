@@ -102,7 +102,7 @@ def test_trace_s2_modulator_root_cause():
     out = simulate("S2")
     report = trace(out.system_map, out.dataset, "system.promo_ranking")
     assert first_child_path(report) == (Pattern.AP1_2, Pattern.AP2_1)
-    assert report.root.routed_to == "pipeline"
+    assert report.root.children[0].view.name == "pipeline"
     assert any(v.kind == "root-cause" and v.node == "pipeline.parse_quality"
                for v in report.verdicts)
 
@@ -268,7 +268,7 @@ def test_environment_step_notes_non_ancestral_mass(monkeypatch):
             ("env", "env.act"): ("concentrated", (node,)),
         })
         pipe = report.root.children[0]
-        assert pipe.pattern is Pattern.AP2_3 and pipe.routed_to == "env"
+        assert pipe.pattern is Pattern.AP2_3 and pipe.children[0].view.name == "env"
         (env,) = pipe.children
         assert env.aq == 3 and env.target == "env.act"
         return env
@@ -294,7 +294,7 @@ def test_undetermined_when_no_subsystem_produces_the_node(monkeypatch):
         ("system", "system.score"): ("concentrated", ("system.orphan",)),
     })
     assert report.root.pattern is Pattern.AP1_2
-    assert report.root.children == [] and report.root.routed_to is None
+    assert report.root.children == []
     assert [(v.kind, v.node, v.detail) for v in report.verdicts] == [
         ("undetermined", "system.orphan", "no subsystem view produces 'system.orphan'")]
 
@@ -318,7 +318,6 @@ def test_undetermined_when_boundary_has_no_measured_proxy(monkeypatch):
     })
     pipe2 = report.root.children[0]
     assert pipe2.pattern is Pattern.AP2_3 and pipe2.children == []
-    assert pipe2.routed_to is None
     assert [(v.kind, v.node, v.detail) for v in report.verdicts] == [
         ("undetermined", "pipe2.inlet",
          "no measured environment proxy for the boundary")]
