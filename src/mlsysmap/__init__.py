@@ -33,7 +33,6 @@ from .mechanisms import (
     sample_marginal,
     shift_test,
     target_marginal,
-    total_variation,
 )
 from .msmformat import parse_map, serialize_map
 from .simulator import ScenarioConfig, churn_map, generate

@@ -1,18 +1,19 @@
 """Mechanism-swap Shapley attribution.
 
-The game value of a node subset S is the divergence between the target's
-marginal when the nodes in S use their current-window mechanisms (all
-others staying on reference) and the all-reference marginal. Shapley
-values over this game split the observed shift across the nodes whose
-mechanisms changed (Budhathoki et al., "Why did the distribution
-change?", AISTATS 2021). Players are all fitted nodes of the view,
-including the target itself, so a local mechanism change at the target
-is attributable to it.
+The game value of a node subset S is the Jensen-Shannon divergence
+between the target's marginal when the nodes in S use their
+current-window mechanisms (all others staying on reference) and the
+all-reference marginal. Shapley values over this game split the
+observed shift across the nodes whose mechanisms changed (Budhathoki et
+al., "Why did the distribution change?", AISTATS 2021). Players are all
+fitted nodes of the view, including the target itself, so a local
+mechanism change at the target is attributable to it.
 
 ``attribute`` is the one entry point on a mechanism set: it builds the
 game, solves it exactly or by sampled player orders, and classifies
-where the mass lands. ``exact_shapley`` and ``sampled_shapley`` solve
-any set function.
+where the mass lands: on one node when its share reaches ``tau``,
+otherwise on every node whose share reaches ``BRANCH_CUTOFF``.
+``exact_shapley`` and ``sampled_shapley`` solve any set function.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ import numpy as np
 from . import mechanisms as mech_mod
 from .errors import InsufficientData, StateSpaceTooLarge, TooManyPlayers
 from .mapcore import View, ancestors
-from .mechanisms import MechanismSet, divergence, sample_marginal, target_marginal
+from .mechanisms import MechanismSet, jsd_rows, sample_marginal, target_marginal
 
 EXACT_PLAYER_LIMIT = 12
+DEFAULT_PERMUTATIONS = 500        # sampled-Shapley player orders
 DEFAULT_TAU = 0.5
-DEFAULT_BRANCH_CUTOFF = 0.2
 DEFAULT_EPSILON = 2e-3
-FALLBACK_SAMPLES = 20_000
+BRANCH_CUTOFF = 0.2               # least share that opens a distributed branch
+FALLBACK_SAMPLES = 20_000         # ancestral samples per game value past the VE limit
 
 
 @dataclass(frozen=True)
@@ -66,17 +68,15 @@ class MechanismSwapGame:
     target's marginal ignores every other mechanism, so coalitions that
     differ only in non-ancestors share one evaluation (and, when variable
     elimination exceeds ``state_limit``, one sampling seed), which makes
-    non-ancestors exact Shapley dummies.
+    non-ancestors exact Shapley dummies. Marginals are normalized by
+    construction, so values go straight to the unchecked ``jsd_rows``.
     """
 
-    def __init__(self, mech: MechanismSet, target: str, div: str = "jsd",
-                 state_limit: int = mech_mod.DEFAULT_STATE_LIMIT,
-                 fallback_samples: int = FALLBACK_SAMPLES, seed=0):
+    def __init__(self, mech: MechanismSet, target: str,
+                 state_limit: int = mech_mod.DEFAULT_STATE_LIMIT, seed=0):
         self.mech = mech
         self.target = target
-        self.div = div
         self.state_limit = state_limit
-        self.fallback_samples = fallback_samples
         self.seed = seed
         self.players = mech.nodes
         relevant = ancestors(mech.parents, target) | {target}
@@ -84,7 +84,7 @@ class MechanismSwapGame:
                        for i, p in enumerate(self.players)}
         self.used_sampling = False
         self._baseline = self._marginal(frozenset(), 0)
-        self._cache = {0: divergence(self._baseline, self._baseline, div)}
+        self._cache = {0: 0.0}
 
     def _marginal(self, subset, key: int) -> np.ndarray:
         assignment = dict.fromkeys(subset, "cur")
@@ -94,13 +94,13 @@ class MechanismSwapGame:
         except StateSpaceTooLarge:
             self.used_sampling = True
             return sample_marginal(self.mech, assignment, self.target,
-                                   self.fallback_samples, [self.seed, key])
+                                   FALLBACK_SAMPLES, [self.seed, key])
 
     def __call__(self, subset) -> float:
         key = sum(self._index[p] for p in subset)
         if key not in self._cache:
             p = self._marginal(subset, key)
-            self._cache[key] = divergence(p, self._baseline, self.div)
+            self._cache[key] = float(jsd_rows(p, self._baseline))
         return self._cache[key]
 
 
@@ -161,8 +161,7 @@ def sampled_shapley(v: Callable, players: Sequence[str], permutations: int,
 # classification and the mechanism-level entry point
 
 def classify(phi: dict, total: float, tau: float = DEFAULT_TAU,
-             epsilon: float = DEFAULT_EPSILON,
-             branch_cutoff: float = DEFAULT_BRANCH_CUTOFF) -> Classification:
+             epsilon: float = DEFAULT_EPSILON) -> Classification:
     """Concentrated / distributed / negligible, on absolute-value shares."""
     if total < epsilon:
         return Classification("negligible")
@@ -172,7 +171,7 @@ def classify(phi: dict, total: float, tau: float = DEFAULT_TAU,
     ranked = sorted(shares.items(), key=lambda kv: (-kv[1], kv[0]))
     if ranked[0][1] >= tau:
         return Classification("concentrated", (ranked[0][0],))
-    tops = tuple(p for p, s in ranked if s >= branch_cutoff)
+    tops = tuple(p for p, s in ranked if s >= BRANCH_CUTOFF)
     return Classification("distributed", tops)
 
 
@@ -187,9 +186,8 @@ MODES = ("auto", "exact", "sampled")
 
 
 def attribute(mech: MechanismSet, target: str, mode: str = "auto",
-              permutations: int = 500, seed=0, div: str = "jsd",
+              permutations: int = DEFAULT_PERMUTATIONS, seed=0,
               tau: float = DEFAULT_TAU, epsilon: float = DEFAULT_EPSILON,
-              branch_cutoff: float = DEFAULT_BRANCH_CUTOFF,
               state_limit: int = mech_mod.DEFAULT_STATE_LIMIT) -> AttributionResult:
     """Mechanism-swap Shapley attribution of the shift in one target.
 
@@ -204,7 +202,7 @@ def attribute(mech: MechanismSet, target: str, mode: str = "auto",
     if target not in mech.nodes:
         raise InsufficientData(
             f"no fitted data for '{target}' in view '{mech.view.name}'")
-    game = MechanismSwapGame(mech, target, div, state_limit, seed=seed)
+    game = MechanismSwapGame(mech, target, state_limit, seed=seed)
     exact = mode == "exact" or (mode == "auto" and len(game.players) <= EXACT_PLAYER_LIMIT)
     if exact:
         phi = exact_shapley(game, game.players)
@@ -219,5 +217,5 @@ def attribute(mech: MechanismSet, target: str, mode: str = "auto",
         total=total,
         shares=shares_of(phi),
         mode="exact" if exact and not game.used_sampling else "sampled",
-        classification=classify(phi, total, tau, epsilon, branch_cutoff),
+        classification=classify(phi, total, tau, epsilon),
     )

@@ -15,7 +15,7 @@ from . import report as report_mod
 from .attribution import MODES
 from .dataset import load_csv
 from .errors import MsmError
-from .mechanisms import shift_test
+from .mechanisms import DEFAULT_RESPLITS, shift_test
 from .msmformat import parse_map
 from .simulator import ScenarioConfig, churn_map_text, generate_csv
 from .traversal import TraceConfig, detect_alerts, trace
@@ -53,7 +53,7 @@ def cmd_detect(args) -> int:
     alerts = detect_alerts(system_map, ds, alpha=args.alpha,
                            B=args.permutations, seed=args.seed)
     _emit(report_mod.detect_document(system_map.name, alerts, args.alpha,
-                                     args.permutations, args.seed), args)
+                                     args.permutations, args.seed, ds.warnings), args)
     return 0
 
 
@@ -72,7 +72,7 @@ def cmd_trace(args) -> int:
     result = trace(system_map, ds, args.alert, config)
     # stream offset keeps this independent of the per-node detect streams
     alert_test = shift_test(ds, system_map, args.alert,
-                            B=config.test_permutations, seed=[args.seed, 10_000])
+                            B=DEFAULT_RESPLITS, seed=[args.seed, 10_000])
     _emit(report_mod.trace_document(system_map.name, result, config, alert_test), args)
     return 0
 

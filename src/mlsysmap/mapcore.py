@@ -265,14 +265,10 @@ class SystemMap:
         )
 
 
-def _topo_sort(names, parents):
+def _topo_sort(names, parents, children):
     """Kahn topological sort; returns None when a cycle exists."""
     indeg = {n: len(parents[n]) for n in names}
     ready = sorted(n for n in names if indeg[n] == 0)
-    children = {n: [] for n in names}
-    for n in names:
-        for p in parents[n]:
-            children[p].append(n)
     order = []
     while ready:
         n = ready.pop(0)
@@ -418,7 +414,7 @@ def _view_graph(view, node_index, relations) -> ViewGraph:
     )
     parents = {n.qname: tuple(sorted(s for s, d in edges if d == n.qname)) for n in nodes}
     children = {n.qname: tuple(sorted(d for s, d in edges if s == n.qname)) for n in nodes}
-    topo = _topo_sort(sorted(names), parents)
+    topo = _topo_sort(sorted(names), parents, children)
     if topo is None:
         cycle = _find_cycle(names, parents)
         raise CycleError(f"causal cycle in view '{view.name}': {cycle}", cycle=cycle)

@@ -5,8 +5,10 @@ window, a marginal probability vector (root nodes) or a conditional
 probability table (nodes with parents), all over one shared
 discretization. Exact marginals of any node under a per-node window
 assignment are computed by variable elimination; a sampled fallback uses
-ancestral sampling. Jensen-Shannon divergence (natural log) is the
-default shift measure, with total variation available as an alternative.
+ancestral sampling. Jensen-Shannon divergence (natural log) is the one
+shift measure, computed by the unchecked kernel ``jsd_rows``; ``jsd``
+validates outside input first. Every table is Laplace-smoothed with
+``SMOOTHING`` pseudo-counts per state.
 
 Column types and missing cells are decided once, when the dataset is
 built (see :mod:`mlsysmap.dataset`); here a float64 column is numeric and
@@ -42,8 +44,9 @@ from .errors import (
 from .mapcore import SystemMap, View, ancestors
 
 DEFAULT_BINS = 8
-DEFAULT_ALPHA = 1.0
 DEFAULT_STATE_LIMIT = 1_000_000
+DEFAULT_RESPLITS = 1000           # shift-test re-splits
+SMOOTHING = 1.0                   # Laplace pseudo-count per state
 UNSEEN = "__unseen__"
 
 
@@ -146,18 +149,17 @@ class MechanismSet:
     topo: tuple[str, ...]
     disc: dict[str, VariableBins]
     tables: dict[str, dict[str, np.ndarray]]
-    alpha: float
     excluded: tuple[str, ...] = ()
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _smoothed(counts: np.ndarray, alpha: float) -> np.ndarray:
-    t = counts + alpha
+def _smoothed(counts: np.ndarray) -> np.ndarray:
+    t = counts + SMOOTHING
     return t / t.sum(axis=-1, keepdims=True)
 
 
 def fit_mechanisms(system_map: SystemMap, ds: WindowedDataset, view: View,
-                   k: int = DEFAULT_BINS, alpha: float = DEFAULT_ALPHA) -> MechanismSet:
+                   k: int = DEFAULT_BINS) -> MechanismSet:
     """Fit ref and cur mechanisms for one view over a shared discretization."""
     ref_t = view_matrix(ds, system_map, view, "ref")
     cur_t = view_matrix(ds, system_map, view, "cur")
@@ -194,10 +196,10 @@ def fit_mechanisms(system_map: SystemMap, ds: WindowedDataset, view: View,
             flat = np.bincount(cfg * child_k + codes[w][q], minlength=n_cfg * child_k)
             counts[w] = flat.reshape(n_cfg, child_k).astype(float)
         pooled = counts["ref"] + counts["cur"]
-        pooled_tab = _smoothed(pooled, alpha)
+        pooled_tab = _smoothed(pooled)
         tables[q] = {}
         for w in ("ref", "cur"):
-            tab = _smoothed(counts[w], alpha)
+            tab = _smoothed(counts[w])
             empty = counts[w].sum(axis=1) == 0
             if np.any(empty):
                 tab[empty] = pooled_tab[empty]
@@ -205,7 +207,7 @@ def fit_mechanisms(system_map: SystemMap, ds: WindowedDataset, view: View,
 
     return MechanismSet(
         view=view, nodes=common, parents=parents, topo=topo, disc=disc,
-        tables=tables, alpha=alpha, excluded=excluded,
+        tables=tables, excluded=excluded,
     )
 
 
@@ -344,9 +346,29 @@ def sample_marginal(mech: MechanismSet, assignment: dict, target: str,
 
 
 # ---------------------------------------------------------------------------
-# divergences
+# Jensen-Shannon divergence
 
-def _check_pair(p, q):
+def jsd_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Jensen-Shannon divergence along the last axis, natural log.
+
+    ``p`` and ``q`` are same-shape float arrays whose last-axis rows are
+    probability vectors; nothing is checked. Zero entries contribute 0.
+    """
+    m = 0.5 * (p + q)
+
+    def kl(a):
+        ratio = np.divide(a, m, out=np.ones_like(a), where=a > 0)
+        return np.sum(a * np.log(ratio), axis=-1)
+
+    return 0.5 * kl(p) + 0.5 * kl(q)
+
+
+def jsd(p, q) -> float:
+    """Jensen-Shannon divergence, natural log; symmetric, in [0, ln 2].
+
+    Raises ``LengthMismatch`` unless both are vectors of one length and
+    ``NotNormalized`` unless both are non-negative and sum to 1.
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.ndim != 1 or q.ndim != 1 or p.shape != q.shape:
@@ -354,47 +376,7 @@ def _check_pair(p, q):
     for v in (p, q):
         if np.any(v < 0) or abs(float(v.sum()) - 1.0) > 1e-9:
             raise NotNormalized("probability vector does not sum to 1")
-    return p, q
-
-
-def jsd(p, q) -> float:
-    """Jensen-Shannon divergence, natural log; symmetric, in [0, ln 2]."""
-    p, q = _check_pair(p, q)
-    m = 0.5 * (p + q)
-
-    def kl(a):
-        mask = a > 0
-        return float(np.sum(a[mask] * np.log(a[mask] / m[mask])))
-
-    return 0.5 * kl(p) + 0.5 * kl(q)
-
-
-def total_variation(p, q) -> float:
-    p, q = _check_pair(p, q)
-    return 0.5 * float(np.abs(p - q).sum())
-
-
-def divergence(p, q, kind: str = "jsd") -> float:
-    if kind == "jsd":
-        return jsd(p, q)
-    if kind == "tv":
-        return total_variation(p, q)
-    raise ValueError(f"unknown divergence '{kind}'")
-
-
-def _row_divergences(p: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
-    """``divergence(p[i], q[i], kind)`` for every row i, in one pass."""
-    if kind == "jsd":
-        m = 0.5 * (p + q)
-
-        def kl(a):
-            ratio = np.divide(a, m, out=np.ones_like(a), where=a > 0)
-            return np.sum(a * np.log(ratio), axis=1)
-
-        return 0.5 * kl(p) + 0.5 * kl(q)
-    if kind == "tv":
-        return 0.5 * np.abs(p - q).sum(axis=1)
-    raise ValueError(f"unknown divergence '{kind}'")
+    return float(jsd_rows(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +390,11 @@ class ShiftTestResult:
 
 
 def shift_test(ds: WindowedDataset, system_map: SystemMap, node: str,
-               B: int = 1000, seed=0, k: int = DEFAULT_BINS,
-               div: str = "jsd") -> ShiftTestResult:
+               B: int = DEFAULT_RESPLITS, seed=0,
+               k: int = DEFAULT_BINS) -> ShiftTestResult:
     """Two-sample re-split test on one variable's binned marginals.
 
-    Statistic: divergence between the per-window bin histograms. Missing
+    Statistic: JSD between the per-window bin histograms. Missing
     cells are dropped. The null re-splits the pooled rows at random
     preserving window sizes; as the statistic depends only on the
     histograms, the reference histogram of a re-split is multivariate
@@ -438,15 +420,13 @@ def shift_test(ds: WindowedDataset, system_map: SystemMap, node: str,
     bins = fit_variable(ref_vals, k, cur_vals)
     ref_counts = np.bincount(bins.encode(ref_vals), minlength=bins.n_states)
     cur_counts = np.bincount(bins.encode(cur_vals), minlength=bins.n_states)
-    observed = divergence(ref_counts / n_ref, cur_counts / n_cur, div)
-
     pooled = ref_counts + cur_counts
     rng = np.random.default_rng(seed)
     splits = np.vstack([ref_counts,
                         rng.multivariate_hypergeometric(pooled, n_ref, size=B)])
     # row 0, the observed split, is scored like the re-splits so that
-    # equal histograms tie exactly
-    stats = _row_divergences(splits / n_ref, (pooled - splits) / n_cur, div)
+    # equal histograms tie exactly; its score is the reported statistic
+    stats = jsd_rows(splits / n_ref, (pooled - splits) / n_cur)
     hits = int(np.count_nonzero(stats[1:] >= stats[0]))
-    return ShiftTestResult(node=node, statistic=observed,
+    return ShiftTestResult(node=node, statistic=float(stats[0]),
                            p_value=(1 + hits) / (B + 1))

@@ -38,14 +38,15 @@ def step_to_dict(step: TraceStep) -> dict:
     }
 
 
-def detect_document(map_name: str, alerts, alpha: float, B: int, seed: int) -> dict:
+def detect_document(map_name: str, alerts, alpha: float, B: int, seed: int,
+                    warnings) -> dict:
     return {
         "schema": SCHEMA,
         "map": map_name,
         "command": "detect",
         "config": {"alpha": alpha, "test_permutations": B, "seed": seed},
         "alerts": [dataclasses.asdict(a) for a in alerts],
-        "warnings": [],
+        "warnings": list(warnings),
     }
 
 

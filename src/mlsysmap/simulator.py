@@ -53,7 +53,6 @@ class WindowParams:
     noise_mean: float = 0.0
     noise_sd: float = 0.2
     parse_quality: float = 1.0
-    data_freshness: str = "fresh"
     model_version: str = "v1"
     outreach_threshold: float = 0.6
     feature_bias: float = 0.0
@@ -136,7 +135,7 @@ def _truncated_normal(rng, mean, sd, n):
         out[bad] = rng.normal(mean, sd, int(bad.sum()))
 
 
-def _generate_window(rng, params: WindowParams, n: int, stale_rng=None):
+def _generate_window(rng, params: WindowParams, n: int):
     demo = rng.choice(_DEMO_LEVELS, p=_DEMO_PROBS, size=n)
     quality = _truncated_normal(rng, params.quality_mean, params.quality_sd, n)
     noise = rng.normal(params.noise_mean, params.noise_sd, n)
@@ -145,11 +144,6 @@ def _generate_window(rng, params: WindowParams, n: int, stale_rng=None):
     events = rng.poisson(_EVENT_RATE * activity * params.parse_quality)
     counts = events
     features = np.log1p(counts) + params.feature_bias
-    if params.data_freshness != "fresh":
-        # staleness: features redrawn from an independent reference-window
-        # stream, breaking the causal link to current activity
-        fresh = _generate_window(stale_rng, WindowParams(), n)
-        features = fresh["pipeline.activity_features"]
     a0, a1, a2 = _MODEL_COEFFS[params.model_version]
     churn = _logistic(a0 + a1 * features + a2 * (demo == "senior"))
     outreach = (churn >= params.outreach_threshold).astype(int)
@@ -163,7 +157,7 @@ def _generate_window(rng, params: WindowParams, n: int, stale_rng=None):
         "pipeline.daily_counts": counts,
         "pipeline.activity_features": features,
         "pipeline.parse_quality": np.full(n, f"q{params.parse_quality:g}"),
-        "pipeline.data_freshness": np.full(n, params.data_freshness),
+        "pipeline.data_freshness": np.full(n, "fresh"),
         "serving.churn_score_out": churn,
         "serving.model_version": np.full(n, params.model_version),
         "application.outreach_out": outreach,
@@ -181,8 +175,7 @@ def _windows(config: ScenarioConfig):
         np.random.default_rng([config.seed, 0]), WindowParams(), config.n
     )
     cur = _generate_window(
-        np.random.default_rng([config.seed, 1]), config.current_params(), config.n,
-        stale_rng=np.random.default_rng([config.seed, 2]),
+        np.random.default_rng([config.seed, 1]), config.current_params(), config.n
     )
     return ref, cur
 

@@ -7,8 +7,9 @@ carries the mass gets its pattern from ``node_pattern``, and the trace
 routes on that pattern: it either ends with a verdict or moves to the
 next view, from the system view to the implicated subsystem and from a
 subsystem boundary to the environment. Distributed mass opens one
-branch per node, up to ``TraceConfig.max_branches``, instead of
-committing to a single path.
+branch per node, and an environment hand-off one branch per measured
+source, up to ``TraceConfig.max_branches`` each; a warning names the
+branches left out. The report's warnings start with the dataset's own.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .attribution import (DEFAULT_BRANCH_CUTOFF, DEFAULT_EPSILON, DEFAULT_TAU,
+from .attribution import (DEFAULT_EPSILON, DEFAULT_PERMUTATIONS, DEFAULT_TAU,
                           AttributionResult, attribute)
 from .dataset import WindowedDataset, resolve_column
 from .errors import InsufficientData, NoRoute, UnknownAlert, ViewMismatch
 from .mapcore import NodeKind, SystemMap, View, ViewType, ancestors
-from .mechanisms import (DEFAULT_ALPHA, DEFAULT_BINS, DEFAULT_STATE_LIMIT, MechanismSet,
-                         ShiftTestResult, fit_mechanisms, shift_test)
+from .mechanisms import (DEFAULT_BINS, DEFAULT_RESPLITS, MechanismSet, ShiftTestResult,
+                         fit_mechanisms, shift_test)
 
 
 class Pattern(enum.Enum):
@@ -41,18 +42,13 @@ class Pattern(enum.Enum):
 @dataclass(frozen=True)
 class TraceConfig:
     bins: int = DEFAULT_BINS
-    alpha_smoothing: float = DEFAULT_ALPHA
     tau: float = DEFAULT_TAU
     epsilon: float = DEFAULT_EPSILON
-    branch_cutoff: float = DEFAULT_BRANCH_CUTOFF
-    permutations: int = 500          # sampled-Shapley player orders
-    test_permutations: int = 1000    # two-sample permutation test re-splits
+    permutations: int = DEFAULT_PERMUTATIONS    # sampled-Shapley player orders
     seed: int = 0
     mode: str = "auto"               # auto | exact | sampled
     max_branches: int = 3
     eager_environment: bool = False
-    divergence: str = "jsd"
-    state_limit: int = DEFAULT_STATE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -133,44 +129,37 @@ class _Tracer:
         self.map = system_map
         self.ds = ds
         self.config = config
-        self.warnings: list[str] = []
+        self.warnings: list[str] = list(ds.warnings)
         self._mech_cache: dict[str, MechanismSet] = {}
 
     def mechanisms_for(self, view: View) -> MechanismSet:
         if view.name not in self._mech_cache:
             self._mech_cache[view.name] = fit_mechanisms(
-                self.map, self.ds, view,
-                k=self.config.bins, alpha=self.config.alpha_smoothing,
-            )
+                self.map, self.ds, view, k=self.config.bins)
         return self._mech_cache[view.name]
 
-    def attribute(self, view: View, target: str) -> AttributionResult:
-        cfg = self.config
-        return attribute(
-            self.mechanisms_for(view), target,
-            mode=cfg.mode, permutations=cfg.permutations, seed=cfg.seed,
-            div=cfg.divergence, tau=cfg.tau, epsilon=cfg.epsilon,
-            branch_cutoff=cfg.branch_cutoff, state_limit=cfg.state_limit,
-        )
+    def bounded(self, view: View, what: str, nodes: tuple) -> tuple:
+        """The first ``max_branches`` of ``nodes``; a warning names the rest."""
+        kept = nodes[: self.config.max_branches]
+        if len(nodes) > len(kept):
+            self.warnings.append(f"{view.name}: {what}, branches not expanded: "
+                                 + ", ".join(nodes[len(kept):]))
+        return kept
 
     # -- one step per view --------------------------------------------
 
     def step(self, view: View, target: str) -> TraceStep:
-        result = self.attribute(view, target)
+        cfg = self.config
+        result = attribute(self.mechanisms_for(view), target, mode=cfg.mode,
+                           permutations=cfg.permutations, seed=cfg.seed,
+                           tau=cfg.tau, epsilon=cfg.epsilon)
         pattern = match_pattern(view, self.map, result)
         step = TraceStep(view=view, target=target, result=result, pattern=pattern)
         if pattern is Pattern.NEGLIGIBLE:
             step.verdicts.append(Verdict("negligible", view=view.name,
                                          detail="no attributable shift"))
             return step
-        nodes = result.classification.nodes
-        kept = nodes[: self.config.max_branches]
-        if len(nodes) > len(kept):
-            self.warnings.append(
-                f"{view.name}: distributed mass, branches not expanded: "
-                + ", ".join(nodes[len(kept):])
-            )
-        for node in kept:
+        for node in self.bounded(view, "distributed mass", result.classification.nodes):
             self.route(step, node)
         return step
 
@@ -223,7 +212,8 @@ class _Tracer:
         if root and self.config.eager_environment:
             env = self.map.environment_view()
             if env is not None:
-                for src in self.map.measure_sources(node):
+                sources = self.map.measure_sources(node)
+                for src in self.bounded(step.view, "environment sources", sources):
                     step.children.append(self.step(env, src))
 
     def _route_boundary(self, step: TraceStep, node: str):
@@ -245,7 +235,7 @@ class _Tracer:
                 detail="no measured environment proxy for the boundary",
             ))
             return
-        for src in sources[: self.config.max_branches]:
+        for src in self.bounded(step.view, "environment sources", sources):
             step.children.append(self.step(env, src))
 
 
@@ -287,7 +277,7 @@ def trace(system_map: SystemMap, ds: WindowedDataset, alert: str,
 
 
 def detect_alerts(system_map: SystemMap, ds: WindowedDataset,
-                  alpha: float = 0.01, B: int = 1000, seed: int = 0):
+                  alpha: float = 0.01, B: int = DEFAULT_RESPLITS, seed: int = 0):
     """Shift tests on every ML-system data variable; significant ones only.
 
     Returns ShiftTestResult entries with p <= alpha, sorted by ascending

@@ -141,7 +141,7 @@ def random_mechanism_set(rng, n_nodes=None, max_states=3, p_edge=0.5,
             cur = cpt()
         tables[q] = {"ref": ref, "cur": cur}
     return MechanismSet(view=View.system(), nodes=names, parents=parents,
-                        topo=names, disc=disc, tables=tables, alpha=1.0)
+                        topo=names, disc=disc, tables=tables)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,22 @@ def test_trace_unknown_alert(workspace, capsys):
     assert "alert" in capsys.readouterr().err
 
 
+def test_dataset_warnings_reach_both_reports(workspace, tmp_path):
+    _, map_path, data_path = workspace
+    with open(data_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    extra = tmp_path / "extra.csv"
+    with open(extra, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([rows[0] + ["mystery"]] + [r + ["1"] for r in rows[1:]])
+    for argv in (["detect", "--permutations", "150"],
+                 ["trace", "--alert", "system.outreach_decision"]):
+        out = tmp_path / f"{argv[0]}.json"
+        assert main(argv[:1] + [map_path, str(extra)] + argv[1:]
+                    + ["--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["warnings"][0] == "column 'mystery' matches no map node", argv[0]
+
+
 def test_trace_alert_without_data_is_a_domain_error(workspace, tmp_path, capsys):
     _, map_path, data_path = workspace
     with open(data_path, newline="", encoding="utf-8") as fh:

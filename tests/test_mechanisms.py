@@ -1,5 +1,5 @@
-"""Discretization, mechanism fitting, exact/sampled inference, divergences,
-and the re-split shift test.
+"""Discretization, mechanism fitting, exact/sampled inference, JSD, and
+the re-split shift test.
 
 Exact inference is checked against a brute-force joint-enumeration oracle
 that shares no code with variable elimination.
@@ -26,14 +26,13 @@ from mlsysmap.mechanisms import (
     UNSEEN,
     CategoryList,
     NumericBins,
-    divergence,
     fit_mechanisms,
     fit_variable,
     jsd,
+    jsd_rows,
     sample_marginal,
     shift_test,
     target_marginal,
-    total_variation,
 )
 from mlsysmap.msmformat import parse_map
 
@@ -147,7 +146,7 @@ CHAIN_CSV = (
 
 def test_fit_mechanisms_hand_computed():
     ds = load_csv(CHAIN_MAP, CHAIN_CSV)
-    mech = fit_mechanisms(CHAIN_MAP, ds, View.system(), k=8, alpha=1.0)
+    mech = fit_mechanisms(CHAIN_MAP, ds, View.system(), k=8)
     assert mech.nodes == ("system.a", "system.b")
     assert mech.parents["system.b"] == ("system.a",)
     assert mech.topo == ("system.a", "system.b")
@@ -310,7 +309,7 @@ def test_sample_marginal_converges_and_is_seeded():
 
 
 # ---------------------------------------------------------------------------
-# divergences
+# Jensen-Shannon divergence
 
 def test_jsd_frozen_values():
     assert jsd([1.0, 0.0], [0.0, 1.0]) == pytest.approx(LN2, abs=1e-15)
@@ -328,22 +327,9 @@ def test_jsd_input_validation():
         jsd([1.5, -0.5], [0.5, 0.5])
 
 
-def test_total_variation():
-    assert total_variation([1.0, 0.0], [0.0, 1.0]) == 1.0
-    assert total_variation([0.5, 0.5], [0.3, 0.7]) == pytest.approx(0.2)
-
-
-def test_divergence_dispatch():
-    p, q = [0.5, 0.5], [0.9, 0.1]
-    assert divergence(p, q, "jsd") == jsd(p, q)
-    assert divergence(p, q, "tv") == total_variation(p, q)
-    with pytest.raises(ValueError):
-        divergence(p, q, "hellinger")
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=6),
-       st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=6))
+@given(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=12),
+       st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=12))
 def test_jsd_properties(a, b):
     n = min(len(a), len(b))
     p = np.array(a[:n]) / sum(a[:n])
@@ -352,6 +338,9 @@ def test_jsd_properties(a, b):
     assert 0.0 <= d <= LN2 + 1e-12
     assert d == jsd(q, p)           # bitwise symmetric
     assert jsd(p, p) == 0.0
+    # the unchecked kernel scores each row of a stack as jsd scores it alone
+    rows = jsd_rows(np.stack([p, q, p]), np.stack([q, p, p]))
+    assert rows.tolist() == [d, jsd(q, p), jsd(p, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -443,19 +432,17 @@ def test_shift_test_agrees_with_permutation_loop():
     assert abs(got - want) <= 0.03
 
 
-def test_shift_test_total_variation():
+def test_shift_test_statistic_is_window_jsd():
     rng = np.random.default_rng(12)
     ref = [f"{v:.3f}" for v in rng.normal(0, 1, 80)]
     cur = [f"{v:.3f}" for v in rng.normal(0.5, 1, 70)]
     ds = load_csv(ONE_MAP, _csv(ref, cur))
     bins, ref_codes, cur_codes = _window_histograms(ds)
-    want = total_variation(np.bincount(ref_codes, minlength=bins.n_states) / 80,
-                           np.bincount(cur_codes, minlength=bins.n_states) / 70)
-    r = shift_test(ds, ONE_MAP, "system.a", B=200, seed=0, div="tv")
+    want = jsd(np.bincount(ref_codes, minlength=bins.n_states) / 80,
+               np.bincount(cur_codes, minlength=bins.n_states) / 70)
+    r = shift_test(ds, ONE_MAP, "system.a", B=200, seed=0)
     assert r.statistic == want
     assert 0 < r.p_value <= 1
-    with pytest.raises(ValueError):
-        shift_test(ds, ONE_MAP, "system.a", B=200, div="hellinger")
 
 
 @settings(max_examples=40, deadline=None)

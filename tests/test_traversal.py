@@ -1,11 +1,13 @@
 """Pattern matching and the AQ1 -> AQ2 -> AQ3 traversal on simulated
 scenarios."""
 
+import numpy as np
 import pytest
 
+from mlsysmap import report as report_mod
 from mlsysmap import traversal
 from mlsysmap.attribution import AttributionResult, Classification
-from mlsysmap.dataset import WindowedDataset, load_csv
+from mlsysmap.dataset import WindowedDataset, build_dataset, load_csv
 from mlsysmap.errors import InsufficientData, UnknownAlert, ViewMismatch
 from mlsysmap.msmformat import parse_map
 from mlsysmap.traversal import (
@@ -15,6 +17,8 @@ from mlsysmap.traversal import (
     match_pattern,
     trace,
 )
+
+from mlsysmap.simulator import EXPECTED_TRACES
 
 from helpers import simulate
 
@@ -131,6 +135,25 @@ def test_trace_eager_environment_adds_branches():
     report = trace(out.system_map, out.dataset, "system.promo_ranking", config)
     aqs = [c.aq for c in report.root.children]
     assert aqs.count(2) == 1 and aqs.count(3) >= 1
+
+
+@pytest.mark.parametrize("scenario", ["S2", "S4", "S6"])
+def test_detect_and_trace_invariant_to_monotone_relabeling(scenario):
+    # bins are quantiles and sorted categories, so a strictly increasing
+    # map of every number and an order-keeping relabeling change nothing
+    out = simulate(scenario, n=1000)
+    ds = out.dataset
+    relabeled = build_dataset(out.system_map, [
+        (q, 3.0 * np.cbrt(col) + 7.0 if col.dtype != object
+         else np.array(["lbl_" + v for v in col], dtype=object))
+        for q, col in ds.columns.items()], ds.window)
+    alert = EXPECTED_TRACES[scenario][0]
+    docs = []
+    for data in (ds, relabeled):
+        docs.append((detect_alerts(out.system_map, data),
+                     report_mod.render_json(report_mod.trace_document(
+                         "churn", trace(out.system_map, data, alert), TraceConfig()))))
+    assert docs[0] == docs[1]
 
 
 def test_trace_rejects_bad_alerts():
@@ -258,6 +281,22 @@ def test_distributed_mass_beyond_max_branches_warns(monkeypatch):
     assert [c.view.name for c in report.root.children] == ["pipe"]
     assert report.warnings == (
         "system: distributed mass, branches not expanded: system.extra, system.orphan",)
+
+
+def test_environment_branches_beyond_max_branches_warn(monkeypatch):
+    # two measured sources behind one feature: both the boundary hand-off
+    # and the eager environment steps keep one and name the other
+    report = pinned_trace(monkeypatch, {
+        ("system", "system.score"): ("concentrated", ("system.feat",)),
+        ("pipe", "pipe.out"): ("concentrated", ("pipe.raw",)),
+    }, config=TraceConfig(max_branches=1, eager_environment=True),
+        map_text=PIN_MAP + "measure env.up -> system.feat\n")
+    pipe, eager = report.root.children
+    assert [(c.view.name, c.target) for c in pipe.children] == [("env", "env.act")]
+    assert (eager.view.name, eager.target) == ("env", "env.act")
+    assert report.warnings == (
+        "pipe: environment sources, branches not expanded: env.up",
+        "system: environment sources, branches not expanded: env.up")
 
 
 def test_environment_step_notes_non_ancestral_mass(monkeypatch):
