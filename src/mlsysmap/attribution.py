@@ -7,7 +7,9 @@ all-reference marginal. Shapley values over this game split the
 observed shift across the nodes whose mechanisms changed (Budhathoki et
 al., "Why did the distribution change?", AISTATS 2021). Players are all
 fitted nodes of the view, including the target itself, so a local
-mechanism change at the target is attributable to it.
+mechanism change at the target is attributable to it. The game computes
+its values in blocks of coalitions, one batched elimination run and one
+JSD call per block, with every batched product within ``BATCH_STATES``.
 
 ``attribute`` is the one entry point on a mechanism set: it builds the
 game, solves it exactly or by sampled player orders, and classifies
@@ -27,7 +29,8 @@ import numpy as np
 from . import mechanisms as mech_mod
 from .errors import InsufficientData, StateSpaceTooLarge, TooManyPlayers
 from .mapcore import View, ancestors
-from .mechanisms import MechanismSet, jsd_rows, sample_marginal, target_marginal
+from .mechanisms import (MechanismSet, batched_marginals, elimination_plan, jsd_rows,
+                         sample_marginal, target_marginal)
 
 EXACT_PLAYER_LIMIT = 12
 DEFAULT_PERMUTATIONS = 500        # sampled-Shapley player orders
@@ -35,6 +38,7 @@ DEFAULT_TAU = 0.5
 DEFAULT_EPSILON = 2e-3
 BRANCH_CUTOFF = 0.2               # least share that opens a distributed branch
 FALLBACK_SAMPLES = 20_000         # ancestral samples per game value past the VE limit
+BATCH_STATES = 1 << 18            # largest batched product: 2 MB of float64
 
 
 @dataclass(frozen=True)
@@ -64,44 +68,72 @@ class AttributionResult:
 class MechanismSwapGame:
     """Cached set function v(S) over one mechanism set and target.
 
-    Values are keyed on the players in ancestors(target) | {target}: the
-    target's marginal ignores every other mechanism, so coalitions that
-    differ only in non-ancestors share one evaluation (and, when variable
-    elimination exceeds ``state_limit``, one sampling seed), which makes
-    non-ancestors exact Shapley dummies. Marginals are normalized by
-    construction, so values go straight to the unchecked ``jsd_rows``.
+    Values depend only on the players in ancestors(target) | {target}:
+    the target's marginal ignores every other mechanism, so non-ancestors
+    weigh nothing in a coalition's key and are exact Shapley dummies.
+    The r relevant players, in sorted (plan-leaf) order, weigh
+    ``1 << (r-1-i)``. Coalitions are evaluated in blocks of ``2**j``
+    that share every bit of the key but the last ``j``: a miss on ``S``
+    runs the cached elimination plan once with the last ``j`` leaves
+    batched (:func:`mechanisms.batched_marginals`) and scores the whole
+    block with one ``jsd_rows`` call. ``j`` is the largest value with
+    ``2**j`` times the plan's largest product at most ``BATCH_STATES``.
+    Marginals are normalized by construction, so values go straight to
+    the unchecked ``jsd_rows``.
+
+    When variable elimination exceeds ``state_limit``, each coalition is
+    instead a block of one, keyed ``1 << i`` on its relevant players'
+    positions in ``players``, and its marginal is ``FALLBACK_SAMPLES``
+    ancestral samples seeded ``[seed, key]``.
     """
 
     def __init__(self, mech: MechanismSet, target: str,
                  state_limit: int = mech_mod.DEFAULT_STATE_LIMIT, seed=0):
         self.mech = mech
         self.target = target
-        self.state_limit = state_limit
         self.seed = seed
         self.players = mech.nodes
-        relevant = ancestors(mech.parents, target) | {target}
-        self._index = {p: (1 << i if p in relevant else 0)
-                       for i, p in enumerate(self.players)}
-        self.used_sampling = False
-        self._baseline = self._marginal(frozenset(), 0)
-        self._cache = {0: 0.0}
-
-    def _marginal(self, subset, key: int) -> np.ndarray:
-        assignment = dict.fromkeys(subset, "cur")
+        relevant = sorted(ancestors(mech.parents, target) | {target})
         try:
-            return target_marginal(self.mech, assignment, self.target,
-                                   limit=self.state_limit)
+            self._plan = elimination_plan(mech, target, state_limit)
         except StateSpaceTooLarge:
-            self.used_sampling = True
-            return sample_marginal(self.mech, assignment, self.target,
-                                   FALLBACK_SAMPLES, [self.seed, key])
+            self._plan = None
+        self.used_sampling = self._plan is None
+        self._j = 0
+        if self.used_sampling:
+            self._weight = {p: (1 << i if p in relevant else 0)
+                            for i, p in enumerate(self.players)}
+            self._baseline = sample_marginal(mech, {}, target, FALLBACK_SAMPLES, [seed, 0])
+            self._blocks = {0: [0.0]}
+        else:
+            r = len(relevant)
+            self._weight = dict.fromkeys(self.players, 0)
+            self._weight.update((p, 1 << (r - 1 - i)) for i, p in enumerate(relevant))
+            while self._j < r and self._plan.largest << (self._j + 1) <= BATCH_STATES:
+                self._j += 1
+            self._baseline = target_marginal(mech, {}, target, limit=state_limit)
+            self._blocks = {}
+
+    def _score(self, block: int) -> list:
+        """Game values of the ``2**j`` coalitions whose key is ``block << j | b``."""
+        if self._plan is None:
+            subset = [p for p in self.players if self._weight[p] & block]
+            rows = sample_marginal(self.mech, dict.fromkeys(subset, "cur"), self.target,
+                                   FALLBACK_SAMPLES, [self.seed, block])[None]
+        else:
+            fixed = len(self._plan.leaves) - self._j
+            windows = [("cur" if block >> (fixed - 1 - i) & 1 else "ref")
+                       for i in range(fixed)] + [None] * self._j
+            rows = batched_marginals(self._plan, windows)
+        # a stride-0 baseline can change the last ulp; a materialized one cannot
+        return jsd_rows(rows, np.broadcast_to(self._baseline, rows.shape).copy()).tolist()
 
     def __call__(self, subset) -> float:
-        key = sum(self._index[p] for p in subset)
-        if key not in self._cache:
-            p = self._marginal(subset, key)
-            self._cache[key] = float(jsd_rows(p, self._baseline))
-        return self._cache[key]
+        key = sum(self._weight[p] for p in subset)
+        block = key >> self._j
+        if block not in self._blocks:
+            self._blocks[block] = self._score(block)
+        return self._blocks[block][key & ((1 << self._j) - 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -131,15 +132,16 @@ def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> Window
     """Read a CSV file (path, text, or open stream) against a map.
 
     A string holding a newline is CSV text; any other string is a path.
+    One leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
+    write, is not part of the first header cell.
     """
-    if isinstance(source, str):
-        if "\n" in source:
-            rows = list(csv.reader(io.StringIO(source)))
-        else:
-            with open(source, newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
+    if isinstance(source, str) and "\n" not in source:
+        with open(source, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
     else:
-        rows = list(csv.reader(source))
+        lines = iter(io.StringIO(source) if isinstance(source, str) else source)
+        first = [line.removeprefix("\ufeff") for line in itertools.islice(lines, 1)]
+        rows = list(csv.reader(itertools.chain(first, lines)))
 
     if not rows:
         raise MissingWindowColumn("empty CSV input")

@@ -4,11 +4,17 @@ For one view and a windowed dataset this module fits, per node and per
 window, a marginal probability vector (root nodes) or a conditional
 probability table (nodes with parents), all over one shared
 discretization. Exact marginals of any node under a per-node window
-assignment are computed by variable elimination; a sampled fallback uses
-ancestral sampling. Jensen-Shannon divergence (natural log) is the one
-shift measure, computed by the unchecked kernel ``jsd_rows``; ``jsd``
-validates outside input first. Every table is Laplace-smoothed with
-``SMOOTHING`` pseudo-counts per state.
+assignment are computed by variable elimination, planned once per
+target (``elimination_plan``). ``target_marginal`` runs the plan for one
+assignment; ``batched_marginals`` runs it once for every ref/cur choice
+of a set of batched leaves, each carrying its two tables on a window
+axis that is never summed out (a regime indicator in the sense of
+Dawid, "Influence diagrams for causal modelling and inference", Int.
+Stat. Review 2002), with rows bit-identical to ``target_marginal``. A
+sampled fallback uses ancestral sampling. Jensen-Shannon divergence
+(natural log) is the one shift measure, computed by the unchecked
+kernel ``jsd_rows``; ``jsd`` validates outside input first. Every table
+is Laplace-smoothed with ``SMOOTHING`` pseudo-counts per state.
 
 Column types and missing cells are decided once, when the dataset is
 built (see :mod:`mlsysmap.dataset`); here a float64 column is numeric and
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -223,22 +229,23 @@ class _EliminationPlan:
     factors in ``slots`` left to right, reshaping the running product and
     the next factor to the shapes in ``shapes`` so they broadcast over the
     union scope, then sums out ``axis``; the result takes the next slot.
-    The marginal is the product of the ``target_slots`` factors times the
-    ``scalar_slots`` constants. ``error`` is set, and nothing else used,
-    when some product would exceed the state limit.
+    The marginal is the product of the ``target_slots`` factors, the
+    factors left over the target alone. ``largest`` is the size of the
+    largest table or product one run touches. ``error`` is set, and
+    nothing else used, when some product would exceed the state limit.
     """
 
     leaves: tuple = ()
     steps: tuple = ()
     target_slots: tuple = ()
-    scalar_slots: tuple = ()
+    largest: int = 0
     error: Optional[str] = None
 
 
 def _plan_elimination(mech: MechanismSet, target: str, limit: int) -> _EliminationPlan:
     """Min-degree elimination order, lexicographic tie-breaks."""
     relevant = ancestors(mech.parents, target) | {target}
-    leaves, factors, dims = [], [], {}
+    leaves, factors, dims, largest = [], [], {}, 0
     for slot, q in enumerate(sorted(relevant)):
         scope = mech.parents[q] + (q,)
         order = tuple(sorted(scope))
@@ -246,6 +253,7 @@ def _plan_elimination(mech: MechanismSet, target: str, limit: int) -> _Eliminati
         windows = {w: np.transpose(t, perm) for w, t in mech.tables[q].items()}
         dims.update(zip(order, windows["ref"].shape))
         leaves.append((q, windows))
+        largest = max(largest, windows["ref"].size)
         factors.append((order, slot))
 
     steps = []
@@ -266,6 +274,7 @@ def _plan_elimination(mech: MechanismSet, target: str, limit: int) -> _Eliminati
             if size > limit:
                 return _EliminationPlan(
                     error=f"factor over {allvars} has {size} states (limit {limit})")
+            largest = max(largest, size)
             shapes.append(tuple(tuple(dims[v] if v in s else 1 for v in allvars)
                                 for s in (scope, other)))
             scope = allvars
@@ -275,12 +284,46 @@ def _plan_elimination(mech: MechanismSet, target: str, limit: int) -> _Eliminati
                         len(leaves) + len(steps) - 1))
         to_eliminate.discard(victim)
 
-    # scalar factors can arise from disconnected eliminated components
-    return _EliminationPlan(
-        leaves=tuple(leaves), steps=tuple(steps),
-        target_slots=tuple(slot for scope, slot in factors if scope == (target,)),
-        scalar_slots=tuple(slot for scope, slot in factors if scope == ()),
-    )
+    # the ancestral set is connected through the target, and eliminating
+    # a node connects its neighbours, so every victim still has one and no
+    # factor ends up over no variable: all that remain are over the target
+    return _EliminationPlan(leaves=tuple(leaves), steps=tuple(steps),
+                            target_slots=tuple(slot for _, slot in factors),
+                            largest=largest)
+
+
+def elimination_plan(mech: MechanismSet, target: str,
+                     limit: int = DEFAULT_STATE_LIMIT) -> _EliminationPlan:
+    """The elimination plan of ``target`` under ``limit``, built on first
+    use and cached on the mechanism set.
+
+    The order, the factor transposes, the broadcast shapes and the
+    state-limit check depend only on the structure. Raises
+    ``StateSpaceTooLarge`` when some product would exceed ``limit``.
+    """
+    if target not in mech.parents:
+        raise KeyError(f"'{target}' is not a fitted node of view '{mech.view.name}'")
+    plan = mech._plans.get((target, limit))
+    if plan is None:
+        plan = mech._plans[(target, limit)] = _plan_elimination(mech, target, limit)
+    if plan.error is not None:
+        raise StateSpaceTooLarge(plan.error)
+    return plan
+
+
+def _run_plan(plan: _EliminationPlan, values: list, r: int) -> np.ndarray:
+    """The planned multiplies and sums on leaf ``values`` that each carry
+    ``r`` leading window axes; those axes broadcast and are never summed."""
+    for slots, shapes, axis in plan.steps:
+        prod = values[slots[0]]
+        for slot, (lhs, rhs) in zip(slots[1:], shapes):
+            factor = values[slot]
+            prod = prod.reshape(prod.shape[:r] + lhs) * factor.reshape(factor.shape[:r] + rhs)
+        values.append(prod.sum(axis=r + axis))
+    out = values[plan.target_slots[0]].copy()
+    for slot in plan.target_slots[1:]:
+        out = out * values[slot]
+    return out
 
 
 def target_marginal(mech: MechanismSet, assignment: dict, target: str,
@@ -290,31 +333,36 @@ def target_marginal(mech: MechanismSet, assignment: dict, target: str,
     A node missing from ``assignment`` uses its ``ref`` table. Only the
     target's ancestors participate (other factors integrate to
     one). Elimination order is min-degree with lexicographic tie-breaks,
-    so results are bit-deterministic. The order, the factor transposes,
-    the broadcast shapes and the state-limit check depend only on the
-    structure, so they are planned on the first call for a ``(target,
-    limit)`` pair and cached on the mechanism set; each call then runs
-    the planned multiplies and sums on the assigned tables.
+    so results are bit-deterministic. Each call runs the cached
+    :func:`elimination_plan` on the assigned tables.
     """
-    if target not in mech.parents:
-        raise KeyError(f"'{target}' is not a fitted node of view '{mech.view.name}'")
-    plan = mech._plans.get((target, limit))
-    if plan is None:
-        plan = mech._plans[(target, limit)] = _plan_elimination(mech, target, limit)
-    if plan.error is not None:
-        raise StateSpaceTooLarge(plan.error)
-    values = [tables[assignment.get(q, "ref")] for q, tables in plan.leaves]
-    for slots, shapes, axis in plan.steps:
-        prod = values[slots[0]]
-        for slot, (lhs, rhs) in zip(slots[1:], shapes):
-            prod = prod.reshape(lhs) * values[slot].reshape(rhs)
-        values.append(prod.sum(axis=axis))
-    out = values[plan.target_slots[0]].copy()
-    for slot in plan.target_slots[1:]:
-        out = out * values[slot]
-    for slot in plan.scalar_slots:
-        out = out * float(values[slot])
-    return out
+    plan = elimination_plan(mech, target, limit)
+    return _run_plan(plan, [tables[assignment.get(q, "ref")] for q, tables in plan.leaves], 0)
+
+
+def batched_marginals(plan: _EliminationPlan, windows: Sequence[Optional[str]]) -> np.ndarray:
+    """Target marginals for every window choice of the batched leaves.
+
+    ``windows[i]`` is ``"ref"`` or ``"cur"`` for a fixed leaf of ``plan``
+    and ``None`` for a batched one. With ``j`` batched leaves the result
+    is a C-contiguous ``(2**j, k)`` array; row ``b`` has batched leaf
+    ``i`` (in leaf order) on ``cur`` when bit ``j-1-i`` of ``b`` is set.
+    One run of the plan computes every row: each batched leaf carries
+    its ref and cur tables on its own window axis, and the planned
+    multiplies broadcast over those axes. Each row is bit-identical to
+    ``target_marginal`` under the same assignment.
+    """
+    j = sum(w is None for w in windows)
+    values, i = [], 0
+    for (_, tables), w in zip(plan.leaves, windows):
+        if w is None:
+            stacked = np.stack([tables["ref"], tables["cur"]])
+            values.append(stacked.reshape((1,) * i + (2,) + (1,) * (j - i - 1)
+                                          + stacked.shape[1:]))
+            i += 1
+        else:
+            values.append(tables[w].reshape((1,) * j + tables[w].shape))
+    return np.ascontiguousarray(_run_plan(plan, values, j)).reshape(1 << j, -1)
 
 
 def sample_marginal(mech: MechanismSet, assignment: dict, target: str,
@@ -353,6 +401,8 @@ def jsd_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     ``p`` and ``q`` are same-shape float arrays whose last-axis rows are
     probability vectors; nothing is checked. Zero entries contribute 0.
+    Rows that differ only by rounding can sum to a few ulps below zero,
+    so results are clipped at 0.
     """
     m = 0.5 * (p + q)
 
@@ -360,20 +410,24 @@ def jsd_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         ratio = np.divide(a, m, out=np.ones_like(a), where=a > 0)
         return np.sum(a * np.log(ratio), axis=-1)
 
-    return 0.5 * kl(p) + 0.5 * kl(q)
+    return np.maximum(0.5 * kl(p) + 0.5 * kl(q), 0.0)
 
 
 def jsd(p, q) -> float:
     """Jensen-Shannon divergence, natural log; symmetric, in [0, ln 2].
 
-    Raises ``LengthMismatch`` unless both are vectors of one length and
-    ``NotNormalized`` unless both are non-negative and sum to 1.
+    Raises ``LengthMismatch`` unless both are 1-D vectors of one length
+    and ``NotNormalized`` unless both are finite, non-negative and sum to 1.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.ndim != 1 or q.ndim != 1 or p.shape != q.shape:
+    if p.ndim != 1 or q.ndim != 1:
+        raise LengthMismatch(f"1-D vectors expected, got shapes {p.shape} and {q.shape}")
+    if p.shape != q.shape:
         raise LengthMismatch(f"vector lengths differ: {p.shape} vs {q.shape}")
     for v in (p, q):
+        if not np.all(np.isfinite(v)):
+            raise NotNormalized("probability vector has a non-finite entry")
         if np.any(v < 0) or abs(float(v.sum()) - 1.0) > 1e-9:
             raise NotNormalized("probability vector does not sum to 1")
     return float(jsd_rows(p, q))

@@ -4,6 +4,8 @@ The inference oracle enumerates the full joint distribution directly, so
 it shares no code path with variable elimination. The reference
 elimination redoes the whole schedule on every call, as ``target_marginal``
 did before it planned once per target; the two must agree bit for bit.
+The reference game value scores one coalition at a time, as the
+mechanism-swap game did before it evaluated coalitions in blocks.
 The random builders
 produce structurally valid maps and mechanism sets from a seeded
 generator, for property-style checks over many instances.
@@ -23,6 +25,8 @@ from mlsysmap.mechanisms import (
     DEFAULT_STATE_LIMIT,
     MechanismSet,
     NumericBins,
+    jsd_rows,
+    target_marginal,
 )
 from mlsysmap.simulator import ScenarioConfig, generate
 
@@ -103,6 +107,18 @@ def reference_target_marginal(mech: MechanismSet, assignment: dict, target: str,
         if scope == ():
             out = out * float(array)
     return out
+
+
+def reference_game_value(mech: MechanismSet, target: str, subset) -> float:
+    """Mechanism-swap game value of one coalition on its own: the JSD of
+    the target's marginal with ``subset`` on ``cur`` against the
+    all-reference marginal, 0.0 when no ancestor of the target (or the
+    target itself) is in ``subset``."""
+    relevant = ancestors(mech.parents, target) | {target}
+    if not relevant & set(subset):
+        return 0.0
+    p = target_marginal(mech, dict.fromkeys(subset, "cur"), target)
+    return float(jsd_rows(p, target_marginal(mech, {}, target)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from mlsysmap.attribution import (
 from mlsysmap.errors import InsufficientData, TooManyPlayers
 from mlsysmap.mapcore import ancestors
 
-from helpers import random_mechanism_set
+from helpers import random_mechanism_set, reference_game_value
 
 
 def dict_game(values):
@@ -206,26 +206,54 @@ def non_ancestors(mech, target):
     return sorted(set(mech.nodes) - ancestors(mech.parents, target) - {target})
 
 
-def test_exact_attribution_evaluates_each_ancestor_coalition_once(monkeypatch):
-    real = attribution.target_marginal
-    calls = []
+def counting_blocks(monkeypatch):
+    """Patch the game's batched elimination to record the rows of each call."""
+    real = attribution.batched_marginals
+    rows = []
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
-        return real(*args, **kwargs)
+        out = real(*args, **kwargs)
+        rows.append(len(out))
+        return out
 
-    monkeypatch.setattr(attribution, "target_marginal", counting)
-    checked = 0
+    monkeypatch.setattr(attribution, "batched_marginals", counting)
+    return rows
+
+
+def test_exact_attribution_evaluates_each_ancestor_coalition_once(monkeypatch):
+    monkeypatch.setattr(attribution, "BATCH_STATES", 64)
+    rows = counting_blocks(monkeypatch)
+    checked = multi_block = 0
     for seed in range(4):
         mech = random_mechanism_set(np.random.default_rng(seed), n_nodes=6)
         for target in mech.nodes:
             outside = non_ancestors(mech, target)
-            calls.clear()
+            rows.clear()
             result = attribute(mech, target, mode="exact")
-            assert len(calls) == 2 ** (len(mech.nodes) - len(outside))
+            assert sum(rows) == 2 ** (len(mech.nodes) - len(outside))
             assert all(result.phi[p] == 0.0 for p in outside)
             checked += bool(outside)
-    assert checked >= 10
+            multi_block += len(rows) > 1
+    assert checked >= 10 and multi_block >= 10
+
+
+@pytest.mark.parametrize("batch_states", [1 << 18, 64, 8])
+def test_blocked_game_values_equal_per_coalition_reference(monkeypatch, batch_states):
+    monkeypatch.setattr(attribution, "BATCH_STATES", batch_states)
+    rows = counting_blocks(monkeypatch)
+    rng = np.random.default_rng(41)
+    multi_block = 0
+    for _ in range(8):
+        mech = random_mechanism_set(rng, n_nodes=int(rng.integers(2, 7)),
+                                    max_states=int(rng.integers(2, 10)))
+        for target in mech.nodes:
+            game = MechanismSwapGame(mech, target)
+            rows.clear()
+            for mask in range(1 << len(mech.nodes)):
+                s = frozenset(p for i, p in enumerate(mech.nodes) if mask >> i & 1)
+                assert game(s) == reference_game_value(mech, target, s)
+            multi_block += len(rows) > 1
+    assert multi_block >= (0 if batch_states == 1 << 18 else 8)
 
 
 def test_fallback_sampling_keeps_non_ancestors_dummies():
@@ -237,6 +265,25 @@ def test_fallback_sampling_keeps_non_ancestors_dummies():
     assert outside
     assert [result.phi[p] for p in outside] == [0.0] * len(outside)
     assert sum(result.phi.values()) == pytest.approx(result.total, abs=1e-9)
+
+
+def test_fallback_phi_is_pinned_bitwise():
+    """Past the VE limit each coalition keeps its own ``[seed, key]``
+    sample, so φ stays bit for bit what the per-coalition game gave."""
+    mech = random_mechanism_set(np.random.default_rng(7), n_nodes=6)
+    result = attribute(mech, "system.n3", mode="exact", state_limit=4)
+    assert result.mode == "sampled"
+    assert result.phi == {
+        "system.n0": -0.0009425523817585214, "system.n1": -0.001104620671292113,
+        "system.n2": 0.0, "system.n3": 0.02816232285774589,
+        "system.n4": 0.0, "system.n5": 0.0}
+    assert result.total == 0.026115149804695252
+    mech = random_mechanism_set(np.random.default_rng(40), n_nodes=4, p_edge=1.0)
+    result = attribute(mech, mech.nodes[-1], mode="exact", state_limit=2)
+    assert result.phi == {
+        "system.n0": 0.005042451800215295, "system.n1": 0.018797329229745894,
+        "system.n2": -0.0008335472895345557, "system.n3": 0.013623203280162493}
+    assert result.total == 0.03662943702058913
 
 
 # ---------------------------------------------------------------------------

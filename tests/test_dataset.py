@@ -1,6 +1,8 @@
 """CSV loading, equivalence unification, column typing, and per-view
 complete-case tables."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,8 @@ def test_missing_window_column():
         load_csv(MAP, "system.score\n1\n")
     with pytest.raises(MissingWindowColumn):
         load_csv(MAP, "\n")
+    with pytest.raises(MissingWindowColumn, match="empty CSV input"):
+        load_csv(MAP, io.StringIO(""))
 
 
 def test_bad_window_label_reports_row():
@@ -115,6 +119,26 @@ def test_load_from_path_with_comma(tmp_path):
     p.parent.mkdir()
     p.write_text(CSV, encoding="utf-8")
     assert load_csv(MAP, str(p)).n_rows == 4
+
+
+@pytest.mark.parametrize("header", [
+    "window,system.features,system.score,pipe.raw",
+    "system.features,window,system.score,pipe.raw",
+])
+def test_utf8_byte_order_mark_is_not_part_of_the_header(tmp_path, header):
+    rows = [line.split(",") for line in CSV.splitlines()]
+    order = [rows[0].index(name) for name in header.split(",")]
+    text = "\n".join(",".join(row[i] for i in order) for row in rows) + "\n"
+    clean = load_csv(MAP, text)
+    p = tmp_path / "bom.csv"
+    p.write_text(text, encoding="utf-8-sig")
+    for ds in (load_csv(MAP, "\ufeff" + text), load_csv(MAP, str(p)),
+               load_csv(MAP, io.StringIO("\ufeff" + text))):
+        assert ds.warnings == []
+        assert list(ds.window) == list(clean.window)
+        assert ds.columns.keys() == clean.columns.keys() == {
+            "pipe.out", "system.score", "pipe.raw"}
+        assert all(np.array_equal(ds.columns[q], clean.columns[q]) for q in ds.columns)
 
 
 def test_numeric_and_categorical_columns():

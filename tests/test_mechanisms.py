@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlsysmap.dataset import load_csv
@@ -327,9 +327,26 @@ def test_jsd_input_validation():
         jsd([1.5, -0.5], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("bad", [[math.nan, 1.0], [0.5, math.nan], [math.inf, 0.5],
+                                 [-math.inf, 1.0]])
+def test_jsd_rejects_non_finite_entries(bad):
+    with pytest.raises(NotNormalized, match="non-finite"):
+        jsd(bad, [0.5, 0.5])
+    with pytest.raises(NotNormalized, match="non-finite"):
+        jsd([0.5, 0.5], bad)
+
+
+def test_jsd_names_the_shape_of_non_vectors():
+    with pytest.raises(LengthMismatch, match=r"1-D vectors expected.*\(1, 2\)"):
+        jsd([[0.5, 0.5]], [[0.5, 0.5]])
+    with pytest.raises(LengthMismatch, match="lengths differ"):
+        jsd([1.0], [0.5, 0.5])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=12),
        st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=12))
+@example([0.5, 1.0, 1.0], [0.5, 1.0, 0.9999999999999999])   # summed to -2.2e-17
 def test_jsd_properties(a, b):
     n = min(len(a), len(b))
     p = np.array(a[:n]) / sum(a[:n])

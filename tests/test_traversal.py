@@ -1,14 +1,20 @@
 """Pattern matching and the AQ1 -> AQ2 -> AQ3 traversal on simulated
 scenarios."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mlsysmap import report as report_mod
 from mlsysmap import traversal
 from mlsysmap.attribution import AttributionResult, Classification
-from mlsysmap.dataset import WindowedDataset, build_dataset, load_csv
+from mlsysmap.dataset import (MISSING_TOKENS, WindowedDataset, build_dataset, load_csv,
+                              present)
 from mlsysmap.errors import InsufficientData, UnknownAlert, ViewMismatch
+from mlsysmap.mechanisms import UNSEEN
 from mlsysmap.msmformat import parse_map
 from mlsysmap.traversal import (
     Pattern,
@@ -137,23 +143,97 @@ def test_trace_eager_environment_adds_branches():
     assert aqs.count(2) == 1 and aqs.count(3) >= 1
 
 
+def detect_and_trace(scenario, data=None):
+    """``detect_alerts`` and the trace JSON of the scenario's first expected
+    alert, on the simulated dataset or on ``data`` in its place."""
+    out = simulate(scenario, n=1000)
+    data = out.dataset if data is None else data
+    alert = EXPECTED_TRACES[scenario][0]
+    return (detect_alerts(out.system_map, data),
+            report_mod.render_json(report_mod.trace_document(
+                "churn", trace(out.system_map, data, alert), TraceConfig())))
+
+
+@functools.lru_cache(maxsize=None)
+def baseline(scenario):
+    return detect_and_trace(scenario)
+
+
+def rebuilt(scenario, remap):
+    """The scenario's dataset with every column passed through ``remap``."""
+    out = simulate(scenario, n=1000)
+    ds = out.dataset
+    return build_dataset(out.system_map,
+                         [(q, remap(q, col)) for q, col in ds.columns.items()], ds.window)
+
+
 @pytest.mark.parametrize("scenario", ["S2", "S4", "S6"])
 def test_detect_and_trace_invariant_to_monotone_relabeling(scenario):
     # bins are quantiles and sorted categories, so a strictly increasing
     # map of every number and an order-keeping relabeling change nothing
-    out = simulate(scenario, n=1000)
-    ds = out.dataset
-    relabeled = build_dataset(out.system_map, [
-        (q, 3.0 * np.cbrt(col) + 7.0 if col.dtype != object
-         else np.array(["lbl_" + v for v in col], dtype=object))
-        for q, col in ds.columns.items()], ds.window)
-    alert = EXPECTED_TRACES[scenario][0]
-    docs = []
-    for data in (ds, relabeled):
-        docs.append((detect_alerts(out.system_map, data),
-                     report_mod.render_json(report_mod.trace_document(
-                         "churn", trace(out.system_map, data, alert), TraceConfig()))))
-    assert docs[0] == docs[1]
+    relabeled = rebuilt(scenario, lambda q, col: (
+        3.0 * np.cbrt(col) + 7.0 if col.dtype != object
+        else np.array(["lbl_" + v for v in col], dtype=object)))
+    assert detect_and_trace(scenario, relabeled) == baseline(scenario)
+
+
+def is_label(text):
+    """A cell that stays a category label: not a number, missing token,
+    the empty missing marker or the unseen bucket's name."""
+    try:
+        float(text)
+    except ValueError:
+        return text not in MISSING_TOKENS + ("", UNSEEN)
+    return False
+
+
+@st.composite
+def increasing_map(draw):
+    """Knot fractions, piece slopes and an offset of a strictly increasing
+    piecewise-linear map."""
+    n = draw(st.integers(0, 3))
+    knots = sorted(draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n,
+                                 unique=True)))
+    slopes = draw(st.lists(st.floats(0.01, 100.0), min_size=n + 1, max_size=n + 1))
+    return knots, slopes, draw(st.floats(-100.0, 100.0))
+
+
+def apply_map(col, knots, slopes, offset):
+    lo, hi = np.nanmin(col), np.nanmax(col)
+    xp = np.concatenate([[lo - 1.0], lo + (hi - lo) * np.array(knots), [hi + 1.0]])
+    fp = offset + np.concatenate([[0.0], np.cumsum(np.diff(xp) * slopes)])
+    return np.interp(col, xp, fp)
+
+
+@pytest.mark.parametrize("scenario", ["S2", "S4"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_detect_and_trace_invariant_to_piecewise_linear_maps(scenario, data):
+    numeric = {q: col for q, col in simulate(scenario, n=1000).dataset.columns.items()
+               if col.dtype != object}
+    maps = {q: data.draw(increasing_map(), label=q) for q in sorted(numeric)}
+    for q, col in numeric.items():
+        values = np.unique(col[present(col)])
+        assume(np.all(np.diff(apply_map(values, *maps[q])) > 0))
+    mapped = rebuilt(scenario, lambda q, col: apply_map(col, *maps[q]) if q in maps else col)
+    assert detect_and_trace(scenario, mapped) == baseline(scenario)
+
+
+@pytest.mark.parametrize("scenario", ["S2", "S4"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_detect_and_trace_invariant_to_order_preserving_renames(scenario, data):
+    renames = {}
+    for q, col in sorted(simulate(scenario, n=1000).dataset.columns.items()):
+        if col.dtype == object:
+            old = sorted(set(col[present(col)]))
+            new = data.draw(st.lists(st.text(min_size=1, max_size=6).filter(is_label),
+                                     min_size=len(old), max_size=len(old), unique=True),
+                            label=q)
+            renames[q] = {"": "", **dict(zip(old, sorted(new)))}
+    renamed = rebuilt(scenario, lambda q, col: np.array(
+        [renames[q][v] for v in col], dtype=object) if q in renames else col)
+    assert detect_and_trace(scenario, renamed) == baseline(scenario)
 
 
 def test_trace_rejects_bad_alerts():
