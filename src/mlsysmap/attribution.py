@@ -7,9 +7,11 @@ all-reference marginal. Shapley values over this game split the
 observed shift across the nodes whose mechanisms changed (Budhathoki et
 al., "Why did the distribution change?", AISTATS 2021). Players are all
 fitted nodes of the view, including the target itself, so a local
-mechanism change at the target is attributable to it. The game computes
-its values in blocks of coalitions, one batched elimination run and one
-JSD call per block, with every batched product within ``BATCH_STATES``.
+mechanism change at the target is attributable to it. With at most
+``DENSE_PLAYERS`` relevant players the game computes its values in
+blocks of coalitions, one batched elimination run and one JSD call per
+block, with every batched product within ``BATCH_STATES``; past that it
+computes each requested coalition alone.
 
 ``attribute`` is the one entry point on a mechanism set: it builds the
 game, solves it exactly or by sampled player orders, and classifies
@@ -39,6 +41,7 @@ DEFAULT_EPSILON = 2e-3
 BRANCH_CUTOFF = 0.2               # least share that opens a distributed branch
 FALLBACK_SAMPLES = 20_000         # ancestral samples per game value past the VE limit
 BATCH_STATES = 1 << 18            # largest batched product: 2 MB of float64
+DENSE_PLAYERS = 16                # most relevant players whose coalitions are batched
 
 
 @dataclass(frozen=True)
@@ -72,19 +75,25 @@ class MechanismSwapGame:
     the target's marginal ignores every other mechanism, so non-ancestors
     weigh nothing in a coalition's key and are exact Shapley dummies.
     The r relevant players, in sorted (plan-leaf) order, weigh
-    ``1 << (r-1-i)``. Coalitions are evaluated in blocks of ``2**j``
-    that share every bit of the key but the last ``j``: a miss on ``S``
-    runs the cached elimination plan once with the last ``j`` leaves
-    batched (:func:`mechanisms.batched_marginals`) and scores the whole
-    block with one ``jsd_rows`` call. ``j`` is the largest value with
-    ``2**j`` times the plan's largest product at most ``BATCH_STATES``.
-    Marginals are normalized by construction, so values go straight to
-    the unchecked ``jsd_rows``.
+    ``1 << (r-1-i)``.
+
+    With at most ``DENSE_PLAYERS`` relevant players, coalitions are
+    evaluated in blocks of ``2**j`` that share every bit of the key but
+    the last ``j``: a miss on ``S`` runs the cached elimination plan
+    once with the last ``j`` leaves batched
+    (:func:`mechanisms.batched_marginals`) and scores the whole block
+    with one ``jsd_rows`` call. ``j`` is the largest value with ``2**j``
+    times the plan's largest product at most ``BATCH_STATES``. Past
+    ``DENSE_PLAYERS``, sampled orders reach too small a share of each
+    block to pay for it, so ``j = 0``: each miss evaluates its one
+    coalition, as does a plan whose largest product alone exceeds half
+    of ``BATCH_STATES``. Marginals are normalized by construction, so
+    values go straight to the unchecked ``jsd_rows``.
 
     When variable elimination exceeds ``state_limit``, each coalition is
-    instead a block of one, keyed ``1 << i`` on its relevant players'
-    positions in ``players``, and its marginal is ``FALLBACK_SAMPLES``
-    ancestral samples seeded ``[seed, key]``.
+    instead keyed ``1 << i`` on its relevant players' positions in
+    ``players``, and its marginal is ``FALLBACK_SAMPLES`` ancestral
+    samples seeded ``[seed, key]``.
     """
 
     def __init__(self, mech: MechanismSet, target: str,
@@ -100,21 +109,25 @@ class MechanismSwapGame:
             self._plan = None
         self.used_sampling = self._plan is None
         self._j = 0
+        self._values = {0: 0.0}      # by key, when each miss computes one coalition
+        self._blocks = {}            # by block, lists of 2**j values, when j > 0
         if self.used_sampling:
             self._weight = {p: (1 << i if p in relevant else 0)
                             for i, p in enumerate(self.players)}
-            self._baseline = sample_marginal(mech, {}, target, FALLBACK_SAMPLES, [seed, 0])
-            self._blocks = {0: [0.0]}
+            baseline = sample_marginal(mech, {}, target, FALLBACK_SAMPLES, [seed, 0])
         else:
             r = len(relevant)
             self._weight = dict.fromkeys(self.players, 0)
             self._weight.update((p, 1 << (r - 1 - i)) for i, p in enumerate(relevant))
-            while self._j < r and self._plan.largest << (self._j + 1) <= BATCH_STATES:
+            baseline = target_marginal(mech, {}, target, limit=state_limit)
+            while (r <= DENSE_PLAYERS and self._j < r
+                   and self._plan.largest << (self._j + 1) <= BATCH_STATES):
                 self._j += 1
-            self._baseline = target_marginal(mech, {}, target, limit=state_limit)
-            self._blocks = {}
+        # one baseline row per block row: a stride-0 broadcast baseline can
+        # change the last ulp of a JSD; a materialized one cannot
+        self._baseline = np.tile(baseline, (1 << self._j, 1))
 
-    def _score(self, block: int) -> list:
+    def _score(self, block: int) -> np.ndarray:
         """Game values of the ``2**j`` coalitions whose key is ``block << j | b``."""
         if self._plan is None:
             subset = [p for p in self.players if self._weight[p] & block]
@@ -125,14 +138,17 @@ class MechanismSwapGame:
             windows = [("cur" if block >> (fixed - 1 - i) & 1 else "ref")
                        for i in range(fixed)] + [None] * self._j
             rows = batched_marginals(self._plan, windows)
-        # a stride-0 baseline can change the last ulp; a materialized one cannot
-        return jsd_rows(rows, np.broadcast_to(self._baseline, rows.shape).copy()).tolist()
+        return jsd_rows(rows, self._baseline)
 
     def __call__(self, subset) -> float:
         key = sum(self._weight[p] for p in subset)
+        if not self._j:
+            if key not in self._values:
+                self._values[key] = self._score(key).item(0)
+            return self._values[key]
         block = key >> self._j
         if block not in self._blocks:
-            self._blocks[block] = self._score(block)
+            self._blocks[block] = self._score(block).tolist()
         return self._blocks[block][key & ((1 << self._j) - 1)]
 
 

@@ -318,7 +318,9 @@ def _run_plan(plan: _EliminationPlan, values: list, r: int) -> np.ndarray:
         prod = values[slots[0]]
         for slot, (lhs, rhs) in zip(slots[1:], shapes):
             factor = values[slot]
-            prod = prod.reshape(prod.shape[:r] + lhs) * factor.reshape(factor.shape[:r] + rhs)
+            if r:
+                lhs, rhs = prod.shape[:r] + lhs, factor.shape[:r] + rhs
+            prod = prod.reshape(lhs) * factor.reshape(rhs)
         values.append(prod.sum(axis=r + axis))
     out = values[plan.target_slots[0]].copy()
     for slot in plan.target_slots[1:]:
@@ -352,7 +354,9 @@ def batched_marginals(plan: _EliminationPlan, windows: Sequence[Optional[str]]) 
     multiplies broadcast over those axes. Each row is bit-identical to
     ``target_marginal`` under the same assignment.
     """
-    j = sum(w is None for w in windows)
+    j = windows.count(None)
+    if not j:
+        return _run_plan(plan, [t[w] for (_, t), w in zip(plan.leaves, windows)], 0)[None]
     values, i = [], 0
     for (_, tables), w in zip(plan.leaves, windows):
         if w is None:

@@ -20,12 +20,14 @@ import numpy as np
 
 from mlsysmap.mapcore import (Node, NodeKind, Relation, RelationKind, View, ancestors,
                               build_map)
+from mlsysmap.attribution import FALLBACK_SAMPLES
 from mlsysmap.errors import StateSpaceTooLarge
 from mlsysmap.mechanisms import (
     DEFAULT_STATE_LIMIT,
     MechanismSet,
     NumericBins,
     jsd_rows,
+    sample_marginal,
     target_marginal,
 )
 from mlsysmap.simulator import ScenarioConfig, generate
@@ -109,16 +111,27 @@ def reference_target_marginal(mech: MechanismSet, assignment: dict, target: str,
     return out
 
 
-def reference_game_value(mech: MechanismSet, target: str, subset) -> float:
+def reference_game_value(mech: MechanismSet, target: str, subset,
+                         state_limit: int = DEFAULT_STATE_LIMIT, seed=0) -> float:
     """Mechanism-swap game value of one coalition on its own: the JSD of
     the target's marginal with ``subset`` on ``cur`` against the
     all-reference marginal, 0.0 when no ancestor of the target (or the
-    target itself) is in ``subset``."""
+    target itself) is in ``subset``. Past ``state_limit`` both marginals
+    are ``FALLBACK_SAMPLES`` ancestral samples, the coalition's seeded
+    ``[seed, key]`` with ``key`` the sum of ``1 << i`` over the positions
+    of its relevant players in ``mech.nodes``, the baseline's ``[seed, 0]``."""
     relevant = ancestors(mech.parents, target) | {target}
     if not relevant & set(subset):
         return 0.0
-    p = target_marginal(mech, dict.fromkeys(subset, "cur"), target)
-    return float(jsd_rows(p, target_marginal(mech, {}, target)))
+    assignment = dict.fromkeys(subset, "cur")
+    try:
+        p = target_marginal(mech, assignment, target, limit=state_limit)
+        q = target_marginal(mech, {}, target, limit=state_limit)
+    except StateSpaceTooLarge:
+        key = sum(1 << i for i, n in enumerate(mech.nodes) if n in relevant and n in subset)
+        p = sample_marginal(mech, assignment, target, FALLBACK_SAMPLES, [seed, key])
+        q = sample_marginal(mech, {}, target, FALLBACK_SAMPLES, [seed, 0])
+    return float(jsd_rows(p, q))
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,8 @@ def test_exact_attribution_evaluates_each_ancestor_coalition_once(monkeypatch):
             outside = non_ancestors(mech, target)
             rows.clear()
             result = attribute(mech, target, mode="exact")
-            assert sum(rows) == 2 ** (len(mech.nodes) - len(outside))
+            single = set(rows) == {1}   # one coalition per run: v(∅) is the literal 0.0
+            assert sum(rows) == 2 ** (len(mech.nodes) - len(outside)) - single
             assert all(result.phi[p] == 0.0 for p in outside)
             checked += bool(outside)
             multi_block += len(rows) > 1
@@ -267,23 +268,70 @@ def test_fallback_sampling_keeps_non_ancestors_dummies():
     assert sum(result.phi.values()) == pytest.approx(result.total, abs=1e-9)
 
 
-def test_fallback_phi_is_pinned_bitwise():
+@pytest.mark.parametrize("seed, n_nodes, p_edge, target, limit", [
+    (7, 6, 0.5, "system.n3", 4), (40, 4, 1.0, "system.n3", 2), (40, 4, 1.0, "system.n3", 8)])
+def test_fallback_phi_equals_per_coalition_reference(seed, n_nodes, p_edge, target, limit):
     """Past the VE limit each coalition keeps its own ``[seed, key]``
-    sample, so φ stays bit for bit what the per-coalition game gave."""
-    mech = random_mechanism_set(np.random.default_rng(7), n_nodes=6)
-    result = attribute(mech, "system.n3", mode="exact", state_limit=4)
+    sample, so φ is bit for bit that of the per-coalition game."""
+    mech = random_mechanism_set(np.random.default_rng(seed), n_nodes=n_nodes, p_edge=p_edge)
+    result = attribute(mech, target, mode="exact", state_limit=limit, seed=5)
     assert result.mode == "sampled"
-    assert result.phi == {
-        "system.n0": -0.0009425523817585214, "system.n1": -0.001104620671292113,
-        "system.n2": 0.0, "system.n3": 0.02816232285774589,
-        "system.n4": 0.0, "system.n5": 0.0}
-    assert result.total == 0.026115149804695252
-    mech = random_mechanism_set(np.random.default_rng(40), n_nodes=4, p_edge=1.0)
-    result = attribute(mech, mech.nodes[-1], mode="exact", state_limit=2)
-    assert result.phi == {
-        "system.n0": 0.005042451800215295, "system.n1": 0.018797329229745894,
-        "system.n2": -0.0008335472895345557, "system.n3": 0.013623203280162493}
-    assert result.total == 0.03662943702058913
+    reference = exact_shapley(
+        lambda s: reference_game_value(mech, target, s, state_limit=limit, seed=5),
+        mech.nodes)
+    assert result.phi == reference
+    assert result.total == reference_game_value(mech, target, mech.nodes,
+                                                state_limit=limit, seed=5)
+
+
+def test_sparse_game_evaluates_each_requested_coalition_alone(monkeypatch):
+    """Past ``DENSE_PLAYERS`` a miss computes its one coalition, so the
+    batched rows equal the distinct coalitions the solver asked for."""
+    monkeypatch.setattr(attribution, "DENSE_PLAYERS", 3)
+    rows = counting_blocks(monkeypatch)
+    checked = 0
+    for seed in range(6):
+        mech = random_mechanism_set(np.random.default_rng(seed), n_nodes=6)
+        for target in mech.nodes:
+            relevant = ancestors(mech.parents, target) | {target}
+            if len(relevant) <= 3:
+                continue
+            game = MechanismSwapGame(mech, target)
+            asked = set()
+
+            def v(s):
+                asked.add(frozenset(s) & relevant)
+                assert game(s) == reference_game_value(mech, target, s)
+                return game(s)
+
+            rows.clear()
+            sampled_shapley(v, mech.nodes, permutations=5, seed=seed)
+            assert rows == [1] * (len(asked) - 1)     # v(∅) is never computed
+            checked += 1
+    assert checked >= 8
+
+
+def test_sparse_game_on_many_relevant_players(monkeypatch):
+    """A sampled game with 25 relevant players runs the plan once per
+    distinct coalition asked for, as per-coalition evaluation did."""
+    rows = counting_blocks(monkeypatch)
+    mech = random_mechanism_set(np.random.default_rng(1), n_nodes=28, max_states=2,
+                                p_edge=0.15)
+    target = mech.nodes[-1]
+    relevant = ancestors(mech.parents, target) | {target}
+    assert len(relevant) == 25 > attribution.DENSE_PLAYERS
+    game = MechanismSwapGame(mech, target)
+    asked = set()
+
+    def v(s):
+        asked.add(frozenset(s) & relevant)
+        return game(s)
+
+    phi = sampled_shapley(v, mech.nodes, permutations=4, seed=0)
+    assert rows == [1] * (len(asked) - 1)
+    for s in (frozenset(mech.nodes[::2]), frozenset(mech.nodes[1::3])):
+        assert game(s) == reference_game_value(mech, target, s)
+    assert sum(phi.values()) == pytest.approx(game(frozenset(mech.nodes)), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
