@@ -7,11 +7,10 @@ all-reference marginal. Shapley values over this game split the
 observed shift across the nodes whose mechanisms changed (Budhathoki et
 al., "Why did the distribution change?", AISTATS 2021). Players are all
 fitted nodes of the view, including the target itself, so a local
-mechanism change at the target is attributable to it. With at most
-``DENSE_PLAYERS`` relevant players the game computes its values in
-blocks of coalitions, one batched elimination run and one JSD call per
-block, with every batched product within ``BATCH_STATES``; past that it
-computes each requested coalition alone.
+mechanism change at the target is attributable to it. Players outside
+ancestors(target) | {target} are exact dummies; over the r others a
+:class:`MechanismSwapGame` is solved exactly from a table of its 2**r
+values when r is at most ``EXACT_PLAYER_LIMIT``.
 
 ``attribute`` is the one entry point on a mechanism set: it builds the
 game, solves it exactly or by sampled player orders, and classifies
@@ -34,14 +33,13 @@ from .mapcore import View, ancestors
 from .mechanisms import (MechanismSet, batched_marginals, elimination_plan, jsd_rows,
                          sample_marginal, target_marginal)
 
-EXACT_PLAYER_LIMIT = 12
+EXACT_PLAYER_LIMIT = 16           # most relevant players solved exactly
 DEFAULT_PERMUTATIONS = 500        # sampled-Shapley player orders
 DEFAULT_TAU = 0.5
 DEFAULT_EPSILON = 2e-3
 BRANCH_CUTOFF = 0.2               # least share that opens a distributed branch
 FALLBACK_SAMPLES = 20_000         # ancestral samples per game value past the VE limit
 BATCH_STATES = 1 << 18            # largest batched product: 2 MB of float64
-DENSE_PLAYERS = 16                # most relevant players whose coalitions are batched
 
 
 @dataclass(frozen=True)
@@ -71,29 +69,22 @@ class AttributionResult:
 class MechanismSwapGame:
     """Cached set function v(S) over one mechanism set and target.
 
-    Values depend only on the players in ancestors(target) | {target}:
-    the target's marginal ignores every other mechanism, so non-ancestors
-    weigh nothing in a coalition's key and are exact Shapley dummies.
-    The r relevant players, in sorted (plan-leaf) order, weigh
-    ``1 << (r-1-i)``.
+    Only the ``relevant`` players, ancestors(target) | {target}, enter the
+    target's marginal. A coalition's key sums its players' weights: the
+    i-th of the r relevant players (sorted, the plan's leaf order) weighs
+    ``1 << (r-1-i)``, every other player 0.
 
-    With at most ``DENSE_PLAYERS`` relevant players, coalitions are
-    evaluated in blocks of ``2**j`` that share every bit of the key but
-    the last ``j``: a miss on ``S`` runs the cached elimination plan
-    once with the last ``j`` leaves batched
-    (:func:`mechanisms.batched_marginals`) and scores the whole block
-    with one ``jsd_rows`` call. ``j`` is the largest value with ``2**j``
-    times the plan's largest product at most ``BATCH_STATES``. Past
-    ``DENSE_PLAYERS``, sampled orders reach too small a share of each
-    block to pay for it, so ``j = 0``: each miss evaluates its one
-    coalition, as does a plan whose largest product alone exceeds half
-    of ``BATCH_STATES``. Marginals are normalized by construction, so
-    values go straight to the unchecked ``jsd_rows``.
-
-    When variable elimination exceeds ``state_limit``, each coalition is
-    instead keyed ``1 << i`` on its relevant players' positions in
-    ``players``, and its marginal is ``FALLBACK_SAMPLES`` ancestral
-    samples seeded ``[seed, key]``.
+    The game is ``dense`` when it has an elimination plan within
+    ``state_limit`` and r is at most ``EXACT_PLAYER_LIMIT``. A dense game
+    fills its :meth:`table` of all ``2**r`` values on first use, block by
+    block: the ``2**j`` keys that share all but their last ``j`` bits come
+    from one run of the plan with the last ``j`` leaves batched
+    (:func:`mechanisms.batched_marginals`) and one ``jsd_rows`` call, for
+    the largest ``j`` with ``2**j`` times the plan's largest product at
+    most ``BATCH_STATES``. Only values are kept, never all marginals.
+    Any other game computes each requested coalition alone, caching it
+    by key; past ``state_limit`` its marginal is ``FALLBACK_SAMPLES``
+    ancestral samples seeded ``[seed, key]``.
     """
 
     def __init__(self, mech: MechanismSet, target: str,
@@ -102,85 +93,92 @@ class MechanismSwapGame:
         self.target = target
         self.seed = seed
         self.players = mech.nodes
-        relevant = sorted(ancestors(mech.parents, target) | {target})
+        self.relevant = tuple(sorted(ancestors(mech.parents, target) | {target}))
+        r = len(self.relevant)
+        self._weight = dict.fromkeys(self.players, 0)
+        self._weight.update((p, 1 << (r - 1 - i)) for i, p in enumerate(self.relevant))
         try:
             self._plan = elimination_plan(mech, target, state_limit)
         except StateSpaceTooLarge:
             self._plan = None
         self.used_sampling = self._plan is None
-        self._j = 0
-        self._values = {0: 0.0}      # by key, when each miss computes one coalition
-        self._blocks = {}            # by block, lists of 2**j values, when j > 0
-        if self.used_sampling:
-            self._weight = {p: (1 << i if p in relevant else 0)
-                            for i, p in enumerate(self.players)}
-            baseline = sample_marginal(mech, {}, target, FALLBACK_SAMPLES, [seed, 0])
-        else:
-            r = len(relevant)
-            self._weight = dict.fromkeys(self.players, 0)
-            self._weight.update((p, 1 << (r - 1 - i)) for i, p in enumerate(relevant))
-            baseline = target_marginal(mech, {}, target, limit=state_limit)
-            while (r <= DENSE_PLAYERS and self._j < r
-                   and self._plan.largest << (self._j + 1) <= BATCH_STATES):
-                self._j += 1
-        # one baseline row per block row: a stride-0 broadcast baseline can
-        # change the last ulp of a JSD; a materialized one cannot
-        self._baseline = np.tile(baseline, (1 << self._j, 1))
+        self.dense = not self.used_sampling and r <= EXACT_PLAYER_LIMIT
+        self._table = None
+        self._values = {0: 0.0}      # by key, when the game is not dense
+        self._baseline = (sample_marginal(mech, {}, target, FALLBACK_SAMPLES, [seed, 0])
+                          if self.used_sampling
+                          else target_marginal(mech, {}, target, limit=state_limit))[None]
 
-    def _score(self, block: int) -> np.ndarray:
-        """Game values of the ``2**j`` coalitions whose key is ``block << j | b``."""
+    def _marginals(self, block: int, j: int) -> np.ndarray:
+        """Target marginals of the ``2**j`` coalitions keyed ``block << j | b``."""
         if self._plan is None:
-            subset = [p for p in self.players if self._weight[p] & block]
-            rows = sample_marginal(self.mech, dict.fromkeys(subset, "cur"), self.target,
+            subset = [p for p in self.relevant if self._weight[p] & block]
+            return sample_marginal(self.mech, dict.fromkeys(subset, "cur"), self.target,
                                    FALLBACK_SAMPLES, [self.seed, block])[None]
-        else:
-            fixed = len(self._plan.leaves) - self._j
-            windows = [("cur" if block >> (fixed - 1 - i) & 1 else "ref")
-                       for i in range(fixed)] + [None] * self._j
-            rows = batched_marginals(self._plan, windows)
-        return jsd_rows(rows, self._baseline)
+        fixed = len(self.relevant) - j
+        windows = [("cur" if block >> (fixed - 1 - i) & 1 else "ref")
+                   for i in range(fixed)] + [None] * j
+        return batched_marginals(self._plan, windows)
+
+    def table(self) -> np.ndarray:
+        """All ``2**r`` game values, indexed by key."""
+        r = len(self.relevant)
+        if r > EXACT_PLAYER_LIMIT:
+            raise TooManyPlayers(f"{r} relevant players exceed exact limit {EXACT_PLAYER_LIMIT}")
+        if not self.dense:
+            return np.array([self._value(key) for key in range(1 << r)])
+        if self._table is None:
+            j = min(r, max(0, (BATCH_STATES // self._plan.largest).bit_length() - 1))
+            # one baseline row per block row: a stride-0 broadcast baseline can
+            # change the last ulp of a JSD; a materialized one cannot
+            baseline = np.tile(self._baseline, (1 << j, 1))
+            self._table = np.empty(1 << r)
+            for block in range(1 << (r - j)):
+                self._table[block << j:(block + 1) << j] = jsd_rows(
+                    self._marginals(block, j), baseline)
+        return self._table
+
+    def _value(self, key: int) -> float:
+        if self.dense:
+            return self.table().item(key)
+        if key not in self._values:
+            self._values[key] = jsd_rows(self._marginals(key, 0), self._baseline).item(0)
+        return self._values[key]
 
     def __call__(self, subset) -> float:
-        key = sum(self._weight[p] for p in subset)
-        if not self._j:
-            if key not in self._values:
-                self._values[key] = self._score(key).item(0)
-            return self._values[key]
-        block = key >> self._j
-        if block not in self._blocks:
-            self._blocks[block] = self._score(block).tolist()
-        return self._blocks[block][key & ((1 << self._j) - 1)]
+        return self._value(sum(self._weight[p] for p in subset))
 
 
 # ---------------------------------------------------------------------------
 # generic Shapley solvers (usable with any set function)
 
-def exact_shapley(v: Callable, players: Sequence[str]) -> dict[str, float]:
-    """Exact Shapley values by full subset enumeration.
+def shapley_from_table(table: np.ndarray) -> np.ndarray:
+    """Exact Shapley values of the r players of a game given by its ``2**r``
+    values, keyed as in :class:`MechanismSwapGame`: φ_i = Σ_{S∌i}
+    |S|!(r-|S|-1)!/r! · (v(S ∪ {i}) − v(S)), summed in a fixed order."""
+    r = table.size.bit_length() - 1
+    sizes = np.zeros(1, dtype=np.uint8)        # |S| of each key
+    for _ in range(r):
+        sizes = np.concatenate([sizes, sizes + 1])
+    weight = np.array([1 / (r * math.comb(r - 1, s)) for s in range(r)] + [0.0])
+    cube, weight = table.reshape((2,) * r), weight[sizes].reshape((2,) * r)
+    phi = []
+    for i in range(r):                         # views along axis i: no 2**r copies
+        v, w = np.moveaxis(cube, i, 0), np.moveaxis(weight, i, 0)
+        phi.append(np.sum(w[0] * (v[1] - v[0])))
+    return np.array(phi)
 
-    v takes a frozenset of player names. Accumulation order is canonical
-    (sorted players, increasing subset bitmask) so results are
-    bit-deterministic.
-    """
+
+def exact_shapley(v: Callable, players: Sequence[str]) -> dict[str, float]:
+    """Exact Shapley values of any set function v, which takes a frozenset
+    of player names, tabulated over every subset of the sorted players."""
     players = sorted(players)
     n = len(players)
     if n > EXACT_PLAYER_LIMIT:
         raise TooManyPlayers(f"{n} players exceeds exact limit {EXACT_PLAYER_LIMIT}")
-    values = {}
-    for mask in range(1 << n):
-        subset = frozenset(players[i] for i in range(n) if mask >> i & 1)
-        values[mask] = v(subset)
-    fact = [math.factorial(i) for i in range(n + 1)]
-    weights = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
-    phi = {p: 0.0 for p in players}
-    for i, p in enumerate(players):
-        bit = 1 << i
-        for mask in range(1 << n):
-            if mask & bit:
-                continue
-            s = bin(mask).count("1")
-            phi[p] += weights[s] * (values[mask | bit] - values[mask])
-    return phi
+    table = [v(frozenset(p for i, p in enumerate(players) if key >> (n - 1 - i) & 1))
+             for key in range(1 << n)]
+    return dict(zip(players, shapley_from_table(np.array(table, dtype=float)).tolist()))
 
 
 def sampled_shapley(v: Callable, players: Sequence[str], permutations: int,
@@ -239,11 +237,10 @@ def attribute(mech: MechanismSet, target: str, mode: str = "auto",
               state_limit: int = mech_mod.DEFAULT_STATE_LIMIT) -> AttributionResult:
     """Mechanism-swap Shapley attribution of the shift in one target.
 
-    ``mode`` "exact" enumerates every coalition, "sampled" averages over
-    ``permutations`` seeded player orders, and "auto" is exact up to
-    ``EXACT_PLAYER_LIMIT`` players. The result's mode is "sampled" also
-    when variable elimination exceeded ``state_limit`` and the game fell
-    back to ancestral sampling.
+    ``mode`` "exact" solves the game from its table, "sampled" averages
+    over ``permutations`` seeded player orders, and "auto" is exact when
+    the game is dense. Dummies get φ = 0.0. The result's mode is "sampled"
+    also when the game fell back to ancestral sampling past ``state_limit``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown attribution mode '{mode}' (expected one of {MODES})")
@@ -251,9 +248,10 @@ def attribute(mech: MechanismSet, target: str, mode: str = "auto",
         raise InsufficientData(
             f"no fitted data for '{target}' in view '{mech.view.name}'")
     game = MechanismSwapGame(mech, target, state_limit, seed=seed)
-    exact = mode == "exact" or (mode == "auto" and len(game.players) <= EXACT_PLAYER_LIMIT)
+    exact = mode == "exact" or (mode == "auto" and game.dense)
     if exact:
-        phi = exact_shapley(game, game.players)
+        phi = dict.fromkeys(sorted(game.players), 0.0)
+        phi.update(zip(game.relevant, shapley_from_table(game.table()).tolist()))
     else:
         phi = sampled_shapley(game, game.players, permutations, seed)
     total = game(frozenset(game.players))

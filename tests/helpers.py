@@ -5,8 +5,10 @@ it shares no code path with variable elimination. The reference
 elimination redoes the whole schedule on every call, as ``target_marginal``
 did before it planned once per target; the two must agree bit for bit.
 The reference game value scores one coalition at a time, as the
-mechanism-swap game did before it evaluated coalitions in blocks.
-The random builders
+mechanism-swap game did before it evaluated coalitions in blocks. The
+reference Shapley solver enumerates every subset of every player with a
+per-player loop, as ``exact_shapley`` did before it solved one value
+array. The random builders
 produce structurally valid maps and mechanism sets from a seeded
 generator, for property-style checks over many instances.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -118,20 +121,45 @@ def reference_game_value(mech: MechanismSet, target: str, subset,
     all-reference marginal, 0.0 when no ancestor of the target (or the
     target itself) is in ``subset``. Past ``state_limit`` both marginals
     are ``FALLBACK_SAMPLES`` ancestral samples, the coalition's seeded
-    ``[seed, key]`` with ``key`` the sum of ``1 << i`` over the positions
-    of its relevant players in ``mech.nodes``, the baseline's ``[seed, 0]``."""
-    relevant = ancestors(mech.parents, target) | {target}
-    if not relevant & set(subset):
+    ``[seed, key]`` with ``key`` the sum of ``1 << (r-1-i)`` over the
+    indices ``i`` of its players among the r sorted relevant ones, the
+    baseline's ``[seed, 0]``."""
+    relevant = sorted(ancestors(mech.parents, target) | {target})
+    if not set(relevant) & set(subset):
         return 0.0
     assignment = dict.fromkeys(subset, "cur")
     try:
         p = target_marginal(mech, assignment, target, limit=state_limit)
         q = target_marginal(mech, {}, target, limit=state_limit)
     except StateSpaceTooLarge:
-        key = sum(1 << i for i, n in enumerate(mech.nodes) if n in relevant and n in subset)
+        r = len(relevant)
+        key = sum(1 << (r - 1 - i) for i, n in enumerate(relevant) if n in subset)
         p = sample_marginal(mech, assignment, target, FALLBACK_SAMPLES, [seed, key])
         q = sample_marginal(mech, {}, target, FALLBACK_SAMPLES, [seed, 0])
     return float(jsd_rows(p, q))
+
+
+def reference_exact_shapley(v, players) -> dict:
+    """Exact Shapley values by full subset enumeration: for each sorted
+    player, the size-weighted marginal over every subset without it, in
+    increasing bitmask order."""
+    players = sorted(players)
+    n = len(players)
+    values = {}
+    for mask in range(1 << n):
+        subset = frozenset(players[i] for i in range(n) if mask >> i & 1)
+        values[mask] = v(subset)
+    fact = [math.factorial(i) for i in range(n + 1)]
+    weights = [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)]
+    phi = {p: 0.0 for p in players}
+    for i, p in enumerate(players):
+        bit = 1 << i
+        for mask in range(1 << n):
+            if mask & bit:
+                continue
+            s = bin(mask).count("1")
+            phi[p] += weights[s] * (values[mask | bit] - values[mask])
+    return phi
 
 
 # ---------------------------------------------------------------------------

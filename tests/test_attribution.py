@@ -17,7 +17,7 @@ from mlsysmap.attribution import (
 from mlsysmap.errors import InsufficientData, TooManyPlayers
 from mlsysmap.mapcore import ancestors
 
-from helpers import random_mechanism_set, reference_game_value
+from helpers import random_mechanism_set, reference_exact_shapley, reference_game_value
 
 
 def dict_game(values):
@@ -77,8 +77,33 @@ def test_exact_shapley_dummy_player():
 
 
 def test_exact_shapley_player_limit():
+    players = [f"p{i}" for i in range(attribution.EXACT_PLAYER_LIMIT + 1)]
     with pytest.raises(TooManyPlayers):
-        exact_shapley(lambda s: 0.0, [f"p{i}" for i in range(13)])
+        exact_shapley(lambda s: 0.0, players)
+
+
+def test_exact_shapley_matches_enumeration_reference():
+    """The table solver agrees with the per-player enumeration on random
+    games, and players the game ignores get exactly 0.0."""
+    rng = np.random.default_rng(18)
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        players = [f"p{i}" for i in range(n)]
+        dummies = {p for p in players if rng.random() < 0.3}
+        table = {}
+
+        def v(s):
+            key = frozenset(s) - dummies
+            if key not in table:
+                table[key] = float(rng.normal()) if key else 0.0
+            return table[key]
+
+        phi = exact_shapley(v, players)
+        reference = reference_exact_shapley(v, players)
+        assert list(phi) == list(reference)
+        for p in players:
+            assert phi[p] == pytest.approx(reference[p], abs=1e-12)
+        assert [phi[p] for p in sorted(dummies)] == [0.0] * len(dummies)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +255,7 @@ def test_exact_attribution_evaluates_each_ancestor_coalition_once(monkeypatch):
             outside = non_ancestors(mech, target)
             rows.clear()
             result = attribute(mech, target, mode="exact")
-            single = set(rows) == {1}   # one coalition per run: v(∅) is the literal 0.0
-            assert sum(rows) == 2 ** (len(mech.nodes) - len(outside)) - single
+            assert sum(rows) == 2 ** (len(mech.nodes) - len(outside))
             assert all(result.phi[p] == 0.0 for p in outside)
             checked += bool(outside)
             multi_block += len(rows) > 1
@@ -272,22 +296,25 @@ def test_fallback_sampling_keeps_non_ancestors_dummies():
     (7, 6, 0.5, "system.n3", 4), (40, 4, 1.0, "system.n3", 2), (40, 4, 1.0, "system.n3", 8)])
 def test_fallback_phi_equals_per_coalition_reference(seed, n_nodes, p_edge, target, limit):
     """Past the VE limit each coalition keeps its own ``[seed, key]``
-    sample, so φ is bit for bit that of the per-coalition game."""
+    sample, so φ is bit for bit that of the per-coalition game solved
+    over the relevant players."""
     mech = random_mechanism_set(np.random.default_rng(seed), n_nodes=n_nodes, p_edge=p_edge)
     result = attribute(mech, target, mode="exact", state_limit=limit, seed=5)
     assert result.mode == "sampled"
-    reference = exact_shapley(
+    relevant = ancestors(mech.parents, target) | {target}
+    reference = dict.fromkeys(mech.nodes, 0.0)
+    reference.update(exact_shapley(
         lambda s: reference_game_value(mech, target, s, state_limit=limit, seed=5),
-        mech.nodes)
+        relevant))
     assert result.phi == reference
     assert result.total == reference_game_value(mech, target, mech.nodes,
                                                 state_limit=limit, seed=5)
 
 
 def test_sparse_game_evaluates_each_requested_coalition_alone(monkeypatch):
-    """Past ``DENSE_PLAYERS`` a miss computes its one coalition, so the
-    batched rows equal the distinct coalitions the solver asked for."""
-    monkeypatch.setattr(attribution, "DENSE_PLAYERS", 3)
+    """Past ``EXACT_PLAYER_LIMIT`` a miss computes its one coalition, so
+    the batched rows equal the distinct coalitions the solver asked for."""
+    monkeypatch.setattr(attribution, "EXACT_PLAYER_LIMIT", 3)
     rows = counting_blocks(monkeypatch)
     checked = 0
     for seed in range(6):
@@ -319,7 +346,7 @@ def test_sparse_game_on_many_relevant_players(monkeypatch):
                                 p_edge=0.15)
     target = mech.nodes[-1]
     relevant = ancestors(mech.parents, target) | {target}
-    assert len(relevant) == 25 > attribution.DENSE_PLAYERS
+    assert len(relevant) == 25 > attribution.EXACT_PLAYER_LIMIT
     game = MechanismSwapGame(mech, target)
     asked = set()
 
@@ -332,6 +359,61 @@ def test_sparse_game_on_many_relevant_players(monkeypatch):
     for s in (frozenset(mech.nodes[::2]), frozenset(mech.nodes[1::3])):
         assert game(s) == reference_game_value(mech, target, s)
     assert sum(phi.values()) == pytest.approx(game(frozenset(mech.nodes)), abs=1e-12)
+
+
+def test_auto_is_exact_over_relevant_players_past_the_limit():
+    """The exact/sampled choice counts relevant players, not the view's."""
+    mech = random_mechanism_set(np.random.default_rng(0), n_nodes=20, max_states=2,
+                                p_edge=0.15)
+    assert len(mech.nodes) > attribution.EXACT_PLAYER_LIMIT
+    target = "system.n17"
+    relevant = ancestors(mech.parents, target) | {target}
+    assert len(relevant) == 11
+    result = attribute(mech, target)
+    assert result.mode == "exact"
+    reference = reference_exact_shapley(MechanismSwapGame(mech, target), relevant)
+    for p in mech.nodes:
+        assert result.phi[p] == (pytest.approx(reference[p], abs=1e-12) if p in relevant
+                                 else 0.0)
+
+
+def test_exact_limit_counts_relevant_players():
+    mech = random_mechanism_set(np.random.default_rng(32), n_nodes=18, max_states=2,
+                                p_edge=0.2)
+    sizes = {t: len(ancestors(mech.parents, t) | {t}) for t in mech.nodes}
+    assert sizes["system.n16"] == attribution.EXACT_PLAYER_LIMIT
+    assert sizes["system.n17"] == attribution.EXACT_PLAYER_LIMIT + 1
+    result = attribute(mech, "system.n16")
+    assert result.mode == "exact"
+    assert sum(result.phi.values()) == pytest.approx(result.total, abs=1e-12)
+    assert result.phi["system.n17"] == 0.0
+    with pytest.raises(TooManyPlayers, match="17 relevant players"):
+        attribute(mech, "system.n17", mode="exact")
+    assert attribute(mech, "system.n17", permutations=4).mode == "sampled"
+
+
+def test_auto_fallback_samples_no_more_than_every_coalition(monkeypatch):
+    """Auto mode solves a game past ``state_limit`` over sampled orders,
+    which never draws more sample sets than one per ancestor coalition
+    (the exact solve) did."""
+    real = attribution.sample_marginal
+    calls = []
+    monkeypatch.setattr(attribution, "sample_marginal",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    rng = np.random.default_rng(44)
+    checked = 0
+    for _ in range(6):
+        mech = random_mechanism_set(rng, n_nodes=int(rng.integers(3, 7)), p_edge=0.8)
+        target = mech.nodes[-1]
+        if not MechanismSwapGame(mech, target, state_limit=2).used_sampling:
+            continue
+        r = len(ancestors(mech.parents, target) | {target})
+        calls.clear()
+        result = attribute(mech, target, state_limit=2, permutations=50)
+        assert result.mode == "sampled"
+        assert len(calls) <= 2 ** r
+        checked += 1
+    assert checked >= 3
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,23 @@ def test_missing_file_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["detect", "MAP", "DATA", "--permutations", "50"],
+    ["trace", "MAP", "DATA", "--alert", "system.churn_score", "--bins", "1"],
+    ["trace", "MAP", "DATA", "--alert", "system.churn_score", "--mode", "sampled",
+     "--permutations", "0"],
+    ["simulate", "--scenario", "S1", "--n", "0", "--out-data", "DATA", "--out-map", "MAP"],
+])
+def test_out_of_range_number_is_usage_error(workspace, tmp_path, capsys, command):
+    _, map_path, data_path = workspace
+    if command[0] == "simulate":
+        map_path, data_path = str(tmp_path / "m.msm"), str(tmp_path / "d.csv")
+    argv = [{"MAP": map_path, "DATA": data_path}.get(a, a) for a in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

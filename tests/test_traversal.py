@@ -187,6 +187,21 @@ def is_label(text):
     return False
 
 
+def drawn_renaming(scenario, data, keep_order):
+    """The scenario's dataset with each category renamed to a drawn label,
+    in the categories' sorted order when ``keep_order``, else in any."""
+    renames = {}
+    for q, col in sorted(simulate(scenario, n=1000).dataset.columns.items()):
+        if col.dtype == object:
+            old = sorted(set(col[present(col)]))
+            new = data.draw(st.lists(st.text(min_size=1, max_size=6).filter(is_label),
+                                     min_size=len(old), max_size=len(old), unique=True),
+                            label=q)
+            renames[q] = {"": "", **dict(zip(old, sorted(new) if keep_order else new))}
+    return rebuilt(scenario, lambda q, col: np.array(
+        [renames[q][v] for v in col], dtype=object) if q in renames else col)
+
+
 @st.composite
 def increasing_map(draw):
     """Knot fractions, piece slopes and an offset of a strictly increasing
@@ -223,17 +238,26 @@ def test_detect_and_trace_invariant_to_piecewise_linear_maps(scenario, data):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_detect_and_trace_invariant_to_order_preserving_renames(scenario, data):
-    renames = {}
-    for q, col in sorted(simulate(scenario, n=1000).dataset.columns.items()):
-        if col.dtype == object:
-            old = sorted(set(col[present(col)]))
-            new = data.draw(st.lists(st.text(min_size=1, max_size=6).filter(is_label),
-                                     min_size=len(old), max_size=len(old), unique=True),
-                            label=q)
-            renames[q] = {"": "", **dict(zip(old, sorted(new)))}
-    renamed = rebuilt(scenario, lambda q, col: np.array(
-        [renames[q][v] for v in col], dtype=object) if q in renames else col)
+    renamed = drawn_renaming(scenario, data, keep_order=True)
     assert detect_and_trace(scenario, renamed) == baseline(scenario)
+
+
+@pytest.mark.parametrize("scenario", ["S2", "S4"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_alerts_and_verdicts_invariant_to_any_category_renaming(scenario, data):
+    """Category order sets table layouts and so the last digits of φ, but
+    no alert and no verdict depends on which label a category has."""
+    renamed = drawn_renaming(scenario, data, keep_order=False)
+    out = simulate(scenario, n=1000)
+    alert = EXPECTED_TRACES[scenario][0]
+
+    def outcome(ds):
+        alerts = sorted(a.node for a in detect_alerts(out.system_map, ds))
+        verdicts = [(v.kind, v.node, v.view) for v in trace(out.system_map, ds, alert).verdicts]
+        return alerts, verdicts
+
+    assert outcome(renamed) == outcome(out.dataset)
 
 
 def test_trace_rejects_bad_alerts():
