@@ -74,17 +74,16 @@ class MechanismSwapGame:
     i-th of the r relevant players (sorted, the plan's leaf order) weighs
     ``1 << (r-1-i)``, every other player 0.
 
-    The game is ``dense`` when it has an elimination plan within
-    ``state_limit`` and r is at most ``EXACT_PLAYER_LIMIT``. A dense game
-    fills its :meth:`table` of all ``2**r`` values on first use, block by
-    block: the ``2**j`` keys that share all but their last ``j`` bits come
-    from one run of the plan with the last ``j`` leaves batched
+    A value is computed on first request with its block: the ``2**j``
+    keys that share all but their last ``j`` bits come from one run of the
+    elimination plan with the last ``j`` leaves batched
     (:func:`mechanisms.batched_marginals`) and one ``jsd_rows`` call, for
     the largest ``j`` with ``2**j`` times the plan's largest product at
-    most ``BATCH_STATES``. Only values are kept, never all marginals.
-    Any other game computes each requested coalition alone, caching it
-    by key; past ``state_limit`` its marginal is ``FALLBACK_SAMPLES``
-    ancestral samples seeded ``[seed, key]``.
+    most ``BATCH_STATES``. ``j`` is 0 past ``EXACT_PLAYER_LIMIT`` relevant
+    players and past ``state_limit``, where a marginal is
+    ``FALLBACK_SAMPLES`` ancestral samples seeded ``[seed, key]``. Up to
+    that limit values fill one float64 :meth:`table` of ``2**r`` keys in
+    ``runs`` runs; past it they are cached per key.
     """
 
     def __init__(self, mech: MechanismSet, target: str,
@@ -102,48 +101,52 @@ class MechanismSwapGame:
         except StateSpaceTooLarge:
             self._plan = None
         self.used_sampling = self._plan is None
-        self.dense = not self.used_sampling and r <= EXACT_PLAYER_LIMIT
-        self._table = None
-        self._values = {0: 0.0}      # by key, when the game is not dense
-        self._baseline = (sample_marginal(mech, {}, target, FALLBACK_SAMPLES, [seed, 0])
-                          if self.used_sampling
-                          else target_marginal(mech, {}, target, limit=state_limit))[None]
+        self._j = (min(r, max(0, (BATCH_STATES // self._plan.largest).bit_length() - 1))
+                   if not self.used_sampling and r <= EXACT_PLAYER_LIMIT else 0)
+        self.runs = 1 << (r - self._j)
+        self._values = {0: 0.0}      # by key, when there is no table
+        # NaN marks a key whose block is not computed; v(∅) alone needs no run
+        self._table = np.full(1 << r, np.nan) if r <= EXACT_PLAYER_LIMIT else None
+        if self._table is not None and not self._j:
+            self._table[0] = 0.0
+        baseline = (sample_marginal(mech, {}, target, FALLBACK_SAMPLES, [seed, 0])
+                    if self.used_sampling
+                    else target_marginal(mech, {}, target, limit=state_limit))
+        # one baseline row per block row: a stride-0 broadcast baseline can
+        # change the last ulp of a JSD; a materialized one cannot
+        self._baseline = np.tile(baseline, (1 << self._j, 1))
 
-    def _marginals(self, block: int, j: int) -> np.ndarray:
-        """Target marginals of the ``2**j`` coalitions keyed ``block << j | b``."""
+    def _block(self, block: int) -> np.ndarray:
+        """Game values of the ``2**j`` coalitions keyed ``block << j | b``."""
         if self._plan is None:
             subset = [p for p in self.relevant if self._weight[p] & block]
-            return sample_marginal(self.mech, dict.fromkeys(subset, "cur"), self.target,
+            rows = sample_marginal(self.mech, dict.fromkeys(subset, "cur"), self.target,
                                    FALLBACK_SAMPLES, [self.seed, block])[None]
-        fixed = len(self.relevant) - j
-        windows = [("cur" if block >> (fixed - 1 - i) & 1 else "ref")
-                   for i in range(fixed)] + [None] * j
-        return batched_marginals(self._plan, windows)
+        else:
+            fixed = len(self.relevant) - self._j
+            windows = [("cur" if block >> (fixed - 1 - i) & 1 else "ref")
+                       for i in range(fixed)] + [None] * self._j
+            rows = batched_marginals(self._plan, windows)
+        return jsd_rows(rows, self._baseline)
+
+    def _value(self, key: int) -> float:
+        if self._table is None:
+            if key not in self._values:
+                self._values[key] = self._block(key).item(0)
+            return self._values[key]
+        if math.isnan(self._table[key]):
+            block, j = key >> self._j, self._j
+            self._table[block << j:(block + 1) << j] = self._block(block)
+        return self._table.item(key)
 
     def table(self) -> np.ndarray:
         """All ``2**r`` game values, indexed by key."""
-        r = len(self.relevant)
-        if r > EXACT_PLAYER_LIMIT:
-            raise TooManyPlayers(f"{r} relevant players exceed exact limit {EXACT_PLAYER_LIMIT}")
-        if not self.dense:
-            return np.array([self._value(key) for key in range(1 << r)])
         if self._table is None:
-            j = min(r, max(0, (BATCH_STATES // self._plan.largest).bit_length() - 1))
-            # one baseline row per block row: a stride-0 broadcast baseline can
-            # change the last ulp of a JSD; a materialized one cannot
-            baseline = np.tile(self._baseline, (1 << j, 1))
-            self._table = np.empty(1 << r)
-            for block in range(1 << (r - j)):
-                self._table[block << j:(block + 1) << j] = jsd_rows(
-                    self._marginals(block, j), baseline)
+            raise TooManyPlayers(f"{len(self.relevant)} relevant players exceed "
+                                 f"exact limit {EXACT_PLAYER_LIMIT}")
+        for block in range(self.runs):
+            self._value(block << self._j)
         return self._table
-
-    def _value(self, key: int) -> float:
-        if self.dense:
-            return self.table().item(key)
-        if key not in self._values:
-            self._values[key] = jsd_rows(self._marginals(key, 0), self._baseline).item(0)
-        return self._values[key]
 
     def __call__(self, subset) -> float:
         return self._value(sum(self._weight[p] for p in subset))
@@ -239,7 +242,8 @@ def attribute(mech: MechanismSet, target: str, mode: str = "auto",
 
     ``mode`` "exact" solves the game from its table, "sampled" averages
     over ``permutations`` seeded player orders, and "auto" is exact when
-    the game is dense. Dummies get φ = 0.0. The result's mode is "sampled"
+    the table takes no more runs than the orders could ask for (r + 1
+    coalitions each). Dummies get φ = 0.0. The result's mode is "sampled"
     also when the game fell back to ancestral sampling past ``state_limit``.
     """
     if mode not in MODES:
@@ -248,7 +252,9 @@ def attribute(mech: MechanismSet, target: str, mode: str = "auto",
         raise InsufficientData(
             f"no fitted data for '{target}' in view '{mech.view.name}'")
     game = MechanismSwapGame(mech, target, state_limit, seed=seed)
-    exact = mode == "exact" or (mode == "auto" and game.dense)
+    r = len(game.relevant)
+    exact = mode == "exact" or (mode == "auto" and r <= EXACT_PLAYER_LIMIT
+                                and game.runs <= permutations * (r + 1))
     if exact:
         phi = dict.fromkeys(sorted(game.players), 0.0)
         phi.update(zip(game.relevant, shapley_from_table(game.table()).tolist()))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 
 from . import report as report_mod
@@ -19,6 +20,24 @@ from .mechanisms import DEFAULT_RESPLITS, shift_test
 from .msmformat import parse_map
 from .simulator import ScenarioConfig, churn_map_text, generate_csv
 from .traversal import TraceConfig, detect_alerts, trace
+
+
+def _number(kind, ok, rule: str):
+    """argparse type: ``kind(text)``, a usage error unless ``ok(value)``."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = kind.__name__         # names the type in "invalid int value"
+    return parse
+
+
+def _int_from(low: int):
+    return _number(int, lambda x: x >= low, f"an integer >= {low}")
+
+
+_SHARE = _number(float, lambda x: 0 < x <= 1, "in (0, 1]")
 
 
 def _read(path: str) -> str:
@@ -103,9 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run shift tests on system variables")
     p.add_argument("map")
     p.add_argument("data")
-    p.add_argument("--alpha", type=float, default=detect["alpha"])
-    p.add_argument("--permutations", type=int, default=detect["B"])
-    p.add_argument("--seed", type=int, default=detect["seed"])
+    p.add_argument("--alpha", type=_SHARE, default=detect["alpha"])
+    p.add_argument("--permutations", type=_int_from(100),    # shift_test's least B
+                   default=detect["B"])
+    p.add_argument("--seed", type=_int_from(0), default=detect["seed"])
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_detect)
@@ -115,12 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--alert", required=True)
     config = TraceConfig()
-    p.add_argument("--bins", type=int, default=config.bins)
-    p.add_argument("--tau", type=float, default=config.tau)
-    p.add_argument("--epsilon", type=float, default=config.epsilon)
+    p.add_argument("--bins", type=_int_from(2), default=config.bins)
+    p.add_argument("--tau", type=_SHARE, default=config.tau)
+    p.add_argument("--epsilon", default=config.epsilon,
+                   type=_number(float, lambda x: 0 <= x < math.inf, "finite and >= 0"))
     p.add_argument("--mode", choices=MODES, default=config.mode)
-    p.add_argument("--permutations", type=int, default=config.permutations)
-    p.add_argument("--seed", type=int, default=config.seed)
+    p.add_argument("--permutations", type=_int_from(1), default=config.permutations)
+    p.add_argument("--seed", type=_int_from(0), default=config.seed)
     p.add_argument("--eager-environment", action="store_true")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
@@ -128,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a churn-example scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--n", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int_from(1), default=5000)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out-data", required=True)
     p.add_argument("--out-map", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -145,7 +166,7 @@ def main(argv=None) -> int:
     except MsmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -255,7 +255,8 @@ def test_exact_attribution_evaluates_each_ancestor_coalition_once(monkeypatch):
             outside = non_ancestors(mech, target)
             rows.clear()
             result = attribute(mech, target, mode="exact")
-            assert sum(rows) == 2 ** (len(mech.nodes) - len(outside))
+            single = set(rows) == {1}   # one coalition per run: v(∅) is the literal 0.0
+            assert sum(rows) == 2 ** (len(mech.nodes) - len(outside)) - single
             assert all(result.phi[p] == 0.0 for p in outside)
             checked += bool(outside)
             multi_block += len(rows) > 1
@@ -392,28 +393,74 @@ def test_exact_limit_counts_relevant_players():
     assert attribute(mech, "system.n17", permutations=4).mode == "sampled"
 
 
-def test_auto_fallback_samples_no_more_than_every_coalition(monkeypatch):
-    """Auto mode solves a game past ``state_limit`` over sampled orders,
-    which never draws more sample sets than one per ancestor coalition
-    (the exact solve) did."""
-    real = attribution.sample_marginal
-    calls = []
-    monkeypatch.setattr(attribution, "sample_marginal",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+def table_phi(game):
+    phi = dict.fromkeys(game.players, 0.0)
+    phi.update(zip(game.relevant, attribution.shapley_from_table(game.table()).tolist()))
+    return phi
+
+
+def test_auto_is_exact_only_where_the_table_costs_no_more_than_the_orders():
+    """Auto mode fills the table when its runs are at most
+    ``permutations * (r + 1)``, and otherwise samples orders; past
+    ``state_limit`` each run is one sampling."""
     rng = np.random.default_rng(44)
     checked = 0
     for _ in range(6):
-        mech = random_mechanism_set(rng, n_nodes=int(rng.integers(3, 7)), p_edge=0.8)
+        mech = random_mechanism_set(rng, n_nodes=int(rng.integers(4, 6)), p_edge=0.8)
         target = mech.nodes[-1]
-        if not MechanismSwapGame(mech, target, state_limit=2).used_sampling:
+        game = MechanismSwapGame(mech, target, state_limit=2, seed=3)
+        r = len(game.relevant)
+        if not game.used_sampling or r < 3:
             continue
-        r = len(ancestors(mech.parents, target) | {target})
-        calls.clear()
-        result = attribute(mech, target, state_limit=2, permutations=50)
-        assert result.mode == "sampled"
-        assert len(calls) <= 2 ** r
+        assert game.runs == 2 ** r
+        few = attribute(mech, target, state_limit=2, permutations=1, seed=3)
+        assert few.phi == sampled_shapley(game, game.players, 1, seed=3)
+        many = attribute(mech, target, state_limit=2, permutations=2 ** r, seed=3)
+        assert many.phi == table_phi(game)
+        assert few.mode == many.mode == "sampled"
         checked += 1
     assert checked >= 3
+
+
+def test_auto_samples_a_dense_game_whose_table_takes_more_runs(monkeypatch):
+    monkeypatch.setattr(attribution, "BATCH_STATES", 1)    # one coalition per run
+    mech = random_mechanism_set(np.random.default_rng(45), n_nodes=6, p_edge=0.8)
+    target = mech.nodes[-1]
+    r = len(ancestors(mech.parents, target) | {target})
+    assert MechanismSwapGame(mech, target).runs == 2 ** r > 2 * (r + 1)
+    assert attribute(mech, target, permutations=2).mode == "sampled"
+    assert attribute(mech, target, permutations=2 ** r).mode == "exact"
+
+
+def test_sampled_orders_compute_only_the_blocks_they_reach(monkeypatch):
+    """The table fills lazily: a few sampled orders run the plan once per
+    distinct block asked for, not once per block of the table."""
+    monkeypatch.setattr(attribution, "BATCH_STATES", 16)
+    rows = counting_blocks(monkeypatch)
+    checked = 0
+    for seed in range(6):
+        mech = random_mechanism_set(np.random.default_rng(seed), n_nodes=7, p_edge=0.6)
+        for target in mech.nodes:
+            game = MechanismSwapGame(mech, target)
+            weight = {p: 1 << (len(game.relevant) - 1 - i)
+                      for i, p in enumerate(game.relevant)}
+            asked = set()
+
+            def v(s):
+                asked.add(sum(weight.get(p, 0) for p in s))
+                return game(s)
+
+            rows.clear()
+            sampled_shapley(v, game.players, permutations=1, seed=seed)
+            if game.runs < 4 or not rows:
+                continue
+            j = rows[0].bit_length() - 1
+            assert len(rows) == len({key >> j for key in asked} - ({0} if j == 0 else set()))
+            assert len(rows) < game.runs
+            assert all(game(s) == reference_game_value(mech, target, s)
+                       for s in (frozenset(), frozenset(game.relevant[::2])))
+            checked += 1
+    assert checked >= 8
 
 
 # ---------------------------------------------------------------------------

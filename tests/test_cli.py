@@ -44,21 +44,30 @@ def test_missing_file_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+TRACE = ["trace", "m.msm", "d.csv", "--alert", "system.churn_score"]
+
+
 @pytest.mark.parametrize("command", [
-    ["detect", "MAP", "DATA", "--permutations", "50"],
-    ["trace", "MAP", "DATA", "--alert", "system.churn_score", "--bins", "1"],
-    ["trace", "MAP", "DATA", "--alert", "system.churn_score", "--mode", "sampled",
-     "--permutations", "0"],
-    ["simulate", "--scenario", "S1", "--n", "0", "--out-data", "DATA", "--out-map", "MAP"],
+    ["detect", "m.msm", "d.csv", "--permutations", "50"],
+    ["detect", "m.msm", "d.csv", "--alpha", "2"],
+    ["detect", "m.msm", "d.csv", "--seed", "-1"],
+    TRACE + ["--bins", "1"],
+    TRACE + ["--bins", "eight"],
+    TRACE + ["--mode", "sampled", "--permutations", "0"],
+    TRACE + ["--permutations", "-3"],
+    TRACE + ["--tau", "5"],
+    TRACE + ["--epsilon", "-1"],
+    TRACE + ["--epsilon", "nan"],
+    ["simulate", "--scenario", "S1", "--out-data", "d.csv", "--out-map", "m.msm", "--n", "0"],
 ])
-def test_out_of_range_number_is_usage_error(workspace, tmp_path, capsys, command):
-    _, map_path, data_path = workspace
-    if command[0] == "simulate":
-        map_path, data_path = str(tmp_path / "m.msm"), str(tmp_path / "d.csv")
-    argv = [{"MAP": map_path, "DATA": data_path}.get(a, a) for a in command]
-    assert main(argv) == 2
+def test_out_of_range_number_is_usage_error(capsys, command):
+    """Numbers are checked as arguments are parsed, before any file is
+    read: exit 2 with the argument named and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"error: argument {command[-2]}" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
