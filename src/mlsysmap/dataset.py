@@ -4,6 +4,8 @@ Input is a CSV with a header row, one ``window`` column labeling each row
 ``ref`` or ``cur``, and one column per observed variable named by any
 member of its equivalence class; the simulator hands over the same
 columns as arrays. Every CSV row must have as many cells as the header.
+The text is cut into columns once: split on its commas when it has no
+quotes, blank lines or ragged rows, else read by ``csv.reader``.
 :func:`build_dataset` unifies columns to the canonical (lexicographically
 smallest) class member and types each column once: a column is numeric
 (float64, ``NaN`` = missing, i.e. empty, non-finite or one of
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -36,6 +39,7 @@ from .mapcore import NodeKind, SystemMap, View
 WINDOW_COLUMN = "window"
 WINDOWS = ("ref", "cur")
 MISSING_TOKENS = ("NA", "N/A", "null", "NULL", "None")
+_AS_NAN = dict.fromkeys(("",) + MISSING_TOKENS, "nan")
 
 
 def present(column: np.ndarray) -> np.ndarray:
@@ -45,6 +49,11 @@ def present(column: np.ndarray) -> np.ndarray:
     return ~np.isnan(column)
 
 
+def _labels(cells) -> np.ndarray:
+    """Object array of the interned cells: no cell string outlives the load."""
+    return np.fromiter(map(sys.intern, cells), object, len(cells))
+
+
 @dataclass
 class WindowedDataset:
     """Column store keyed by canonical qualified name, plus window labels."""
@@ -52,6 +61,12 @@ class WindowedDataset:
     columns: dict[str, np.ndarray]   # qname -> float64 or object array of str
     window: np.ndarray               # object array of 'ref' / 'cur'
     warnings: list[str] = field(default_factory=list)
+    _masks: dict = field(init=False, repr=False, compare=False)  # label -> read-only mask
+
+    def __post_init__(self):
+        self._masks = {label: self.window == label for label in WINDOWS}
+        for mask in self._masks.values():
+            mask.flags.writeable = False
 
     @property
     def n_rows(self) -> int:
@@ -60,43 +75,42 @@ class WindowedDataset:
     def window_mask(self, label: str) -> np.ndarray:
         if label not in WINDOWS:
             raise BadWindowLabel(f"unknown window label '{label}'")
-        return self.window == label
+        return self._masks[label]
 
 
-def _typed_column(values: np.ndarray, modulator: bool) -> tuple[np.ndarray, dict]:
+def _typed_column(values, modulator: bool) -> tuple[np.ndarray, dict]:
     """The column as float64 or as str cells, and by reason the number of
     non-empty cells loaded as missing.
 
-    Text is numeric when every non-empty cell parses with ``float``, which
-    the object-to-float cast calls per cell, or is a missing token; tokens
-    are looked for only once that cast has failed.
+    ``values`` is a list of CSV cells or an array. Text is numeric when
+    every cell parses with ``float`` (as the object-to-float cast does), or
+    does once empty cells and missing tokens read as ``"nan"``.
     """
     missing = np.zeros(len(values), dtype=bool)
     tokens = 0
-    if values.dtype.kind in "biuf" and not modulator:
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf" and not modulator:
         floats = values.astype(np.float64)
     else:
-        cells = values if values.dtype == object else values.astype(str).astype(object)
+        cells = values.astype(str).tolist() if isinstance(values, np.ndarray) else values
         if modulator:
-            return cells, {}
-        missing = cells == ""
+            return _labels(cells), {}
         try:
-            floats = np.where(missing, "nan", cells).astype(np.float64)
-        except (TypeError, ValueError):
-            token = np.isin(cells, MISSING_TOKENS)
+            floats = np.fromiter(map(float, cells), np.float64, len(cells))
+        except ValueError:
             try:
-                floats = np.where(missing | token, "nan", cells).astype(np.float64)
-            except (TypeError, ValueError):
-                return cells, {}
-            missing |= token
-            tokens = int(np.count_nonzero(token))
+                floats = np.fromiter(map(float, map(_AS_NAN.get, cells, cells)),
+                                     np.float64, len(cells))
+            except ValueError:
+                return _labels(cells), {}
+            missing = np.fromiter(map(_AS_NAN.__contains__, cells), bool, len(cells))
+            tokens = int(np.count_nonzero(missing)) - cells.count("")
     non_finite = ~np.isfinite(floats)
     floats[non_finite] = np.nan
     return floats, {"non-finite": int(np.count_nonzero(non_finite & ~missing)),
                     "missing-token": tokens}
 
 
-def build_dataset(system_map: SystemMap, columns: Iterable[tuple[str, np.ndarray]],
+def build_dataset(system_map: SystemMap, columns: Iterable[tuple[str, Union[np.ndarray, list]]],
                   window: np.ndarray) -> WindowedDataset:
     """A dataset from (name, cells) columns aligned with ``window``.
 
@@ -104,28 +118,57 @@ def build_dataset(system_map: SystemMap, columns: Iterable[tuple[str, np.ndarray
     class are an error. Columns matching no map node, and non-finite or
     missing-token cells (loaded as missing), are reported as warnings.
     """
-    window = np.asarray(window, dtype=object)
+    ds = WindowedDataset(columns={}, window=np.asarray(window, dtype=object))
     for label in WINDOWS:
-        if not np.any(window == label):
+        if not np.any(ds.window_mask(label)):
             raise EmptyWindow(f"window '{label}' has no rows")
-    warnings: list[str] = []
     claimed_by: dict[str, str] = {}
-    typed: dict[str, np.ndarray] = {}
     for name, values in columns:
         if not system_map.has_node(name):
-            warnings.append(f"column '{name}' matches no map node")
+            ds.warnings.append(f"column '{name}' matches no map node")
             continue
         canonical = system_map.canonical_name(name)
         if canonical in claimed_by:
             raise DuplicateEquivalenceColumn(
-                f"columns '{claimed_by[canonical]}' and '{name}' both map to '{canonical}'"
-            )
+                f"columns '{claimed_by[canonical]}' and '{name}' both map to '{canonical}'")
         claimed_by[canonical] = name
         modulator = system_map.node(canonical).kind is NodeKind.MODULATOR
-        typed[canonical], dropped = _typed_column(np.asarray(values), modulator)
-        warnings.extend(f"column '{name}': {n} {reason} cells loaded as missing"
-                        for reason, n in dropped.items() if n)
-    return WindowedDataset(columns=typed, window=window, warnings=warnings)
+        ds.columns[canonical], dropped = _typed_column(values, modulator)
+        ds.warnings.extend(f"column '{name}': {n} {reason} cells loaded as missing"
+                           for reason, n in dropped.items() if n)
+    return ds
+
+
+def _columns(text: str) -> tuple[list[str], list[list[str]]]:
+    """Header and columns of CSV text.
+
+    Once ``\\r\\n`` and ``\\r`` read as ``\\n`` and one trailing empty line
+    is dropped, text without quotes or NUL (which ``csv`` rejects before
+    Python 3.11) whose lines are non-empty and have the header's comma
+    count is split on commas; anything else goes through ``csv.reader``.
+    """
+    if '"' in text or "\x00" in text:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    else:
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.removesuffix("\n").split("\n") if text else []
+        del text
+        if lines and "" not in lines and len(set(map(str.count, lines, itertools.repeat(",")))) == 1:
+            width = lines[0].count(",") + 1
+            joined = ",".join(lines)     # each copy is freed once it is split
+            del lines
+            cells = joined.split(",")
+            del joined
+            return cells[:width], [cells[width + i::width] for i in range(width)]
+        rows = list(csv.reader(lines))
+    if not rows:
+        raise MissingWindowColumn("empty CSV input")
+    header = rows[0]
+    for n, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise RaggedRow(f"row {n}: {len(row)} cells, header has {len(header)}")
+    return header, [[row[i] for row in rows[1:]] for i in range(len(header))]
 
 
 def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> WindowedDataset:
@@ -133,34 +176,26 @@ def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> Window
 
     A string holding a newline is CSV text; any other string is a path.
     One leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
-    write, is not part of the first header cell.
+    write, is not part of the first header cell. The text is read whole and
+    cut into columns once: unquoted regular text is split on its commas,
+    anything else goes through ``csv.reader``.
     """
     if isinstance(source, str) and "\n" not in source:
         with open(source, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            header, columns = _columns(fh.read())
     else:
-        lines = iter(io.StringIO(source) if isinstance(source, str) else source)
-        first = [line.removeprefix("\ufeff") for line in itertools.islice(lines, 1)]
-        rows = list(csv.reader(itertools.chain(first, lines)))
+        header, columns = _columns(
+            (source if isinstance(source, str) else source.read()).removeprefix("\ufeff"))
 
-    if not rows:
-        raise MissingWindowColumn("empty CSV input")
-    header, data_rows = rows[0], rows[1:]
     if WINDOW_COLUMN not in header:
         raise MissingWindowColumn("CSV has no 'window' column")
-    window_idx = header.index(WINDOW_COLUMN)
-    for n, row in enumerate(data_rows, start=2):
-        if len(row) != len(header):
-            raise RaggedRow(f"row {n}: {len(row)} cells, header has {len(header)}")
-    cells = [np.array([row[i] for row in data_rows], dtype=object)
-             for i in range(len(header))]
-    window = cells[window_idx]
+    window = _labels(columns.pop(header.index(WINDOW_COLUMN)))
+    header.remove(WINDOW_COLUMN)
     bad = np.flatnonzero((window != "ref") & (window != "cur"))
     if len(bad):
         raise BadWindowLabel(
             f"row {bad[0] + 2}: window label '{window[bad[0]]}' (expected ref/cur)")
-    columns = [(name, c) for i, (name, c) in enumerate(zip(header, cells)) if i != window_idx]
-    return build_dataset(system_map, columns, window)
+    return build_dataset(system_map, zip(header, columns), window)
 
 
 @dataclass
@@ -201,31 +236,21 @@ def view_matrix(ds: WindowedDataset, system_map: SystemMap, view: View,
     graph = system_map.view_graph(view)
     mask = ds.window_mask(window)
 
-    included: list[str] = []
     excluded: list[str] = []
-    source: dict[str, str] = {}
+    source: dict[str, str] = {}    # included qname -> its column, in node order
     for node in graph.nodes:
         col = resolve_column(ds, system_map, node.qname)
         if col is None or not np.any(present(ds.columns[col][mask])):
             excluded.append(node.qname)
-            continue
-        included.append(node.qname)
-        source[node.qname] = col
+        else:
+            source[node.qname] = col
 
     complete = mask.copy()
-    for qname in included:
-        complete &= present(ds.columns[source[qname]])
+    for col in source.values():
+        complete &= present(ds.columns[col])
     n = int(np.count_nonzero(complete))
-    if n == 0 or not included:
-        raise NoDataForView(
-            f"no complete rows for view '{view.name}' in window '{window}'"
-        )
-    columns = {q: ds.columns[source[q]][complete] for q in included}
-    return ViewTable(
-        view=view,
-        window=window,
-        nodes=tuple(included),
-        columns=columns,
-        excluded=tuple(excluded),
-        n_rows=n,
-    )
+    if n == 0 or not source:
+        raise NoDataForView(f"no complete rows for view '{view.name}' in window '{window}'")
+    columns = {q: ds.columns[col][complete] for q, col in source.items()}
+    return ViewTable(view=view, window=window, nodes=tuple(source), columns=columns,
+                     excluded=tuple(excluded), n_rows=n)

@@ -32,6 +32,7 @@ downstream table.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -85,8 +86,8 @@ class CategoryList:
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         index = {c: i for i, c in enumerate(self.categories)}
-        unseen = len(self.categories)
-        return np.array([index.get(str(v), unseen) for v in values], dtype=np.int64)
+        unseen = itertools.repeat(len(self.categories))
+        return np.fromiter(map(index.get, map(str, values), unseen), np.int64, len(values))
 
     def labels(self) -> tuple[str, ...]:
         return self.categories + (UNSEEN,)
@@ -192,7 +193,10 @@ def fit_mechanisms(system_map: SystemMap, ds: WindowedDataset, view: View,
         pa = parents[q]
         child_k = disc[q].n_states
         pa_dims = tuple(disc[p].n_states for p in pa)
-        n_cfg = int(np.prod(pa_dims)) if pa else 1
+        n_cfg = math.prod(pa_dims)
+        if n_cfg * child_k > DEFAULT_STATE_LIMIT:
+            raise StateSpaceTooLarge(f"table of '{q}' given {', '.join(pa)} has "
+                                     f"{n_cfg * child_k} cells (limit {DEFAULT_STATE_LIMIT})")
         counts = {}
         for w in ("ref", "cur"):
             if pa:

@@ -5,9 +5,14 @@ import inspect
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mlsysmap import mechanisms
 from mlsysmap.cli import build_parser, main
-from mlsysmap.simulator import churn_map_text
+from mlsysmap.dataset import load_csv
+from mlsysmap.msmformat import parse_map
+from mlsysmap.simulator import EXPECTED_TRACES, ScenarioConfig, churn_map_text, generate_csv
 from mlsysmap.traversal import TraceConfig, detect_alerts
 
 
@@ -195,3 +200,66 @@ def test_trace_alert_without_data_is_a_domain_error(workspace, tmp_path, capsys)
     assert rc == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert "system.promo_ranking" in err
+
+
+def test_table_past_the_state_limit_is_a_domain_error(workspace, monkeypatch, capsys):
+    # a view whose table would outgrow the bound stops before any counting
+    _, map_path, data_path = workspace
+    monkeypatch.setattr(mechanisms, "DEFAULT_STATE_LIMIT", 20)
+    rc = main(["trace", map_path, data_path, "--alert", "system.outreach_decision"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "cells (limit 20)" in err
+
+
+def report_bytes(map_path, text, workdir, scenario):
+    """``msm detect`` and ``msm trace`` JSON of the scenario's alert on CSV ``text``."""
+    data = workdir / "data.csv"
+    data.write_text(text, encoding="utf-8")
+    out = []
+    for argv in (["detect"], ["trace", "--alert", EXPECTED_TRACES[scenario][0]]):
+        path = workdir / f"{argv[0]}.json"
+        assert main(argv[:1] + [map_path, str(data)] + argv[1:]
+                    + ["--format", "json", "--out", str(path)]) == 0
+        out.append(path.read_bytes())
+    return out
+
+
+@pytest.fixture(scope="module")
+def canonical_runs(workspace, tmp_path_factory):
+    """S2 and S6 at n = 1000 under the simulator's header, which names each
+    column by its canonical class member, with their reports."""
+    _, map_path, _ = workspace
+    runs = {}
+    for scenario in ("S2", "S6"):
+        text = generate_csv(ScenarioConfig(scenario, n=1000, seed=0))
+        runs[scenario] = text, report_bytes(map_path, text, tmp_path_factory.mktemp(scenario),
+                                            scenario)
+    return map_path, runs
+
+
+@pytest.mark.parametrize("scenario", ["S2", "S6"])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_header_may_name_any_class_member(canonical_runs, tmp_path_factory, scenario, data):
+    """A column named by another member of its equivalence class loads to
+    the same typed column and gives the same reports, byte for byte."""
+    map_path, runs = canonical_runs
+    text, want = runs[scenario]
+    system_map = parse_map(churn_map_text())
+    header, body = text.split("\n", 1)
+    names = header.split(",")
+    others = {n: [m for m in system_map.equivalence_class(n) if m != n]
+              for n in names if system_map.has_node(n)}
+    renamed = data.draw(st.sets(st.sampled_from(sorted(n for n in others if others[n])),
+                                min_size=1), label="renamed columns")
+    alias = {n: data.draw(st.sampled_from(others[n]), label=n) for n in sorted(renamed)}
+    text_alias = ",".join(alias.get(n, n) for n in names) + "\n" + body
+    got, clean = load_csv(system_map, text_alias), load_csv(system_map, text)
+    assert list(got.columns) == list(clean.columns) and got.warnings == clean.warnings == []
+    for q, col in clean.columns.items():
+        assert got.columns[q].dtype == col.dtype
+        assert list(got.columns[q]) == list(col) if col.dtype == object else (
+            got.columns[q].tobytes() == col.tobytes())
+    assert report_bytes(map_path, text_alias, tmp_path_factory.mktemp("alias"), scenario) == want

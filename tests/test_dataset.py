@@ -1,6 +1,7 @@
 """CSV loading, equivalence unification, column typing, and per-view
 complete-case tables."""
 
+import csv
 import io
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsysmap.dataset import load_csv, present, resolve_column, view_matrix
+from mlsysmap.dataset import _columns, load_csv, present, resolve_column, view_matrix
 from mlsysmap.errors import (
     BadWindowLabel,
     DuplicateEquivalenceColumn,
@@ -307,3 +308,83 @@ def test_fitted_mechanisms_ignore_data_layout(data):
     shuffled = ([("ref",) + r for r in data.draw(st.permutations(ref))]
                 + [("cur",) + r for r in data.draw(st.permutations(cur))])
     assert _fitted(header, shuffled) == want
+
+
+# -- cutting the text into columns: split on commas or csv.reader --------------
+
+def _csv_reader_columns(text):
+    """Header and columns as ``csv.reader`` reads the text, with the load's
+    empty-input and ragged-row errors."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if not rows:
+        raise MissingWindowColumn("empty CSV input")
+    for n, row in enumerate(rows[1:], start=2):
+        if len(row) != len(rows[0]):
+            raise RaggedRow(f"row {n}: {len(row)} cells, header has {len(rows[0])}")
+    return rows[0], [[row[i] for row in rows[1:]] for i in range(len(rows[0]))]
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except Exception as exc:    # the error itself is the outcome to compare
+        return type(exc), str(exc)
+
+
+_CELL = st.text(st.sampled_from([" ", "\x00", "\x0c", "\x85", "'", ";", "\t", "é",
+                                 "a", "1", ".", "-"]), max_size=3)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_split_path_equals_csv_reader(data):
+    width = data.draw(st.integers(1, 4), label="width")
+    lines = [",".join(data.draw(st.lists(_CELL, min_size=width, max_size=width)))]
+    for _ in range(data.draw(st.integers(0, 5), label="rows")):
+        size = width + data.draw(st.sampled_from([0, 0, 0, -1, 1]))   # a few ragged rows
+        lines.append(",".join(data.draw(st.lists(_CELL, min_size=max(size, 0),
+                                                 max_size=max(size, 0)))))
+    for _ in range(data.draw(st.integers(0, 2), label="blank lines")):
+        lines.insert(data.draw(st.integers(0, len(lines))), "")
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + data.draw(ends) for line in lines[:-1]) + lines[-1]
+    text += "".join(data.draw(st.lists(ends, max_size=2), label="trailing line ends"))
+    assert _outcome(_columns, text) == _outcome(_csv_reader_columns, text)
+
+
+def test_quoted_cell_loads_like_the_split_path(tmp_path):
+    # quoting a cell changes nothing but the path its text goes through
+    quoted = CSV.replace("ref,1.0,0.1,a", 'ref,"1.0",0.1,"a"')
+    assert _columns(quoted) == _columns(CSV)
+    _assert_same_dataset(load_csv(MAP, quoted), load_csv(MAP, CSV))
+    # a comma inside quotes is part of its cell; every other cell loads as split
+    p = tmp_path / "comma.csv"
+    p.write_text(CSV.replace("cur,4.0,0.4,b", 'cur,4.0,0.4,"b,c"'), encoding="utf-8")
+    ds, clean = load_csv(MAP, str(p)), load_csv(MAP, CSV)
+    assert list(ds.columns["pipe.raw"]) == ["a", "b", "a", "b,c"]
+    ds.columns["pipe.raw"][3] = "b"
+    _assert_same_dataset(ds, clean)
+
+
+def test_window_masks_are_built_once_and_read_only():
+    ds = load_csv(MAP, CSV)
+    for label in ("ref", "cur"):
+        mask = ds.window_mask(label)
+        assert mask is ds.window_mask(label)
+        assert not mask.flags.writeable
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, ds.window == label)
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+    with pytest.raises(BadWindowLabel):
+        ds.window_mask("now")
+
+
+def test_equal_labels_share_one_str():
+    # label columns hold interned cells, so no cell string of the text outlives the load
+    ds = load_csv(MAP, "window,pipe.raw,system.score\n"
+                       "ref,ab,1\nref,ab,2\ncur,ab,3\ncur,cd,4\n")
+    raw, window = ds.columns["pipe.raw"], ds.window
+    assert list(raw) == ["ab", "ab", "ab", "cd"]
+    assert raw[0] is raw[1] is raw[2]
+    assert window[0] is window[1] and window[2] is window[3]

@@ -21,6 +21,7 @@ from mlsysmap.errors import (
     NotNormalized,
     StateSpaceTooLarge,
 )
+from mlsysmap import mechanisms
 from mlsysmap.mapcore import View
 from mlsysmap.mechanisms import (
     UNSEEN,
@@ -197,6 +198,24 @@ def test_fit_discretization_rejects_bad_inputs():
     ds = load_csv(CHAIN_MAP, CHAIN_CSV)
     with pytest.raises(ValueError):
         fit_mechanisms(CHAIN_MAP, ds, View.system(), k=1)
+
+
+def test_table_size_is_checked_before_counting(monkeypatch):
+    # system.b has 3 parent configurations (x, y, unseen) and 3 states: 9 cells
+    ds = load_csv(CHAIN_MAP, CHAIN_CSV)
+    monkeypatch.setattr(mechanisms, "DEFAULT_STATE_LIMIT", 9)
+    assert fit_mechanisms(CHAIN_MAP, ds, View.system()).tables["system.b"]["ref"].shape == (3, 3)
+
+    bincount = np.bincount
+
+    def no_oversized_counts(x, minlength=0):
+        assert minlength <= 8, "counted into a table past the limit"
+        return bincount(x, minlength=minlength)
+
+    monkeypatch.setattr(mechanisms, "DEFAULT_STATE_LIMIT", 8)
+    monkeypatch.setattr(np, "bincount", no_oversized_counts)
+    with pytest.raises(StateSpaceTooLarge, match=r"'system\.b' given system\.a has 9 cells"):
+        fit_mechanisms(CHAIN_MAP, ds, View.system())
 
 
 def test_empty_table_rejected():

@@ -24,7 +24,7 @@ from mlsysmap.traversal import (
     trace,
 )
 
-from mlsysmap.simulator import EXPECTED_TRACES
+from mlsysmap.simulator import EXPECTED_TRACES, ScenarioConfig, churn_map, generate_csv
 
 from helpers import simulate
 
@@ -258,6 +258,38 @@ def test_alerts_and_verdicts_invariant_to_any_category_renaming(scenario, data):
         return alerts, verdicts
 
     assert outcome(renamed) == outcome(out.dataset)
+
+
+@functools.lru_cache(maxsize=None)
+def scenario_csv(scenario):
+    return generate_csv(ScenarioConfig(scenario, n=5000, seed=0))
+
+
+def blank_cells(text, seed, share=0.01):
+    """CSV text with about ``share`` of the cells of every column except
+    ``window`` emptied, at random places drawn from ``seed``."""
+    header, *lines = text.removesuffix("\n").split("\n")
+    rows = np.array([line.split(",") for line in lines], dtype=object)
+    blank = np.random.default_rng(seed).random(rows.shape) < share
+    blank[:, header.split(",").index("window")] = False
+    rows[blank] = ""
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("scenario", sorted(EXPECTED_TRACES))
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_few_missing_cells_never_flip_a_verdict(scenario, seed):
+    """Missing cells drop rows from a view's complete cases; at 1% of the
+    cells of n = 5000 rows per window that must not change what is found."""
+    alert, path, kind, node = EXPECTED_TRACES[scenario]
+    system_map = churn_map()
+    ds = load_csv(system_map, blank_cells(scenario_csv(scenario), seed))
+    assert not any(present(col).all() for col in ds.columns.values())
+    assert alert in [a.node for a in detect_alerts(system_map, ds)]
+    report = trace(system_map, ds, alert)
+    assert first_child_path(report) == path
+    assert any(v.kind == kind and v.node == node for v in report.verdicts)
 
 
 def test_trace_rejects_bad_alerts():
