@@ -30,8 +30,8 @@ import numpy as np
 from . import mechanisms as mech_mod
 from .errors import InsufficientData, StateSpaceTooLarge, TooManyPlayers
 from .mapcore import View, ancestors
-from .mechanisms import (MechanismSet, batched_marginals, elimination_plan, jsd_rows,
-                         sample_marginal, target_marginal)
+from .mechanisms import (MechanismSet, StepMemo, batched_marginals, elimination_plan,
+                         jsd_rows, sample_marginal, target_marginal)
 
 EXACT_PLAYER_LIMIT = 16           # most relevant players solved exactly
 DEFAULT_PERMUTATIONS = 500        # sampled-Shapley player orders
@@ -83,7 +83,11 @@ class MechanismSwapGame:
     players and past ``state_limit``, where a marginal is
     ``FALLBACK_SAMPLES`` ancestral samples seeded ``[seed, key]``. Up to
     that limit values fill one float64 :meth:`table` of ``2**r`` keys in
-    ``runs`` runs; past it they are cached per key.
+    ``runs`` runs; past it they are cached per key. With more than one
+    run, the runs share a :class:`mechanisms.StepMemo` of at most
+    ``BATCH_STATES`` states: while it has room, an elimination step runs
+    once per value of ``block & mask``, ``mask`` marking the fixed leaves
+    it depends on, and a step that depends on all of them once per block.
     """
 
     def __init__(self, mech: MechanismSet, target: str,
@@ -104,6 +108,7 @@ class MechanismSwapGame:
         self._j = (min(r, max(0, (BATCH_STATES // self._plan.largest).bit_length() - 1))
                    if not self.used_sampling and r <= EXACT_PLAYER_LIMIT else 0)
         self.runs = 1 << (r - self._j)
+        self._memo = StepMemo(BATCH_STATES) if not self.used_sampling and self.runs > 1 else None
         self._values = {0: 0.0}      # by key, when there is no table
         # NaN marks a key whose block is not computed; v(∅) alone needs no run
         self._table = np.full(1 << r, np.nan) if r <= EXACT_PLAYER_LIMIT else None
@@ -126,7 +131,7 @@ class MechanismSwapGame:
             fixed = len(self.relevant) - self._j
             windows = [("cur" if block >> (fixed - 1 - i) & 1 else "ref")
                        for i in range(fixed)] + [None] * self._j
-            rows = batched_marginals(self._plan, windows)
+            rows = batched_marginals(self._plan, windows, self._memo)
         return jsd_rows(rows, self._baseline)
 
     def _value(self, key: int) -> float:

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import (
     BadWindowLabel,
+    DatasetError,
     DuplicateEquivalenceColumn,
     EmptyWindow,
     MissingWindowColumn,
@@ -148,7 +149,7 @@ def _columns(text: str) -> tuple[list[str], list[list[str]]]:
     count is split on commas; anything else goes through ``csv.reader``.
     """
     if '"' in text or "\x00" in text:
-        rows = list(csv.reader(io.StringIO(text, newline="")))
+        lines = io.StringIO(text, newline="")
     else:
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -161,7 +162,11 @@ def _columns(text: str) -> tuple[list[str], list[list[str]]]:
             cells = joined.split(",")
             del joined
             return cells[:width], [cells[width + i::width] for i in range(width)]
-        rows = list(csv.reader(lines))
+    reader = csv.reader(lines)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:     # a cell past csv.field_size_limit(), say
+        raise DatasetError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise MissingWindowColumn("empty CSV input")
     header = rows[0]
@@ -171,6 +176,22 @@ def _columns(text: str) -> tuple[list[str], list[list[str]]]:
     return header, [[row[i] for row in rows[1:]] for i in range(len(header))]
 
 
+def _text(source: Union[str, io.TextIOBase]) -> str:
+    """The text of a CSV path, text or stream, less one leading byte-order mark."""
+    if isinstance(source, str) and "\n" not in source:
+        with open(source, "rb") as fh:
+            data = fh.read()
+        try:
+            source = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise DatasetError(f"line {line}, byte {exc.start}: not UTF-8 "
+                               f"({exc.reason})") from None
+    elif not isinstance(source, str):
+        source = source.read()
+    return source.removeprefix("\ufeff")
+
+
 def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> WindowedDataset:
     """Read a CSV file (path, text, or open stream) against a map.
 
@@ -178,14 +199,11 @@ def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> Window
     One leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
     write, is not part of the first header cell. The text is read whole and
     cut into columns once: unquoted regular text is split on its commas,
-    anything else goes through ``csv.reader``.
+    anything else goes through ``csv.reader``. A file that is not UTF-8,
+    or a quoted cell longer than ``csv.field_size_limit()``, raises
+    ``DatasetError`` naming its line.
     """
-    if isinstance(source, str) and "\n" not in source:
-        with open(source, newline="", encoding="utf-8-sig") as fh:
-            header, columns = _columns(fh.read())
-    else:
-        header, columns = _columns(
-            (source if isinstance(source, str) else source.read()).removeprefix("\ufeff"))
+    header, columns = _columns(_text(source))
 
     if WINDOW_COLUMN not in header:
         raise MissingWindowColumn("CSV has no 'window' column")

@@ -10,8 +10,10 @@ assignment; ``batched_marginals`` runs it once for every ref/cur choice
 of a set of batched leaves, each carrying its two tables on a window
 axis that is never summed out (a regime indicator in the sense of
 Dawid, "Influence diagrams for causal modelling and inference", Int.
-Stat. Review 2002), with rows bit-identical to ``target_marginal``. A
-sampled fallback uses ancestral sampling. Jensen-Shannon divergence
+Stat. Review 2002), with rows bit-identical to ``target_marginal``.
+Runs that share a ``StepMemo`` compute each elimination step once per
+window choice of the fixed leaves that step depends on. A sampled
+fallback uses ancestral sampling. Jensen-Shannon divergence
 (natural log) is the one shift measure, computed by the unchecked
 kernel ``jsd_rows``; ``jsd`` validates outside input first. Every table
 is Laplace-smoothed with ``SMOOTHING`` pseudo-counts per state.
@@ -32,8 +34,10 @@ downstream table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -233,6 +237,8 @@ class _EliminationPlan:
     factors in ``slots`` left to right, reshaping the running product and
     the next factor to the shapes in ``shapes`` so they broadcast over the
     union scope, then sums out ``axis``; the result takes the next slot.
+    A step's ``mask`` has bit ``n-1-i`` set, of ``n`` leaves, when its
+    result depends on leaf ``i``.
     The marginal is the product of the ``target_slots`` factors, the
     factors left over the target alone. ``largest`` is the size of the
     largest table or product one run touches. ``error`` is set, and
@@ -250,6 +256,7 @@ def _plan_elimination(mech: MechanismSet, target: str, limit: int) -> _Eliminati
     """Min-degree elimination order, lexicographic tie-breaks."""
     relevant = ancestors(mech.parents, target) | {target}
     leaves, factors, dims, largest = [], [], {}, 0
+    masks = [1 << (len(relevant) - 1 - slot) for slot in range(len(relevant))]
     for slot, q in enumerate(sorted(relevant)):
         scope = mech.parents[q] + (q,)
         order = tuple(sorted(scope))
@@ -282,10 +289,10 @@ def _plan_elimination(mech: MechanismSet, target: str, limit: int) -> _Eliminati
             shapes.append(tuple(tuple(dims[v] if v in s else 1 for v in allvars)
                                 for s in (scope, other)))
             scope = allvars
-        steps.append((tuple(slot for _, slot in group), tuple(shapes),
-                      scope.index(victim)))
-        factors.append((tuple(v for v in scope if v != victim),
-                        len(leaves) + len(steps) - 1))
+        slots = tuple(slot for _, slot in group)
+        masks.append(functools.reduce(operator.or_, (masks[s] for s in slots)))
+        steps.append((slots, tuple(shapes), scope.index(victim), masks[-1]))
+        factors.append((tuple(v for v in scope if v != victim), len(masks) - 1))
         to_eliminate.discard(victim)
 
     # the ancestral set is connected through the target, and eliminating
@@ -315,17 +322,50 @@ def elimination_plan(mech: MechanismSet, target: str,
     return plan
 
 
-def _run_plan(plan: _EliminationPlan, values: list, r: int) -> np.ndarray:
+def _run_step(values: list, slots, shapes, axis: int, r: int) -> np.ndarray:
+    """One planned multiply-and-sum on values with ``r`` leading window axes."""
+    prod = values[slots[0]]
+    for slot, (lhs, rhs) in zip(slots[1:], shapes):
+        factor = values[slot]
+        if r:
+            lhs, rhs = prod.shape[:r] + lhs, factor.shape[:r] + rhs
+        prod = prod.reshape(lhs) * factor.reshape(rhs)
+    return prod.sum(axis=r + axis)
+
+
+@dataclass
+class StepMemo:
+    """What the batched runs of one plan share, when every run batches the
+    same leaves: the leaf values, built on the first run, and each step's
+    result keyed by ``(step, cur & mask)``, ``cur`` holding the mask bits
+    of the fixed leaves on ``cur``. A step that depends on every ``fixed``
+    leaf is unique to its run and not kept, and nothing more is kept once
+    the results hold ``limit`` states."""
+
+    limit: int
+    leaves: list = field(default_factory=list)
+    fixed: int = 0
+    steps: dict = field(default_factory=dict)
+    states: int = 0
+
+
+def _run_plan(plan: _EliminationPlan, values: list, r: int,
+              memo: Optional[StepMemo] = None, cur: int = 0) -> np.ndarray:
     """The planned multiplies and sums on leaf ``values`` that each carry
-    ``r`` leading window axes; those axes broadcast and are never summed."""
-    for slots, shapes, axis in plan.steps:
-        prod = values[slots[0]]
-        for slot, (lhs, rhs) in zip(slots[1:], shapes):
-            factor = values[slot]
-            if r:
-                lhs, rhs = prod.shape[:r] + lhs, factor.shape[:r] + rhs
-            prod = prod.reshape(lhs) * factor.reshape(rhs)
-        values.append(prod.sum(axis=r + axis))
+    ``r`` leading window axes; those axes broadcast and are never summed.
+    With a ``memo``, a step computes only when the memo lacks its result."""
+    for step, (slots, shapes, axis, mask) in enumerate(plan.steps):
+        if memo is None or mask & memo.fixed == memo.fixed:
+            values.append(_run_step(values, slots, shapes, axis, r))
+            continue
+        key = (step, cur & mask)
+        out = memo.steps.get(key)
+        if out is None:
+            out = _run_step(values, slots, shapes, axis, r)
+            if memo.states + out.size <= memo.limit:
+                memo.steps[key] = out
+                memo.states += out.size
+        values.append(out)
     out = values[plan.target_slots[0]].copy()
     for slot in plan.target_slots[1:]:
         out = out * values[slot]
@@ -346,7 +386,8 @@ def target_marginal(mech: MechanismSet, assignment: dict, target: str,
     return _run_plan(plan, [tables[assignment.get(q, "ref")] for q, tables in plan.leaves], 0)
 
 
-def batched_marginals(plan: _EliminationPlan, windows: Sequence[Optional[str]]) -> np.ndarray:
+def batched_marginals(plan: _EliminationPlan, windows: Sequence[Optional[str]],
+                      memo: Optional[StepMemo] = None) -> np.ndarray:
     """Target marginals for every window choice of the batched leaves.
 
     ``windows[i]`` is ``"ref"`` or ``"cur"`` for a fixed leaf of ``plan``
@@ -355,22 +396,28 @@ def batched_marginals(plan: _EliminationPlan, windows: Sequence[Optional[str]]) 
     ``i`` (in leaf order) on ``cur`` when bit ``j-1-i`` of ``b`` is set.
     One run of the plan computes every row: each batched leaf carries
     its ref and cur tables on its own window axis, and the planned
-    multiplies broadcast over those axes. Each row is bit-identical to
-    ``target_marginal`` under the same assignment.
+    multiplies broadcast over those axes. Runs that share a ``memo``
+    reuse its leaf values and every step result it holds for the same
+    windows of the fixed leaves that step depends on. Each row is
+    bit-identical to ``target_marginal`` under the same assignment.
     """
-    j = windows.count(None)
-    if not j:
-        return _run_plan(plan, [t[w] for (_, t), w in zip(plan.leaves, windows)], 0)[None]
-    values, i = [], 0
-    for (_, tables), w in zip(plan.leaves, windows):
-        if w is None:
-            stacked = np.stack([tables["ref"], tables["cur"]])
-            values.append(stacked.reshape((1,) * i + (2,) + (1,) * (j - i - 1)
-                                          + stacked.shape[1:]))
-            i += 1
-        else:
-            values.append(tables[w].reshape((1,) * j + tables[w].shape))
-    return np.ascontiguousarray(_run_plan(plan, values, j)).reshape(1 << j, -1)
+    j, n = windows.count(None), len(windows)
+    leaves = memo.leaves if memo is not None else []
+    if not leaves:
+        i = 0
+        for (_, tables), w in zip(plan.leaves, windows):
+            if w is None:
+                stacked = np.stack([tables["ref"], tables["cur"]])
+                leaves.append({None: stacked.reshape((1,) * i + (2,) + (1,) * (j - i - 1)
+                                                     + stacked.shape[1:])})
+                i += 1
+            else:
+                leaves.append({v: t.reshape((1,) * j + t.shape) for v, t in tables.items()})
+        if memo is not None:
+            memo.fixed = sum(1 << (n - 1 - i) for i, w in enumerate(windows) if w is not None)
+    cur = sum(1 << (n - 1 - i) for i, w in enumerate(windows) if w == "cur")
+    values = [leaf[w] for leaf, w in zip(leaves, windows)]
+    return np.ascontiguousarray(_run_plan(plan, values, j, memo, cur)).reshape(1 << j, -1)
 
 
 def sample_marginal(mech: MechanismSet, assignment: dict, target: str,

@@ -2,10 +2,12 @@
 mechanism-swap game, and the concentrated/distributed/negligible
 classification."""
 
+import math
+
 import numpy as np
 import pytest
 
-from mlsysmap import attribution
+from mlsysmap import attribution, mechanisms
 from mlsysmap.attribution import (
     MechanismSwapGame,
     attribute,
@@ -461,6 +463,102 @@ def test_sampled_orders_compute_only_the_blocks_they_reach(monkeypatch):
                        for s in (frozenset(), frozenset(game.relevant[::2])))
             checked += 1
     assert checked >= 8
+
+
+def counting_steps(monkeypatch):
+    """Patch the plan's one-step executor and the game's batched runs to
+    record, per executed step, its slots and the window choices of its run."""
+    real_step, real_run = mechanisms._run_step, attribution.batched_marginals
+    runs, steps = [], []
+
+    def run(plan, windows, *args):
+        runs.append(tuple(windows))
+        return real_run(plan, windows, *args)
+
+    def step(values, slots, *args):
+        steps.append((runs[-1] if runs else None, slots))
+        return real_step(values, slots, *args)
+
+    monkeypatch.setattr(attribution, "batched_marginals", run)
+    monkeypatch.setattr(mechanisms, "_run_step", step)
+    return runs, steps
+
+
+def step_masks(game):
+    """Per step slots: its mask over the fixed leaves, and the all-fixed mask."""
+    j = len(game.relevant) - (game.runs.bit_length() - 1)
+    return {slots: mask >> j for slots, _, _, mask in game._plan.steps}, game.runs - 1
+
+
+def fixed_key(windows):
+    return sum(1 << (len(windows) - 1 - i) for i, w in enumerate(windows) if w == "cur") \
+        >> windows.count(None)
+
+
+@pytest.mark.parametrize("batch_states", [8, 32])
+def test_memoized_steps_equal_per_coalition_reference(monkeypatch, batch_states):
+    """With the memo full after a few results, every table value and the
+    sampled φ, whose blocks arrive out of order, equal per-coalition
+    evaluation, and the memo holds at most ``BATCH_STATES`` states."""
+    monkeypatch.setattr(attribution, "BATCH_STATES", batch_states)
+    runs, steps = counting_steps(monkeypatch)
+    rng = np.random.default_rng(46)
+    capped = 0
+    for _ in range(10):
+        mech = random_mechanism_set(rng, n_nodes=int(rng.integers(4, 7)), p_edge=0.6)
+        for target in mech.nodes:
+            game = MechanismSwapGame(mech, target)
+            if game.runs < 4:
+                continue
+            runs.clear(), steps.clear()
+            table = game.table()
+            r = len(game.relevant)
+            for key in range(1 << r):
+                s = [p for i, p in enumerate(game.relevant) if key >> (r - 1 - i) & 1]
+                assert table[key] == reference_game_value(mech, target, s)
+            assert game._memo.states <= batch_states
+            masks, full = step_masks(game)
+            seen = [(slots, fixed_key(w) & masks[slots]) for w, slots in steps
+                    if masks[slots] != full]
+            capped += len(seen) > len(set(seen))
+            seed = int(rng.integers(100))
+            reference = sampled_shapley(lambda s: reference_game_value(mech, target, s),
+                                        mech.nodes, 3, seed)
+            assert attribute(mech, target, mode="sampled", permutations=3,
+                             seed=seed).phi == reference
+    assert capped >= 5
+
+
+def test_each_step_runs_once_per_assignment_of_its_fixed_leaves(monkeypatch):
+    """A many-block fill with room in the memo runs a step once per
+    distinct ``block & mask``, and a step over every fixed leaf once per
+    block; most games run fewer steps than blocks times steps."""
+    monkeypatch.setattr(attribution, "BATCH_STATES", 16)
+    monkeypatch.setattr(attribution, "StepMemo", lambda limit: mechanisms.StepMemo(math.inf))
+    runs, steps = counting_steps(monkeypatch)
+    checked = saved = 0
+    for seed in range(6):
+        mech = random_mechanism_set(np.random.default_rng(seed), n_nodes=7, p_edge=0.6)
+        for target in mech.nodes:
+            game = MechanismSwapGame(mech, target)
+            if game.runs < 4:
+                continue
+            runs.clear(), steps.clear()
+            game.table()
+            assert len(set(runs)) == len(runs) >= game.runs - 1   # v(∅) may need no run
+            masks, full = step_masks(game)
+            expected = []
+            for windows in runs:
+                block = fixed_key(windows)
+                expected += [(slots, block & mask) for slots, mask in masks.items()
+                             if mask == full or (slots, block & mask) not in expected]
+            executed = [(slots, fixed_key(w) & masks[slots]) for w, slots in steps]
+            assert sorted(executed) == sorted(expected)
+            kept = [game._plan.steps[step][0] for step, _ in game._memo.steps]
+            assert full not in [masks[slots] for slots in kept]   # unique per block
+            saved += len(executed) < len(masks) * game.runs
+            checked += 1
+    assert checked >= 10 and saved >= 10
 
 
 # ---------------------------------------------------------------------------

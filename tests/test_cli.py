@@ -3,6 +3,7 @@
 import csv
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +212,51 @@ def test_table_past_the_state_limit_is_a_domain_error(workspace, monkeypatch, ca
     assert rc == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert "cells (limit 20)" in err
+
+
+def test_csv_that_is_not_utf8_is_a_domain_error(workspace, tmp_path, capsys):
+    _, map_path, data_path = workspace
+    lines = Path(data_path).read_bytes().split(b"\n")
+    lines[4] = b"caf\xe9," + lines[4].split(b",", 1)[1]      # one Latin-1 byte
+    latin = tmp_path / "latin1.csv"
+    latin.write_bytes(b"\n".join(lines))
+    assert main(["detect", map_path, str(latin)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 5, byte ") and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_csv_cell_past_the_field_limit_is_a_domain_error(workspace, tmp_path, capsys):
+    _, map_path, data_path = workspace
+    limit = csv.field_size_limit()
+    with open(data_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[3][1] = "x" * (limit + 1)
+    long_cell = tmp_path / "long_cell.csv"
+    with open(long_cell, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC).writerows(rows)
+    assert main(["detect", map_path, str(long_cell)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4: field larger than field limit")
+    assert "Traceback" not in err
+    assert csv.field_size_limit() == limit
+
+
+def test_map_with_byte_order_mark_reads_like_the_plain_map(workspace, tmp_path, capsys):
+    _, map_path, data_path = workspace
+    bom_map = tmp_path / "bom.msm"
+    bom_map.write_text("\ufeff" + Path(map_path).read_text(encoding="utf-8"), encoding="utf-8")
+    outputs = []
+    for path in (map_path, str(bom_map)):
+        assert main(["validate", path]) == 0
+        out = [capsys.readouterr().out.replace(path, "MAP")]
+        for argv in (["detect", "--permutations", "150"],
+                     ["trace", "--alert", "system.outreach_decision"]):
+            assert main(argv[:1] + [path, data_path] + argv[1:] + ["--format", "json"]) == 0
+            out.append(capsys.readouterr().out)
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == "MAP: ok\n"
 
 
 def report_bytes(map_path, text, workdir, scenario):
