@@ -15,7 +15,7 @@ import sys
 from . import report as report_mod
 from .attribution import MODES
 from .dataset import load_csv
-from .errors import MsmError
+from .errors import MsmError, ParseError
 from .mechanisms import DEFAULT_RESPLITS, shift_test
 from .msmformat import parse_map
 from .simulator import ScenarioConfig, churn_map_text, generate_csv
@@ -41,8 +41,15 @@ _SHARE = _number(float, lambda x: 0 < x <= 1, "in (0, 1]")
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    """The text of a map file, line ends read as in text mode. A byte that
+    is not UTF-8 raises ParseError at its line and column."""
+    with open(path, "rb") as fh:     # a line-end byte is never part of a UTF-8 sequence
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8").split("\n")
+        raise ParseError(f"not UTF-8 ({exc.reason})", len(before), len(before[-1]) + 1) from None
 
 
 def _emit(doc: dict, args):

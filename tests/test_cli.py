@@ -45,6 +45,28 @@ def test_validate_rejects_bad_map(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["validate"], ["detect"], ["trace", "--alert", "system.a"]])
+@pytest.mark.parametrize("data, where", [
+    (b"map m\nview system\ndata caf\xe9", "line 3, col 9"),
+    ("map m\r\nview system\r\ndata café x".encode() + b"\xff", "line 3, col 12"),
+])
+def test_map_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command, data, where):
+    bad = tmp_path / "bad.msm"
+    bad.write_bytes(data)
+    argv = command[:1] + [str(bad)] + (["d.csv"] if command[0] != "validate" else []) + command[1:]
+    assert main(argv) == 1
+    prefix = f"{bad}: " if command[0] == "validate" else "error: "
+    assert capsys.readouterr().err.startswith(f"{prefix}{where}: not UTF-8 (")
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_map_line_ends_read_as_in_text_mode(tmp_path, capsys, end):
+    path = tmp_path / "m.msm"
+    path.write_bytes(churn_map_text().replace("\n", end).encode())
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(": ok\n")
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["validate", "/nonexistent/x.msm"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -3,13 +3,23 @@ complete-case tables."""
 
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsysmap.dataset import _columns, load_csv, present, resolve_column, view_matrix
+from mlsysmap import dataset
+from mlsysmap.dataset import (
+    MISSING_TOKENS,
+    WINDOWS,
+    _columns,
+    load_csv,
+    present,
+    resolve_column,
+    view_matrix,
+)
 from mlsysmap.errors import (
     BadWindowLabel,
     DuplicateEquivalenceColumn,
@@ -250,8 +260,8 @@ def _assert_same_dataset(got, want):
         assert got.columns[name].dtype == col.dtype, name
         if col.dtype == object:
             assert list(got.columns[name]) == list(col), name
-        else:
-            np.testing.assert_array_equal(got.columns[name], col, err_msg=name)
+        else:    # bit for bit: -0.0 is not 0.0
+            assert got.columns[name].tobytes() == col.tobytes(), name
     assert got.window.dtype == want.window.dtype
     assert list(got.window) == list(want.window)
     assert got.warnings == want.warnings
@@ -388,3 +398,124 @@ def test_equal_labels_share_one_str():
     assert list(raw) == ["ab", "ab", "ab", "cd"]
     assert raw[0] is raw[1] is raw[2]
     assert window[0] is window[1] and window[2] is window[3]
+
+
+# -- the C reader: one np.loadtxt call, or the split path unchanged ---------
+
+MOD_MAP = parse_map("""\
+map mod
+view system
+  data features
+  data score
+  edge features -> score
+view subsystem pipe
+  data raw boundary
+  modulator knob
+  data out
+  edge raw -> out
+  edge knob -> out
+equiv pipe.out = system.features
+""")
+
+
+def _load_both(text, system_map=MOD_MAP):
+    """The load's outcome, whether it took the C reader, and the outcome
+    with ``np.loadtxt`` failing, which sends every text down the split path."""
+    with mock.patch.object(dataset, "_columns", wraps=dataset._columns) as split:
+        got = _outcome(lambda t: load_csv(system_map, t), text)
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+        want = _outcome(lambda t: load_csv(system_map, t), text)
+    return got, not split.called, want
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        _assert_same_dataset(got, want)
+
+
+_ATOMS = ["\x1c", "\x1f", "\x0b", "\x0c", "\x85", "\xa0", "\u2028", "\u3000", "\u0661", "_", "#", " ",
+          "\t", "e", ".", "-", "+", "nan", "inf", "1e999", "1", "7", "0", "é", "a"]
+_JUNK = st.one_of(st.sampled_from(("",) + MISSING_TOKENS),
+                  st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=4).map("".join))
+_NUMBER = st.one_of(st.integers(-99, 99).map(str),
+                    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.floats(-1e6, 1e6, allow_nan=False).map(lambda x: f"{x:.6g}"))
+_LABEL = st.sampled_from(["a", "b", "ab", "é", "x y", " c", "d\t", "#", "q1", "v10"])
+_NAMES = ["system.features", "system.score", "pipe.raw", "pipe.knob", "pipe.out", "other"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_c_reader_equals_split_path(data):
+    names = data.draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+    styles = [data.draw(st.sampled_from([_NUMBER] * 4 + [_LABEL] * 2 + [_JUNK])) for _ in names]
+    n_rows = data.draw(st.integers(2, 8), label="rows")
+    dirty = data.draw(st.sampled_from([None] * 8 + list(range(n_rows))), label="dirty row")
+    window_at = data.draw(st.integers(0, len(names)), label="window column")
+    rows = []
+    for r in range(n_rows):
+        cells = [data.draw(_JUNK if r == dirty else style) for style in styles]
+        cells.insert(window_at, data.draw(st.sampled_from([WINDOWS[r % 2]] * 15 + ["now"])))
+        rows.append(",".join(cells))
+    lines = [",".join(names[:window_at] + ["window"] + names[window_at:])] + rows
+    if data.draw(st.sampled_from([False] * 7 + [True]), label="whitespace line"):
+        lines.insert(data.draw(st.integers(1, len(lines))), data.draw(st.sampled_from([" ", "\t"])))
+    end = data.draw(st.sampled_from(["\n", "\n", "\r\n"]), label="line end")
+    text = end.join(lines) + data.draw(st.sampled_from([end, ""]), label="last line end")
+    got, _, want = _load_both(text)
+    _assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("cells, column, dtype, c_reader", [
+    (("1", "1_0", "2"), "system.score", np.float64, False),   # float reads 1_0, numpy not
+    (("1", "1\x1c", "2"), "system.score", object, False),     # numpy strips \x1c, float not
+    (("1", "#", "2"), "system.score", object, False),         # a cell, not a comment
+    (("a", "#", "b"), "pipe.raw", object, True),
+    (("1", "\xa01", "2"), "system.score", np.float64, True),    # both strip U+00A0
+    (("v1", "v" * 40, "v2"), "pipe.knob", object, False),     # longer than its field
+])
+def test_c_reader_named_cells(cells, column, dtype, c_reader):
+    rows = "".join(f"{w},{c},{i}\n" for i, (w, c) in enumerate(zip(("ref", "ref", "cur"), cells)))
+    got, took_c_reader, want = _load_both(f"window,{column},system.features\n{rows}")
+    _assert_same_outcome(got, want)
+    assert list(got.columns[MOD_MAP.canonical_name(column)]) == (
+        list(cells) if dtype is object else [1.0, float(cells[1]), 2.0])
+    assert got.columns[MOD_MAP.canonical_name(column)].dtype == dtype
+    assert took_c_reader is c_reader
+
+
+@pytest.mark.parametrize("text, n", [
+    ("window,system.score\nref,1\n \ncur,2\n", 3),     # a whitespace-only line
+    ("\nwindow\nref\ncur\n", 2),                       # a blank header line
+])
+def test_line_without_the_header_cells_is_ragged(text, n):
+    got, _, want = _load_both(text)
+    assert got == want
+    assert got[0] is RaggedRow and got[1].startswith(f"row {n}: 1 cells")
+
+
+@pytest.mark.parametrize("text", [
+    CSV,
+    CSV.replace("\n", "\r\n"),
+    generate_csv(ScenarioConfig("S2", n=300, seed=3)),
+])
+def test_clean_text_is_read_in_one_loadtxt_call(text):
+    system_map = MAP if text.startswith("window,system.features") else churn_map()
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        got, took_c_reader, want = _load_both(text, system_map)
+    assert took_c_reader and loadtxt.call_count == 1
+    _assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("dirt", ["", "NA", "None"])
+def test_dirty_text_skips_the_c_reader(dirt):
+    # a numeric cell that would fail np.loadtxt only at the last row
+    text = "window,system.score\n" + "ref,1\n" * 50 + f"cur,2\ncur,{dirt}\n"
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        got, took_c_reader, want = _load_both(text)
+    assert not took_c_reader and loadtxt.call_count == 0
+    _assert_same_outcome(got, want)
+    assert got.columns["system.score"].dtype == np.float64

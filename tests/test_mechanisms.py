@@ -426,6 +426,20 @@ def test_shift_test_drops_non_finite_cells():
         shift_test(ds, ONE_MAP, "system.a", B=200)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=60),
+       st.lists(st.integers(-3, 3).map(float), max_size=60), st.integers(2, 16))
+def test_quantile_edges_equal_those_of_the_unsorted_values(ref, cur, k):
+    # quantiles read only order statistics, so sorting first moves no edge
+    pooled = np.array(ref + cur)
+    want = []
+    for e in np.quantile(pooled, [i / k for i in range(1, k)]):
+        if not want or e > want[-1]:
+            want.append(float(e))
+    got = fit_variable(np.array(ref), k, extra_values=np.array(cur)).edges
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def _window_histograms(ds, k=8):
     values = ds.columns["system.a"]
     ref = values[ds.window_mask("ref")]
