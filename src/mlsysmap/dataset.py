@@ -5,9 +5,10 @@ Input is a CSV with a header row, one ``window`` column labeling each row
 member of its equivalence class; the simulator hands over the same
 columns as arrays. Every CSV row must have as many cells as the header.
 The text is cut into columns once, by the first of three routes that
-takes it: numpy's C reader types clean unquoted text (no blank line,
-empty cell or missing token) in one ``np.loadtxt`` call; unquoted text
-whose lines have the header's comma count is split on its commas;
+takes it: numpy's C reader types unquoted text without blank lines in one
+``np.loadtxt`` call, unless a cell it cannot parse (an empty cell or a
+missing token in a numeric column, say) makes the call fail; unquoted
+text whose lines have the header's comma count is split on its commas;
 anything else is read by ``csv.reader``. All three give the same columns.
 :func:`build_dataset` unifies columns to the canonical (lexicographically
 smallest) class member and types each column once: a column is numeric
@@ -55,8 +56,6 @@ def present(column: np.ndarray) -> np.ndarray:
 
 def _labels(cells) -> np.ndarray:
     """Object array of the interned cells: no cell string outlives the load."""
-    if isinstance(cells, np.ndarray):
-        cells = cells.tolist()
     return np.fromiter(map(sys.intern, cells), object, len(cells))
 
 
@@ -145,28 +144,36 @@ def build_dataset(system_map: SystemMap, columns: Iterable[tuple[str, Union[np.n
     return ds
 
 
-def _columns(text: str) -> tuple[list[str], list[list[str]]]:
+def _columns(system_map: SystemMap, text: str) -> tuple[list[str], list]:
     """Header and columns of CSV text.
 
     Once ``\\r\\n`` and ``\\r`` read as ``\\n`` and one trailing empty line
     is dropped, text without quotes or NUL (which ``csv`` rejects before
-    Python 3.11) whose lines are non-empty and have the header's comma
-    count is split on commas; anything else goes through ``csv.reader``.
+    Python 3.11) whose lines are non-empty is typed by numpy's C reader
+    (:func:`_loadtxt_columns`) unless it holds ``\\x1c``-``\\x1f`` (numpy
+    strips these around a number as whitespace, ``float`` rejects them);
+    text the C reader refuses whose lines have the header's comma count is
+    split on commas; anything else goes through ``csv.reader``.
     """
     if '"' in text or "\x00" in text:
         lines = io.StringIO(text, newline="")
     else:
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
+        typed = not any(c in text for c in "\x1c\x1d\x1e\x1f")
         lines = text.removesuffix("\n").split("\n") if text else []
         del text
-        if lines and "" not in lines and len(set(map(str.count, lines, itertools.repeat(",")))) == 1:
-            width = lines[0].count(",") + 1
-            joined = ",".join(lines)     # each copy is freed once it is split
-            del lines
-            cells = joined.split(",")
-            del joined
-            return cells[:width], [cells[width + i::width] for i in range(width)]
+        if lines and "" not in lines:
+            table = typed and _loadtxt_columns(system_map, lines)
+            if table:
+                return table
+            if len(set(map(str.count, lines, itertools.repeat(",")))) == 1:
+                width = lines[0].count(",") + 1
+                joined = ",".join(lines)     # each copy is freed once it is split
+                del lines
+                cells = joined.split(",")
+                del joined
+                return cells[:width], [cells[width + i::width] for i in range(width)]
     reader = csv.reader(lines)
     try:
         rows = list(reader)
@@ -197,89 +204,50 @@ def _text(source: Union[str, io.TextIOBase]) -> str:
     return source.removeprefix("\ufeff")
 
 
-def _loadtxt_columns(system_map: SystemMap,
-                     text: str) -> tuple[list[str], list[np.ndarray]] | None:
-    """Header and columns of clean text, read in one ``np.loadtxt`` call, or
-    None where that call could read the text otherwise than :func:`_columns`
-    and ``float`` do.
+def _loadtxt_columns(system_map: SystemMap, lines: list[str]) -> tuple[list[str], list] | None:
+    """Header and columns of the lines, typed in one ``np.loadtxt`` call, or
+    None where that call fails or reads another number of rows.
 
-    Clean text has no quote, NUL or ``\\x1c``-``\\x1f`` (numpy strips these
-    around a number as whitespace, ``float`` rejects them), no blank line,
-    no empty cell and no missing token. A column is a float64 field when its
-    node is not a modulator and its first cell parses with ``float``. The
-    window column and the other map columns are ``str`` fields, twice as
-    wide as the longest of their first-row cells and at least 16 characters;
-    a cell that fills its field may have been cut, so it refuses the text.
-    numpy parses each number with ``PyOS_string_to_double``, as ``float``
-    does, so the values are the same bits; a cell it cannot parse or a
-    ragged row raises, and the text goes to :func:`_columns`.
+    A column is a float64 field when its node is not a modulator and its
+    first cell parses with ``float``; the window column and the other map
+    columns are object fields of ``str`` cells, returned as lists. numpy
+    parses each number with ``PyOS_string_to_double``, as ``float`` does, so
+    the values are the same bits; an empty cell, a token or any other cell
+    it cannot parse as a number, and a ragged row, raise ``ValueError``.
     """
-    if any(c in text for c in '"\x00\x1c\x1d\x1e\x1f'):
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if _dirty(text):
-        return None
-    lines = text.split("\n")
-    del text
-    if not lines[-1]:
-        lines.pop()
-    if len(lines) < 2 or "" in lines:
+    if len(lines) < 2:
         return None
     header, first = lines[0].split(","), lines[1].split(",")
     if len(first) != len(header):
         return None
-    kinds = [_kind(system_map, name, cell) for name, cell in zip(header, first)]
-    width = max([2 * len(c) for c, k in zip(first, kinds) if k is str] + [16])
-    types = {float: np.float64, str: f"U{width}", None: "U1"}
-    fields = np.dtype([(f"f{i}", types[k]) for i, k in enumerate(kinds)])
+    fields = np.dtype([(f"f{i}", _field(system_map, name, cell))
+                       for i, (name, cell) in enumerate(zip(header, first))])
     try:
         table = np.loadtxt(lines, fields, delimiter=",", comments=None, quotechar=None,
-                           skiprows=1, max_rows=len(lines) - 1, ndmin=1)
+                           skiprows=1, ndmin=1)
     except ValueError:
         return None
     if len(table) != len(lines) - 1:
         return None
-    columns = [table[name] for name in fields.names]
-    if any(np.char.str_len(c).max() >= width for c, k in zip(columns, kinds) if k is str):
-        return None
-    return header, columns
+    return header, [table[name].tolist() if table[name].dtype == object else table[name]
+                    for name in fields.names]
 
 
-def _dirty(text: str) -> bool:
-    """Whether the text after its header shows an empty cell or a missing
-    token, which would fail ``np.loadtxt`` only once it is read that far.
-
-    An empty cell is a separator next to another (``,,``, ``,\\n``,
-    ``\\n,``) or a trailing comma; a token is found as a substring, after a
-    scan for its first letter. Commas and line ends are single bytes in
-    UTF-8, so adjacent separators are found in the encoded bytes.
-    """
-    start = text.find("\n")
-    if text.endswith(",") or any(text.find(t[0], start) >= 0 and text.find(t, start) >= 0
-                                 for t in MISSING_TOKENS):
-        return True
-    data = text.encode("utf-8", "surrogatepass")
-    data = np.frombuffer(data, np.uint8)[data.find(b"\n"):]
-    sep = data == ord(",")
-    sep |= data == ord("\n")
-    return bool(np.any(sep[1:] & sep[:-1]))
-
-
-def _kind(system_map: SystemMap, name: str, cell: str) -> type | None:
-    """How the C reader reads a column: ``float``, ``str``, or None for a
-    column that matches no map node (its cells are never read)."""
+def _field(system_map: SystemMap, name: str, cell: str):
+    """The C reader's field type for a column: float64, object (``str``
+    cells), or a one-character field for a column that matches no map node
+    (its cells are never read)."""
     if name == WINDOW_COLUMN:
-        return str
+        return object
     if not system_map.has_node(name):
-        return None
+        return "U1"
     if system_map.node(system_map.canonical_name(name)).kind is NodeKind.MODULATOR:
-        return str
+        return object
     try:
         float(cell)
     except ValueError:
-        return str
-    return float
+        return object
+    return np.float64
 
 
 def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> WindowedDataset:
@@ -288,14 +256,14 @@ def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> Window
     A string holding a newline is CSV text; any other string is a path.
     One leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
     write, is not part of the first header cell. The text is read whole and
-    cut into columns once: clean unquoted text is typed by numpy's C reader
-    (:func:`_loadtxt_columns`), other unquoted regular text is split on its
-    commas, anything else goes through ``csv.reader``. A file that is not UTF-8,
-    or a quoted cell longer than ``csv.field_size_limit()``, raises
-    ``DatasetError`` naming its line.
+    cut into columns once (:func:`_columns`): unquoted text is typed by
+    numpy's C reader where it can be, else split on its commas where its
+    lines are regular; anything else goes through ``csv.reader``. A file
+    that is not UTF-8, or a quoted cell longer than
+    ``csv.field_size_limit()``, raises ``DatasetError`` naming its line.
     """
     text = _text(source)
-    header, columns = _loadtxt_columns(system_map, text) or _columns(text)
+    header, columns = _columns(system_map, text)
     del text
 
     if WINDOW_COLUMN not in header:

@@ -14,7 +14,6 @@ from mlsysmap import dataset
 from mlsysmap.dataset import (
     MISSING_TOKENS,
     WINDOWS,
-    _columns,
     load_csv,
     present,
     resolve_column,
@@ -322,6 +321,13 @@ def test_fitted_mechanisms_ignore_data_layout(data):
 
 # -- cutting the text into columns: split on commas or csv.reader --------------
 
+def _split(text):
+    """Header and columns of the text as the load cuts it with ``np.loadtxt``
+    failing: split on commas or read by ``csv.reader``."""
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+        return dataset._columns(MAP, text)
+
+
 def _csv_reader_columns(text):
     """Header and columns as ``csv.reader`` reads the text, with the load's
     empty-input and ragged-row errors."""
@@ -359,13 +365,13 @@ def test_split_path_equals_csv_reader(data):
     ends = st.sampled_from(["\n", "\r\n", "\r"])
     text = "".join(line + data.draw(ends) for line in lines[:-1]) + lines[-1]
     text += "".join(data.draw(st.lists(ends, max_size=2), label="trailing line ends"))
-    assert _outcome(_columns, text) == _outcome(_csv_reader_columns, text)
+    assert _outcome(_split, text) == _outcome(_csv_reader_columns, text)
 
 
 def test_quoted_cell_loads_like_the_split_path(tmp_path):
     # quoting a cell changes nothing but the path its text goes through
     quoted = CSV.replace("ref,1.0,0.1,a", 'ref,"1.0",0.1,"a"')
-    assert _columns(quoted) == _columns(CSV)
+    assert _split(quoted) == _split(CSV)
     _assert_same_dataset(load_csv(MAP, quoted), load_csv(MAP, CSV))
     # a comma inside quotes is part of its cell; every other cell loads as split
     p = tmp_path / "comma.csv"
@@ -421,11 +427,14 @@ equiv pipe.out = system.features
 def _load_both(text, system_map=MOD_MAP):
     """The load's outcome, whether it took the C reader, and the outcome
     with ``np.loadtxt`` failing, which sends every text down the split path."""
-    with mock.patch.object(dataset, "_columns", wraps=dataset._columns) as split:
+    typed = []
+    c_reader = dataset._loadtxt_columns
+    with mock.patch.object(dataset, "_loadtxt_columns",
+                           side_effect=lambda *args: typed.append(c_reader(*args)) or typed[-1]):
         got = _outcome(lambda t: load_csv(system_map, t), text)
     with mock.patch.object(np, "loadtxt", side_effect=ValueError):
         want = _outcome(lambda t: load_csv(system_map, t), text)
-    return got, not split.called, want
+    return got, any(typed), want
 
 
 def _assert_same_outcome(got, want):
@@ -475,7 +484,7 @@ def test_c_reader_equals_split_path(data):
     (("1", "#", "2"), "system.score", object, False),         # a cell, not a comment
     (("a", "#", "b"), "pipe.raw", object, True),
     (("1", "\xa01", "2"), "system.score", np.float64, True),    # both strip U+00A0
-    (("v1", "v" * 40, "v2"), "pipe.knob", object, False),     # longer than its field
+    (("v1", "v" * 40, "v2"), "pipe.knob", object, True),      # longer than any first-row label
 ])
 def test_c_reader_named_cells(cells, column, dtype, c_reader):
     rows = "".join(f"{w},{c},{i}\n" for i, (w, c) in enumerate(zip(("ref", "ref", "cur"), cells)))
@@ -511,11 +520,23 @@ def test_clean_text_is_read_in_one_loadtxt_call(text):
 
 
 @pytest.mark.parametrize("dirt", ["", "NA", "None"])
-def test_dirty_text_skips_the_c_reader(dirt):
-    # a numeric cell that would fail np.loadtxt only at the last row
+def test_late_missing_cell_loads_through_the_split_path(dirt):
+    # a numeric cell that fails np.loadtxt only at the last row
     text = "window,system.score\n" + "ref,1\n" * 50 + f"cur,2\ncur,{dirt}\n"
-    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-        got, took_c_reader, want = _load_both(text)
-    assert not took_c_reader and loadtxt.call_count == 0
+    got, took_c_reader, want = _load_both(text)
+    assert not took_c_reader
     _assert_same_outcome(got, want)
     assert got.columns["system.score"].dtype == np.float64
+    assert np.isnan(got.columns["system.score"][-1])
+
+
+def test_label_fields_hold_whole_cells():
+    # a long first-row label sizes no field: labels are read as str objects
+    rows = [f"ref,{'u' * 300},1"] + [f"{w},ab,{i}" for i, w in enumerate(["ref", "cur"] * 500)]
+    text = "window,pipe.raw,system.score\n" + "\n".join(rows) + "\n"
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        got, took_c_reader, want = _load_both(text)
+    assert took_c_reader
+    assert [f.kind for f, _ in loadtxt.call_args.args[1].fields.values()] == ["O", "O", "f"]
+    _assert_same_outcome(got, want)
+    assert got.columns["pipe.raw"][0] == "u" * 300
