@@ -4,12 +4,11 @@ Input is a CSV with a header row, one ``window`` column labeling each row
 ``ref`` or ``cur``, and one column per observed variable named by any
 member of its equivalence class; the simulator hands over the same
 columns as arrays. Every CSV row must have as many cells as the header.
-The text is cut into columns once, by the first of three routes that
-takes it: numpy's C reader types unquoted text without blank lines in one
-``np.loadtxt`` call, unless a cell it cannot parse (an empty cell or a
-missing token in a numeric column, say) makes the call fail; unquoted
-text whose lines have the header's comma count is split on its commas;
-anything else is read by ``csv.reader``. All three give the same columns.
+The text is cut into columns once: numpy's C reader types unquoted text
+without blank lines in one ``np.loadtxt`` call, unless a cell it cannot
+parse (an empty cell or a missing token in a numeric column, say) makes
+the call fail; any other text is read by ``csv.reader``. Both give the
+same columns.
 :func:`build_dataset` unifies columns to the canonical (lexicographically
 smallest) class member and types each column once: a column is numeric
 (float64, ``NaN`` = missing, i.e. empty, non-finite or one of
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Union
@@ -145,36 +143,13 @@ def build_dataset(system_map: SystemMap, columns: Iterable[tuple[str, Union[np.n
 
 
 def _columns(system_map: SystemMap, text: str) -> tuple[list[str], list]:
-    """Header and columns of CSV text.
-
-    Once ``\\r\\n`` and ``\\r`` read as ``\\n`` and one trailing empty line
-    is dropped, text without quotes or NUL (which ``csv`` rejects before
-    Python 3.11) whose lines are non-empty is typed by numpy's C reader
-    (:func:`_loadtxt_columns`) unless it holds ``\\x1c``-``\\x1f`` (numpy
-    strips these around a number as whitespace, ``float`` rejects them);
-    text the C reader refuses whose lines have the header's comma count is
-    split on commas; anything else goes through ``csv.reader``.
-    """
-    if '"' in text or "\x00" in text:
-        lines = io.StringIO(text, newline="")
-    else:
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        typed = not any(c in text for c in "\x1c\x1d\x1e\x1f")
-        lines = text.removesuffix("\n").split("\n") if text else []
-        del text
-        if lines and "" not in lines:
-            table = typed and _loadtxt_columns(system_map, lines)
-            if table:
-                return table
-            if len(set(map(str.count, lines, itertools.repeat(",")))) == 1:
-                width = lines[0].count(",") + 1
-                joined = ",".join(lines)     # each copy is freed once it is split
-                del lines
-                cells = joined.split(",")
-                del joined
-                return cells[:width], [cells[width + i::width] for i in range(width)]
-    reader = csv.reader(lines)
+    """Header and columns of CSV text: typed by numpy's C reader
+    (:func:`_loadtxt_columns`) where it takes the text, else read by
+    ``csv.reader``."""
+    table = _loadtxt_columns(system_map, text)
+    if table:
+        return table
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         rows = list(reader)
     except csv.Error as exc:     # a cell past csv.field_size_limit(), say
@@ -204,9 +179,16 @@ def _text(source: Union[str, io.TextIOBase]) -> str:
     return source.removeprefix("\ufeff")
 
 
-def _loadtxt_columns(system_map: SystemMap, lines: list[str]) -> tuple[list[str], list] | None:
-    """Header and columns of the lines, typed in one ``np.loadtxt`` call, or
-    None where that call fails or reads another number of rows.
+def _loadtxt_columns(system_map: SystemMap, text: str) -> tuple[list[str], list] | None:
+    """Header and columns of the text, typed in one ``np.loadtxt`` call, or
+    None where the text is not clean or that call fails or reads another
+    number of rows.
+
+    Clean text has no quotes, no NUL (which ``csv`` rejects before Python
+    3.11) and no ``\\x1c``-``\\x1f`` (numpy strips these around a number as
+    whitespace, ``float`` rejects them), and once ``\\r\\n`` and ``\\r`` read
+    as ``\\n`` and one trailing empty line is dropped, no empty line: there
+    ``csv.reader`` would see a row of no cells.
 
     A column is a float64 field when its node is not a modulator and its
     first cell parses with ``float``; the window column and the other map
@@ -215,7 +197,10 @@ def _loadtxt_columns(system_map: SystemMap, lines: list[str]) -> tuple[list[str]
     the values are the same bits; an empty cell, a token or any other cell
     it cannot parse as a number, and a ragged row, raise ``ValueError``.
     """
-    if len(lines) < 2:
+    if any(c in text for c in '"\x00\x1c\x1d\x1e\x1f'):
+        return None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+    if len(lines) < 2 or "" in lines:
         return None
     header, first = lines[0].split(","), lines[1].split(",")
     if len(first) != len(header):
@@ -256,10 +241,9 @@ def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> Window
     A string holding a newline is CSV text; any other string is a path.
     One leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
     write, is not part of the first header cell. The text is read whole and
-    cut into columns once (:func:`_columns`): unquoted text is typed by
-    numpy's C reader where it can be, else split on its commas where its
-    lines are regular; anything else goes through ``csv.reader``. A file
-    that is not UTF-8, or a quoted cell longer than
+    cut into columns once (:func:`_columns`): clean unquoted text is typed
+    by numpy's C reader where it can be; anything else goes through
+    ``csv.reader``. A file that is not UTF-8, or a quoted cell longer than
     ``csv.field_size_limit()``, raises ``DatasetError`` naming its line.
     """
     text = _text(source)

@@ -150,9 +150,9 @@ class MechanismSet:
     with parent axes in lexicographic parent order, and ``disc[node]`` is
     the node's binning, shared by both windows (``disc[node].n_states``
     is the table's last axis). Every row is a probability vector with
-    strictly positive entries. Elimination plans
-    built by ``target_marginal`` are cached here, so the tables are not
-    to be replaced once inference has run.
+    strictly positive entries. ``elimination_plan`` builds each
+    elimination plan on first use and caches it here, so the tables are
+    not to be replaced once inference has run.
     """
 
     view: View

@@ -9,7 +9,8 @@ next view, from the system view to the implicated subsystem and from a
 subsystem boundary to the environment. Distributed mass opens one
 branch per node, and an environment hand-off one branch per measured
 source, up to ``TraceConfig.max_branches`` each; a warning names the
-branches left out. The report's warnings start with the dataset's own.
+branches left out, and another the nodes that a view's fit left out for
+want of data. The report's warnings start with the dataset's own.
 """
 
 from __future__ import annotations
@@ -131,11 +132,21 @@ class _Tracer:
         self.config = config
         self.warnings: list[str] = list(ds.warnings)
         self._mech_cache: dict[str, MechanismSet] = {}
+        env = system_map.environment_view()
+        self.excluded_environment = () if env is None else tuple(sorted(
+            n.qname for n in system_map.view_nodes(env)
+            if resolve_column(ds, system_map, n.qname) is None))
 
     def mechanisms_for(self, view: View) -> MechanismSet:
+        """The view's fitted mechanisms; a warning names the nodes the fit
+        left out, other than environment nodes without a column."""
         if view.name not in self._mech_cache:
-            self._mech_cache[view.name] = fit_mechanisms(
+            mech = self._mech_cache[view.name] = fit_mechanisms(
                 self.map, self.ds, view, k=self.config.bins)
+            left_out = [q for q in mech.excluded if q not in self.excluded_environment]
+            if left_out:
+                self.warnings.append(f"{view.name}: nodes without usable data in a window, "
+                                     "left out of the fit: " + ", ".join(left_out))
         return self._mech_cache[view.name]
 
     def bounded(self, view: View, what: str, nodes: tuple) -> tuple:
@@ -260,18 +271,11 @@ def trace(system_map: SystemMap, ds: WindowedDataset, alert: str,
 
     collect(root)
 
-    excluded = []
-    env = system_map.environment_view()
-    if env is not None:
-        for n in system_map.view_nodes(env):
-            if resolve_column(ds, system_map, n.qname) is None:
-                excluded.append(n.qname)
-
     return TraceReport(
         alert=alert,
         root=root,
         verdicts=tuple(verdicts),
-        excluded_environment=tuple(sorted(excluded)),
+        excluded_environment=tracer.excluded_environment,
         warnings=tuple(tracer.warnings),
     )
 

@@ -21,6 +21,7 @@ from mlsysmap.dataset import (
 )
 from mlsysmap.errors import (
     BadWindowLabel,
+    DatasetError,
     DuplicateEquivalenceColumn,
     EmptyWindow,
     MissingWindowColumn,
@@ -319,19 +320,16 @@ def test_fitted_mechanisms_ignore_data_layout(data):
     assert _fitted(header, shuffled) == want
 
 
-# -- cutting the text into columns: split on commas or csv.reader --------------
-
-def _split(text):
-    """Header and columns of the text as the load cuts it with ``np.loadtxt``
-    failing: split on commas or read by ``csv.reader``."""
-    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
-        return dataset._columns(MAP, text)
-
+# -- cutting the text into columns: the C reader or csv.reader -------------
 
 def _csv_reader_columns(text):
     """Header and columns as ``csv.reader`` reads the text, with the load's
-    empty-input and ragged-row errors."""
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    ``csv.Error``, empty-input and ragged-row errors."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:    # NUL before Python 3.11, say
+        raise DatasetError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise MissingWindowColumn("empty CSV input")
     for n, row in enumerate(rows[1:], start=2):
@@ -347,33 +345,12 @@ def _outcome(read, text):
         return type(exc), str(exc)
 
 
-_CELL = st.text(st.sampled_from([" ", "\x00", "\x0c", "\x85", "'", ";", "\t", "é",
-                                 "a", "1", ".", "-"]), max_size=3)
-
-
-@settings(max_examples=250, deadline=None)
-@given(st.data())
-def test_split_path_equals_csv_reader(data):
-    width = data.draw(st.integers(1, 4), label="width")
-    lines = [",".join(data.draw(st.lists(_CELL, min_size=width, max_size=width)))]
-    for _ in range(data.draw(st.integers(0, 5), label="rows")):
-        size = width + data.draw(st.sampled_from([0, 0, 0, -1, 1]))   # a few ragged rows
-        lines.append(",".join(data.draw(st.lists(_CELL, min_size=max(size, 0),
-                                                 max_size=max(size, 0)))))
-    for _ in range(data.draw(st.integers(0, 2), label="blank lines")):
-        lines.insert(data.draw(st.integers(0, len(lines))), "")
-    ends = st.sampled_from(["\n", "\r\n", "\r"])
-    text = "".join(line + data.draw(ends) for line in lines[:-1]) + lines[-1]
-    text += "".join(data.draw(st.lists(ends, max_size=2), label="trailing line ends"))
-    assert _outcome(_split, text) == _outcome(_csv_reader_columns, text)
-
-
-def test_quoted_cell_loads_like_the_split_path(tmp_path):
+def test_quoted_cell_loads_like_unquoted_text(tmp_path):
     # quoting a cell changes nothing but the path its text goes through
     quoted = CSV.replace("ref,1.0,0.1,a", 'ref,"1.0",0.1,"a"')
-    assert _split(quoted) == _split(CSV)
+    assert dataset._columns(MAP, quoted) == _csv_reader_columns(CSV)
     _assert_same_dataset(load_csv(MAP, quoted), load_csv(MAP, CSV))
-    # a comma inside quotes is part of its cell; every other cell loads as split
+    # a comma inside quotes is part of its cell; every other cell loads as unquoted
     p = tmp_path / "comma.csv"
     p.write_text(CSV.replace("cur,4.0,0.4,b", 'cur,4.0,0.4,"b,c"'), encoding="utf-8")
     ds, clean = load_csv(MAP, str(p)), load_csv(MAP, CSV)
@@ -406,7 +383,7 @@ def test_equal_labels_share_one_str():
     assert window[0] is window[1] and window[2] is window[3]
 
 
-# -- the C reader: one np.loadtxt call, or the split path unchanged ---------
+# -- the C reader: one np.loadtxt call, or csv.reader unchanged -------------
 
 MOD_MAP = parse_map("""\
 map mod
@@ -426,13 +403,13 @@ equiv pipe.out = system.features
 
 def _load_both(text, system_map=MOD_MAP):
     """The load's outcome, whether it took the C reader, and the outcome
-    with ``np.loadtxt`` failing, which sends every text down the split path."""
+    of the load with the text cut by ``_csv_reader_columns``."""
     typed = []
     c_reader = dataset._loadtxt_columns
     with mock.patch.object(dataset, "_loadtxt_columns",
                            side_effect=lambda *args: typed.append(c_reader(*args)) or typed[-1]):
         got = _outcome(lambda t: load_csv(system_map, t), text)
-    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+    with mock.patch.object(dataset, "_columns", side_effect=lambda _, t: _csv_reader_columns(t)):
         want = _outcome(lambda t: load_csv(system_map, t), text)
     return got, any(typed), want
 
@@ -445,8 +422,9 @@ def _assert_same_outcome(got, want):
         _assert_same_dataset(got, want)
 
 
-_ATOMS = ["\x1c", "\x1f", "\x0b", "\x0c", "\x85", "\xa0", "\u2028", "\u3000", "\u0661", "_", "#", " ",
-          "\t", "e", ".", "-", "+", "nan", "inf", "1e999", "1", "7", "0", "é", "a"]
+_ATOMS = ["\x00", "\x1c", "\x1f", "\x0b", "\x0c", "\x85", "\xa0", "\u2028", "\u3000", "\u0661",
+          "_", "#", "'", ";", " ", "\t", "e", ".", "-", "+", "nan", "inf", "1e999", "1", "7", "0",
+          "é", "a"]
 _JUNK = st.one_of(st.sampled_from(("",) + MISSING_TOKENS),
                   st.lists(st.sampled_from(_ATOMS), min_size=1, max_size=4).map("".join))
 _NUMBER = st.one_of(st.integers(-99, 99).map(str),
@@ -456,9 +434,9 @@ _LABEL = st.sampled_from(["a", "b", "ab", "é", "x y", " c", "d\t", "#", "q1", "
 _NAMES = ["system.features", "system.score", "pipe.raw", "pipe.knob", "pipe.out", "other"]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(st.data())
-def test_c_reader_equals_split_path(data):
+def test_c_reader_equals_csv_reader(data):
     names = data.draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
     styles = [data.draw(st.sampled_from([_NUMBER] * 4 + [_LABEL] * 2 + [_JUNK])) for _ in names]
     n_rows = data.draw(st.integers(2, 8), label="rows")
@@ -468,12 +446,19 @@ def test_c_reader_equals_split_path(data):
     for r in range(n_rows):
         cells = [data.draw(_JUNK if r == dirty else style) for style in styles]
         cells.insert(window_at, data.draw(st.sampled_from([WINDOWS[r % 2]] * 15 + ["now"])))
+        ragged = data.draw(st.sampled_from([0] * 14 + [-1, 1]), label="cells past the header's")
+        cells = cells[:len(cells) + ragged] + [data.draw(_JUNK) for _ in range(ragged)]
         rows.append(",".join(cells))
     lines = [",".join(names[:window_at] + ["window"] + names[window_at:])] + rows
     if data.draw(st.sampled_from([False] * 7 + [True]), label="whitespace line"):
         lines.insert(data.draw(st.integers(1, len(lines))), data.draw(st.sampled_from([" ", "\t"])))
-    end = data.draw(st.sampled_from(["\n", "\n", "\r\n"]), label="line end")
-    text = end.join(lines) + data.draw(st.sampled_from([end, ""]), label="last line end")
+    for _ in range(data.draw(st.sampled_from([0] * 6 + [1, 2]), label="blank lines")):
+        lines.insert(data.draw(st.integers(0, len(lines))), "")
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+    end = data.draw(ends, label="line end")
+    mixed = data.draw(st.sampled_from([False] * 3 + [True]), label="mixed line ends")
+    text = "".join(line + (data.draw(ends) if mixed else end) for line in lines[:-1]) + lines[-1]
+    text += "".join(data.draw(st.lists(ends, max_size=2), label="trailing line ends"))
     got, _, want = _load_both(text)
     _assert_same_outcome(got, want)
 
@@ -499,6 +484,7 @@ def test_c_reader_named_cells(cells, column, dtype, c_reader):
 @pytest.mark.parametrize("text, n", [
     ("window,system.score\nref,1\n \ncur,2\n", 3),     # a whitespace-only line
     ("\nwindow\nref\ncur\n", 2),                       # a blank header line
+    ("window,system.score\nref\ncur\n", 2),            # every row short of the header
 ])
 def test_line_without_the_header_cells_is_ragged(text, n):
     got, _, want = _load_both(text)
@@ -520,7 +506,7 @@ def test_clean_text_is_read_in_one_loadtxt_call(text):
 
 
 @pytest.mark.parametrize("dirt", ["", "NA", "None"])
-def test_late_missing_cell_loads_through_the_split_path(dirt):
+def test_late_missing_cell_loads_through_csv_reader(dirt):
     # a numeric cell that fails np.loadtxt only at the last row
     text = "window,system.score\n" + "ref,1\n" * 50 + f"cur,2\ncur,{dirt}\n"
     got, took_c_reader, want = _load_both(text)

@@ -2,6 +2,7 @@
 scenarios."""
 
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -125,6 +126,25 @@ def test_trace_s4_external_cause():
                for v in report.verdicts)
     # environment nodes without data are surfaced as potential hidden causes
     assert "env.promotion_received" in report.excluded_environment
+
+
+def test_node_left_out_of_a_fit_is_named():
+    # blank in every cur row, the churn score has no data to fit in that window
+    header, *lines = generate_csv(ScenarioConfig("S2", n=1000, seed=3)).splitlines()
+    names = header.split(",")
+    window, at = names.index("window"), names.index("serving.churn_score_out")
+    rows = [line.split(",") for line in lines]
+    for row in rows:
+        if row[window] == "cur":
+            row[at] = ""
+    system_map = churn_map()
+    ds = load_csv(system_map, "\n".join([header] + [",".join(row) for row in rows]) + "\n")
+    report = trace(system_map, ds, "system.promo_ranking")
+    assert "system.churn_score" not in report.root.result.players
+    assert report.excluded_environment == ("env.promotion_received",)
+    assert report.warnings == (
+        "system: nodes without usable data in a window, left out of the fit: "
+        "system.churn_score",)
 
 
 def test_trace_s0_is_negligible():
@@ -390,11 +410,12 @@ def pinned_trace(monkeypatch, plan, alert="system.score", config=TraceConfig(),
     (classification kind, nodes); any other step is negligible."""
     system_map = parse_map(map_text)
 
-    def fake_attribute(view, target, **_):
-        kind, nodes = plan.get((view.name, target), ("negligible", ()))
-        return result_on(view, target, list(nodes), kind=kind)
+    def fake_attribute(mech, target, **_):
+        kind, nodes = plan.get((mech.view.name, target), ("negligible", ()))
+        return result_on(mech.view, target, list(nodes), kind=kind)
 
-    monkeypatch.setattr(traversal, "fit_mechanisms", lambda m, ds, view, **_: view)
+    monkeypatch.setattr(traversal, "fit_mechanisms",
+                        lambda m, ds, view, **_: SimpleNamespace(view=view, excluded=()))
     monkeypatch.setattr(traversal, "attribute", fake_attribute)
     return trace(system_map, load_csv(system_map, PIN_CSV), alert, config)
 
