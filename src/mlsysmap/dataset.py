@@ -5,10 +5,10 @@ Input is a CSV with a header row, one ``window`` column labeling each row
 member of its equivalence class; the simulator hands over the same
 columns as arrays. Every CSV row must have as many cells as the header.
 The text is cut into columns once: numpy's C reader types unquoted text
-without blank lines in one ``np.loadtxt`` call, unless a cell it cannot
-parse (an empty cell or a missing token in a numeric column, say) makes
-the call fail; any other text is read by ``csv.reader``. Both give the
-same columns.
+without blank lines in one ``np.loadtxt`` call, interning label cells as
+it reads them, unless a cell it cannot parse (an empty cell or a missing
+token in a numeric column, say) makes the call fail; any other text is
+read by ``csv.reader``. Both give the same columns.
 :func:`build_dataset` unifies columns to the canonical (lexicographically
 smallest) class member and types each column once: a column is numeric
 (float64, ``NaN`` = missing, i.e. empty, non-finite or one of
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Union
@@ -53,7 +54,10 @@ def present(column: np.ndarray) -> np.ndarray:
 
 
 def _labels(cells) -> np.ndarray:
-    """Object array of the interned cells: no cell string outlives the load."""
+    """Object array of the interned cells: no cell string outlives the load.
+    An array is kept as it is: numpy's C reader interns label cells as read."""
+    if isinstance(cells, np.ndarray):
+        return cells
     return np.fromiter(map(sys.intern, cells), object, len(cells))
 
 
@@ -85,16 +89,19 @@ def _typed_column(values, modulator: bool) -> tuple[np.ndarray, dict]:
     """The column as float64 or as str cells, and by reason the number of
     non-empty cells loaded as missing.
 
-    ``values`` is a list of CSV cells or an array. Text is numeric when
-    every cell parses with ``float`` (as the object-to-float cast does), or
-    does once empty cells and missing tokens read as ``"nan"``.
+    ``values`` is a list of CSV cells, an object array of ``str`` cells
+    (kept as it is when the column is categorical) or another array. Text
+    is numeric when every cell parses with ``float`` (as the object-to-float
+    cast does), or does once empty cells and missing tokens read as
+    ``"nan"``.
     """
     missing = np.zeros(len(values), dtype=bool)
     tokens = 0
     if isinstance(values, np.ndarray) and values.dtype.kind in "biuf" and not modulator:
         floats = values.astype(np.float64)
     else:
-        cells = values.astype(str).tolist() if isinstance(values, np.ndarray) else values
+        cells = (values.astype(str).tolist()
+                 if isinstance(values, np.ndarray) and values.dtype != object else values)
         if modulator:
             return _labels(cells), {}
         try:
@@ -106,7 +113,7 @@ def _typed_column(values, modulator: bool) -> tuple[np.ndarray, dict]:
             except ValueError:
                 return _labels(cells), {}
             missing = np.fromiter(map(_AS_NAN.__contains__, cells), bool, len(cells))
-            tokens = int(np.count_nonzero(missing)) - cells.count("")
+            tokens = int(np.count_nonzero(missing)) - operator.countOf(cells, "")
     non_finite = ~np.isfinite(floats)
     floats[non_finite] = np.nan
     return floats, {"non-finite": int(np.count_nonzero(non_finite & ~missing)),
@@ -142,14 +149,33 @@ def build_dataset(system_map: SystemMap, columns: Iterable[tuple[str, Union[np.n
     return ds
 
 
-def _columns(system_map: SystemMap, text: str) -> tuple[list[str], list]:
-    """Header and columns of CSV text: typed by numpy's C reader
-    (:func:`_loadtxt_columns`) where it takes the text, else read by
-    ``csv.reader``."""
-    table = _loadtxt_columns(system_map, text)
-    if table:
-        return table
-    reader = csv.reader(io.StringIO(text, newline=""))
+def _columns(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> tuple[list[str], list]:
+    """Header and columns of a CSV path, text or stream.
+
+    Clean text has no quotes, no NUL (which ``csv`` rejects before Python
+    3.11) and no ``\\x1c``-``\\x1f`` (numpy strips these around a number as
+    whitespace, ``float`` rejects them), and once ``\\r\\n`` and ``\\r`` read
+    as ``\\n`` and one trailing empty line is dropped, no empty line: there
+    ``csv.reader`` would see a row of no cells. Clean text is dropped once
+    it is split into lines. numpy's C reader types those where it can
+    (:func:`_loadtxt_columns`); else ``csv.reader`` reads them, to the same
+    rows as from the text. Any other text goes to ``csv.reader`` whole.
+    """
+    text = _text(source)
+    lines = []
+    if not any(c in text for c in '"\x00\x1c\x1d\x1e\x1f'):
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if not lines[-1]:
+            lines.pop()
+    if len(lines) < 2 or "" in lines:
+        return _csv_columns(io.StringIO(text, newline=""))
+    del text
+    return _loadtxt_columns(system_map, lines) or _csv_columns(lines)
+
+
+def _csv_columns(lines) -> tuple[list[str], list]:
+    """Header and columns as ``csv.reader`` reads the lines of a stream or list."""
+    reader = csv.reader(lines)
     try:
         rows = list(reader)
     except csv.Error as exc:     # a cell past csv.field_size_limit(), say
@@ -165,7 +191,7 @@ def _columns(system_map: SystemMap, text: str) -> tuple[list[str], list]:
 
 def _text(source: Union[str, io.TextIOBase]) -> str:
     """The text of a CSV path, text or stream, less one leading byte-order mark."""
-    if isinstance(source, str) and "\n" not in source:
+    if isinstance(source, str) and "\n" not in source and "\r" not in source:
         with open(source, "rb") as fh:
             data = fh.read()
         try:
@@ -179,43 +205,39 @@ def _text(source: Union[str, io.TextIOBase]) -> str:
     return source.removeprefix("\ufeff")
 
 
-def _loadtxt_columns(system_map: SystemMap, text: str) -> tuple[list[str], list] | None:
-    """Header and columns of the text, typed in one ``np.loadtxt`` call, or
-    None where the text is not clean or that call fails or reads another
+def _loadtxt_columns(system_map: SystemMap, lines: list[str]) -> tuple[list[str], list] | None:
+    """Header and columns of clean lines (see :func:`_columns`), typed in one
+    ``np.loadtxt`` call, or None where that call fails or reads another
     number of rows.
 
-    Clean text has no quotes, no NUL (which ``csv`` rejects before Python
-    3.11) and no ``\\x1c``-``\\x1f`` (numpy strips these around a number as
-    whitespace, ``float`` rejects them), and once ``\\r\\n`` and ``\\r`` read
-    as ``\\n`` and one trailing empty line is dropped, no empty line: there
-    ``csv.reader`` would see a row of no cells.
-
     A column is a float64 field when its node is not a modulator and its
-    first cell parses with ``float``; the window column and the other map
-    columns are object fields of ``str`` cells, returned as lists. numpy
-    parses each number with ``PyOS_string_to_double``, as ``float`` does, so
-    the values are the same bits; an empty cell, a token or any other cell
-    it cannot parse as a number, and a ragged row, raise ``ValueError``.
+    first cell parses with ``float``, returned as a view of the table; the
+    window column and the other map columns are object fields of ``str``
+    cells. Those are interned as they are read and returned as object
+    arrays, unless the first cell is empty or a missing token: such a
+    column may still be numeric, and its cells are returned as a list.
+    numpy parses each number with ``PyOS_string_to_double``, as ``float``
+    does, so the values are the same bits; an empty cell, a token or any
+    other cell it cannot parse as a number, and a ragged row, raise
+    ``ValueError``.
     """
-    if any(c in text for c in '"\x00\x1c\x1d\x1e\x1f'):
-        return None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
-    if len(lines) < 2 or "" in lines:
-        return None
     header, first = lines[0].split(","), lines[1].split(",")
     if len(first) != len(header):
         return None
     fields = np.dtype([(f"f{i}", _field(system_map, name, cell))
                        for i, (name, cell) in enumerate(zip(header, first))])
-    try:
+    labels = {i: sys.intern for i, cell in enumerate(first)
+              if fields[i] == object and cell not in _AS_NAN}
+    try:    # encoding=None: numpy 1.x passes bytes to converters by default
         table = np.loadtxt(lines, fields, delimiter=",", comments=None, quotechar=None,
-                           skiprows=1, ndmin=1)
+                           skiprows=1, ndmin=1, converters=labels, encoding=None)
     except ValueError:
         return None
     if len(table) != len(lines) - 1:
         return None
-    return header, [table[name].tolist() if table[name].dtype == object else table[name]
-                    for name in fields.names]
+    return header, [np.ascontiguousarray(table[name]) if i in labels
+                    else table[name].tolist() if fields[i] == object else table[name]
+                    for i, name in enumerate(fields.names)]
 
 
 def _field(system_map: SystemMap, name: str, cell: str):
@@ -238,17 +260,17 @@ def _field(system_map: SystemMap, name: str, cell: str):
 def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> WindowedDataset:
     """Read a CSV file (path, text, or open stream) against a map.
 
-    A string holding a newline is CSV text; any other string is a path.
-    One leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
+    A string holding a line end (``\\n`` or ``\\r``) is CSV text; any other
+    string is a path. Lines may end in ``\\n``, ``\\r\\n`` or ``\\r``. One
+    leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
     write, is not part of the first header cell. The text is read whole and
     cut into columns once (:func:`_columns`): clean unquoted text is typed
-    by numpy's C reader where it can be; anything else goes through
-    ``csv.reader``. A file that is not UTF-8, or a quoted cell longer than
-    ``csv.field_size_limit()``, raises ``DatasetError`` naming its line.
+    by numpy's C reader where it can be, with label cells interned as they
+    are read; anything else goes through ``csv.reader``. A file that is not
+    UTF-8, or a quoted cell longer than ``csv.field_size_limit()``, raises
+    ``DatasetError`` naming its line.
     """
-    text = _text(source)
-    header, columns = _columns(system_map, text)
-    del text
+    header, columns = _columns(system_map, source)
 
     if WINDOW_COLUMN not in header:
         raise MissingWindowColumn("CSV has no 'window' column")

@@ -61,11 +61,12 @@ def _tokenize(text):
 def parse_map(text: str) -> SystemMap:
     """Parse map text into a validated SystemMap.
 
-    One leading UTF-8 byte-order mark is ignored. Raises ParseError (with
-    1-based line and column) for grammar or name resolution problems, and
-    position-enriched MapBuildError subclasses for structural violations.
+    One leading UTF-8 byte-order mark is ignored, and lines may end in
+    ``\\n``, ``\\r\\n`` or ``\\r``. Raises ParseError (with 1-based line and
+    column) for grammar or name resolution problems, and position-enriched
+    MapBuildError subclasses for structural violations.
     """
-    text = text.removeprefix("\ufeff").replace("\r\n", "\n")
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     lines = _tokenize(text)
     if not lines:
         raise ParseError("empty map file", 1, 1)

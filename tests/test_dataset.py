@@ -3,6 +3,7 @@ complete-case tables."""
 
 import csv
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -130,6 +131,17 @@ def test_load_from_path_with_comma(tmp_path):
     p.parent.mkdir()
     p.write_text(CSV, encoding="utf-8")
     assert load_csv(MAP, str(p)).n_rows == 4
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_line_ends_read_alike_from_text_stream_and_path(tmp_path, end):
+    text = generate_csv(ScenarioConfig("S2", n=40, seed=3)).replace("\n", end)
+    p = tmp_path / "data.csv"
+    p.write_bytes(text.encode())
+    want = load_csv(churn_map(), generate_csv(ScenarioConfig("S2", n=40, seed=3)))
+    assert want.n_rows == 80
+    for source in (text, io.StringIO(text, newline=""), str(p)):
+        _assert_same_dataset(load_csv(churn_map(), source), want)
 
 
 @pytest.mark.parametrize("header", [
@@ -374,13 +386,17 @@ def test_window_masks_are_built_once_and_read_only():
 
 
 def test_equal_labels_share_one_str():
-    # label columns hold interned cells, so no cell string of the text outlives the load
-    ds = load_csv(MAP, "window,pipe.raw,system.score\n"
-                       "ref,ab,1\nref,ab,2\ncur,ab,3\ncur,cd,4\n")
+    # label columns hold interned cells, so no cell string of the text outlives
+    # the load; number cells are never interned, also where the first is a token
+    with mock.patch.object(dataset.sys, "intern", wraps=dataset.sys.intern) as intern:
+        ds = load_csv(MAP, "window,pipe.raw,system.score,system.features\n"
+                           "ref,ab,1,NA\nref,ab,2,0.5\ncur,ab,3,1.5\ncur,cd,4,2.5\n")
     raw, window = ds.columns["pipe.raw"], ds.window
     assert list(raw) == ["ab", "ab", "ab", "cd"]
     assert raw[0] is raw[1] is raw[2]
     assert window[0] is window[1] and window[2] is window[3]
+    assert ds.columns["pipe.out"].dtype == np.float64
+    assert {call.args[0] for call in intern.call_args_list} == {"ref", "cur", "ab", "cd"}
 
 
 # -- the C reader: one np.loadtxt call, or csv.reader unchanged -------------
@@ -409,7 +425,8 @@ def _load_both(text, system_map=MOD_MAP):
     with mock.patch.object(dataset, "_loadtxt_columns",
                            side_effect=lambda *args: typed.append(c_reader(*args)) or typed[-1]):
         got = _outcome(lambda t: load_csv(system_map, t), text)
-    with mock.patch.object(dataset, "_columns", side_effect=lambda _, t: _csv_reader_columns(t)):
+    with mock.patch.object(dataset, "_columns",
+                           side_effect=lambda _, source: _csv_reader_columns(dataset._text(source))):
         want = _outcome(lambda t: load_csv(system_map, t), text)
     return got, any(typed), want
 
@@ -505,6 +522,16 @@ def test_clean_text_is_read_in_one_loadtxt_call(text):
     _assert_same_outcome(got, want)
 
 
+@pytest.mark.parametrize("text", [CSV, "window,system.score\nref,1\n \ncur,2\n"])
+def test_loadtxt_reading_fewer_rows_hands_the_lines_to_csv_reader(text):
+    # np.loadtxt may skip a whitespace-only line; the row count catches any dropped row
+    loadtxt = np.loadtxt
+    with mock.patch.object(np, "loadtxt", side_effect=lambda *a, **k: loadtxt(*a, **k)[:-1]) as short:
+        got, took_c_reader, want = _load_both(text)
+    assert short.call_count == 1 and not took_c_reader
+    _assert_same_outcome(got, want)
+
+
 @pytest.mark.parametrize("dirt", ["", "NA", "None"])
 def test_late_missing_cell_loads_through_csv_reader(dirt):
     # a numeric cell that fails np.loadtxt only at the last row
@@ -526,3 +553,28 @@ def test_label_fields_hold_whole_cells():
     assert [f.kind for f, _ in loadtxt.call_args.args[1].fields.values()] == ["O", "O", "f"]
     _assert_same_outcome(got, want)
     assert got.columns["pipe.raw"][0] == "u" * 300
+
+
+def test_load_holds_about_one_copy_of_the_file(tmp_path):
+    # the text is dropped before its lines are parsed, and label cells are
+    # interned as read: the traced peak is a small multiple of the file
+    p = tmp_path / "s2.csv"
+    p.write_text(generate_csv(ScenarioConfig("S2", n=5000, seed=3)), encoding="utf-8")
+    system_map = churn_map()
+    load_csv(system_map, str(p))
+    held, loadtxt = [], np.loadtxt
+
+    def traced_loadtxt(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return loadtxt(*args, **kwargs)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(np, "loadtxt", traced_loadtxt):
+            load_csv(system_map, str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = p.stat().st_size
+    assert peak < 4.5 * size
+    assert held[0] < 2 * size     # the lines alone, about 1.5x; with the text, 2.5x

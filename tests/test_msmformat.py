@@ -124,6 +124,14 @@ def test_invalid_corpus_rejected():
             parse_map(text)
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_line_ends_read_alike(end):
+    text = churn_map_text()
+    assert parse_map(text.replace("\n", end)) == parse_map(text)
+    with pytest.raises(ParseError, match="line 2, col 6"):
+        parse_map(f"map m{end}view planet{end}")
+
+
 # ---------------------------------------------------------------------------
 # round-trips
 
