@@ -164,7 +164,9 @@ def _columns(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> tuple[
     text = _text(source)
     lines = []
     if not any(c in text for c in '"\x00\x1c\x1d\x1e\x1f'):
-        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
         if not lines[-1]:
             lines.pop()
     if len(lines) < 2 or "" in lines:
@@ -229,8 +231,8 @@ def _loadtxt_columns(system_map: SystemMap, lines: list[str]) -> tuple[list[str]
     labels = {i: sys.intern for i, cell in enumerate(first)
               if fields[i] == object and cell not in _AS_NAN}
     try:    # encoding=None: numpy 1.x passes bytes to converters by default
-        table = np.loadtxt(lines, fields, delimiter=",", comments=None, quotechar=None,
-                           skiprows=1, ndmin=1, converters=labels, encoding=None)
+        table = np.loadtxt(lines, fields, delimiter=",", comments=None, quotechar=None, skiprows=1,
+                           max_rows=len(lines) - 1, ndmin=1, converters=labels, encoding=None)
     except ValueError:
         return None
     if len(table) != len(lines) - 1:

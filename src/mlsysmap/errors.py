@@ -13,12 +13,15 @@ class MsmError(Exception):
 # map construction / validation
 
 class MapBuildError(MsmError):
-    """Base class for structural map validation failures."""
+    """Base class for structural map validation failures. ``at`` holds
+    the edges and node names the failure is about, where a parser looks
+    up its source position."""
 
-    def __init__(self, message, line=None, col=None):
+    def __init__(self, message, line=None, col=None, at=()):
         super().__init__(message)
         self.line = line
         self.col = col
+        self.at = at
 
     def __str__(self):
         base = super().__str__()
@@ -38,27 +41,19 @@ class CycleError(MapBuildError):
 
 
 class KindViolation(MapBuildError):
-    def __init__(self, message, edge=None, **kw):
-        super().__init__(message, **kw)
-        self.edge = edge
+    pass
 
 
 class ViewViolation(MapBuildError):
-    def __init__(self, message, node=None, **kw):
-        super().__init__(message, **kw)
-        self.node = node
+    pass
 
 
 class MappingViolation(MapBuildError):
-    def __init__(self, message, nodes=(), **kw):
-        super().__init__(message, **kw)
-        self.nodes = tuple(nodes)
+    pass
 
 
 class TerminalViolation(MapBuildError):
-    def __init__(self, message, view=None, **kw):
-        super().__init__(message, **kw)
-        self.view = view
+    pass
 
 
 class UnknownNode(MsmError):

@@ -208,9 +208,7 @@ class SystemMap:
         ]
         if len(terminals) != 1:
             raise TerminalViolation(
-                f"view '{view.name}' has {len(terminals)} terminal data nodes",
-                view=view.name,
-            )
+                f"view '{view.name}' has {len(terminals)} terminal data nodes")
         return terminals[0]
 
     def route_subsystem(self, system_node: str) -> View:
@@ -366,15 +364,15 @@ def _check_views(views, node_index):
         raise ViewViolation("non-empty map must contain the ML-system view")
     for n in node_index.values():
         if n.kind is NodeKind.RANDOM and n.view.type is not ViewType.ENVIRONMENT:
-            raise ViewViolation(f"random node '{n.qname}' outside the environment view", node=n.qname)
+            raise ViewViolation(f"random node '{n.qname}' outside the environment view", at=(n.qname,))
         if n.kind is not NodeKind.RANDOM and n.view.type is ViewType.ENVIRONMENT:
-            raise ViewViolation(f"{n.kind.value} node '{n.qname}' in the environment view", node=n.qname)
+            raise ViewViolation(f"{n.kind.value} node '{n.qname}' in the environment view", at=(n.qname,))
         if n.kind is NodeKind.MODULATOR and n.view.type is ViewType.ML_SYSTEM:
-            raise ViewViolation(f"modulator node '{n.qname}' in the ML-system view", node=n.qname)
+            raise ViewViolation(f"modulator node '{n.qname}' in the ML-system view", at=(n.qname,))
         if n.boundary and (n.view.type is not ViewType.SUBSYSTEM or n.kind is not NodeKind.DATA):
             raise ViewViolation(
                 f"boundary flag on '{n.qname}' (only subsystem data nodes may be boundary inputs)",
-                node=n.qname,
+                at=(n.qname,),
             )
 
 
@@ -383,24 +381,24 @@ def _check_relation_kinds(r, node_index):
     edge = (r.src, r.dst)
     if r.kind is RelationKind.CAUSAL:
         if src.view != dst.view:
-            raise KindViolation(f"causal edge {r.src} -> {r.dst} crosses views", edge=edge)
+            raise KindViolation(f"causal edge {r.src} -> {r.dst} crosses views", at=(edge,))
         if (src.kind, dst.kind) not in _CAUSAL_KIND_RULES:
             raise KindViolation(
                 f"causal edge {r.src} -> {r.dst} has forbidden kinds "
                 f"({src.kind.value} -> {dst.kind.value})",
-                edge=edge,
+                at=(edge,),
             )
     elif r.kind is RelationKind.MAPPING:
         if src.kind is not NodeKind.DATA or dst.kind is not NodeKind.DATA:
-            raise KindViolation(f"mapping {r.src} = {r.dst} must join data nodes", edge=edge)
+            raise KindViolation(f"mapping {r.src} = {r.dst} must join data nodes", at=(edge,))
         if src.view == dst.view:
-            raise KindViolation(f"mapping {r.src} = {r.dst} within one view", edge=edge)
+            raise KindViolation(f"mapping {r.src} = {r.dst} within one view", at=(edge,))
     elif r.kind is RelationKind.MEASURE:
         if src.kind is not NodeKind.RANDOM or dst.kind is not NodeKind.DATA:
-            raise KindViolation(f"measure edge {r.src} -> {r.dst} must go random -> data", edge=edge)
+            raise KindViolation(f"measure edge {r.src} -> {r.dst} must go random -> data", at=(edge,))
     elif r.kind is RelationKind.ACTUATE:
         if src.kind is not NodeKind.DATA or dst.kind is not NodeKind.RANDOM:
-            raise KindViolation(f"actuate edge {r.src} -> {r.dst} must go data -> random", edge=edge)
+            raise KindViolation(f"actuate edge {r.src} -> {r.dst} must go data -> random", at=(edge,))
 
 
 def _view_graph(view, node_index, relations) -> ViewGraph:
@@ -450,7 +448,7 @@ def _equivalence_classes(node_index, relations):
                 raise MappingViolation(
                     f"nodes '{per_view[vname]}' and '{m}' of view '{vname}' "
                     "are in one equivalence class",
-                    nodes=(per_view[vname], m),
+                    at=(per_view[vname], m),
                 )
             per_view[vname] = m
         for m in members:
@@ -466,7 +464,7 @@ def _check_measure_roots(node_index, relations):
         if r.kind is RelationKind.MEASURE and r.dst in causal_targets:
             raise KindViolation(
                 f"measure edge {r.src} -> {r.dst} targets a non-root data node",
-                edge=(r.src, r.dst),
+                at=((r.src, r.dst),),
             )
 
 
@@ -482,6 +480,4 @@ def _check_terminals(built: SystemMap):
         if not linked:
             raise TerminalViolation(
                 f"terminal '{terminal.qname}' of view '{view.name}' has no "
-                "mapping link into the ML-system view",
-                view=view.name,
-            )
+                "mapping link into the ML-system view")

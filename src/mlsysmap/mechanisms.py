@@ -11,6 +11,8 @@ of a set of batched leaves, each carrying its two tables on a window
 axis that is never summed out (a regime indicator in the sense of
 Dawid, "Influence diagrams for causal modelling and inference", Int.
 Stat. Review 2002), with rows bit-identical to ``target_marginal``.
+Every factor has its axes in elimination order, window axes last, so
+each step's victim is axis 0 and is summed out slab by slab.
 Runs that share a ``StepMemo`` compute each elimination step once per
 window choice of the fixed leaves that step depends on. A sampled
 fallback uses ancestral sampling. Jensen-Shannon divergence
@@ -75,7 +77,12 @@ class NumericBins:
         return len(self.edges) + 1
 
     def encode(self, values: np.ndarray) -> np.ndarray:
-        return np.searchsorted(np.array(self.edges), values, side="right")
+        """Each value's bin, the count of edges at or below it: for finite
+        values, ``np.searchsorted(edges, values, side="right")``."""
+        codes = np.zeros(len(values), np.intp)
+        for edge in self.edges:
+            codes += values >= edge
+        return codes
 
 
 @dataclass(frozen=True)
@@ -233,19 +240,22 @@ def fit_mechanisms(system_map: SystemMap, ds: WindowedDataset, view: View,
 class _EliminationPlan:
     """Variable elimination for one target, fixed before any arithmetic.
 
-    ``leaves[i]`` is the i-th ancestral node (sorted) with its ref and cur
-    tables transposed to sorted-scope axis order. Each step multiplies the
-    factors in ``slots`` left to right, reshaping the running product and
-    the next factor to the shapes in ``shapes`` so they broadcast over the
-    union scope, then sums out ``axis``; the result takes the next slot.
-    A step's ``mask`` has bit ``n-1-i`` set, of ``n`` leaves, when its
-    result depends on leaf ``i``.
+    ``order`` is the elimination order, the target last, and every factor
+    has its axes in that order. ``leaves[i]`` is the i-th ancestral node
+    (sorted) with its ref and cur tables transposed to it. Each step
+    multiplies the factors in ``slots`` left to right, reshaping the
+    running product and the next factor to the shapes in ``shapes`` so
+    they broadcast over the union scope, and sums out ``axis``, which is
+    0: the victim comes first in the order. The result takes the next
+    slot. A step's ``mask`` has bit ``n-1-i`` set, of ``n`` leaves, when
+    its result depends on leaf ``i``.
     The marginal is the product of the ``target_slots`` factors, the
     factors left over the target alone. ``largest`` is the size of the
     largest table or product one run touches. ``error`` is set, and
     nothing else used, when some product would exceed the state limit.
     """
 
+    order: tuple = ()
     leaves: tuple = ()
     steps: tuple = ()
     target_slots: tuple = ()
@@ -254,38 +264,45 @@ class _EliminationPlan:
 
 
 def _plan_elimination(mech: MechanismSet, target: str, limit: int) -> _EliminationPlan:
-    """Min-degree elimination order, lexicographic tie-breaks."""
+    """Min-degree elimination order, lexicographic tie-breaks, found over
+    the scopes as sets before any axis is placed."""
     relevant = ancestors(mech.parents, target) | {target}
-    leaves, factors, dims, largest = [], [], {}, 0
-    masks = [1 << (len(relevant) - 1 - slot) for slot in range(len(relevant))]
-    for slot, q in enumerate(sorted(relevant)):
-        scope = mech.parents[q] + (q,)
-        order = tuple(sorted(scope))
-        perm = [scope.index(v) for v in order]
-        windows = {w: np.transpose(t, perm) for w, t in mech.tables[q].items()}
-        dims.update(zip(order, windows["ref"].shape))
-        leaves.append((q, windows))
-        largest = max(largest, windows["ref"].size)
-        factors.append((order, slot))
-
-    steps = []
-    to_eliminate = relevant - {target}
+    scopes = {q: mech.parents[q] + (q,) for q in sorted(relevant)}
+    sets, order, to_eliminate = [set(s) for s in scopes.values()], [], relevant - {target}
     while to_eliminate:
         neighbors = {v: set() for v in to_eliminate}
-        for scope, _ in factors:
-            for v in scope:
-                if v in neighbors:
-                    neighbors[v].update(scope)
+        for scope in sets:
+            for v in scope & to_eliminate:
+                neighbors[v].update(scope)
         victim = min(to_eliminate, key=lambda v: (len(neighbors[v] - {v}), v))
+        merged = set().union(*(s for s in sets if victim in s)) - {victim}
+        sets = [s for s in sets if victim not in s] + [merged]
+        order.append(victim)
+        to_eliminate.discard(victim)
+    rank = {v: i for i, v in enumerate(order + [target])}
+
+    leaves, factors, dims, largest = [], [], {}, 0
+    masks = [1 << (len(relevant) - 1 - slot) for slot in range(len(relevant))]
+    for slot, (q, scope) in enumerate(scopes.items()):
+        axes = tuple(sorted(scope, key=rank.get))
+        perm = [scope.index(v) for v in axes]
+        windows = {w: np.transpose(t, perm) for w, t in mech.tables[q].items()}
+        dims.update(zip(axes, windows["ref"].shape))
+        leaves.append((q, windows))
+        largest = max(largest, windows["ref"].size)
+        factors.append((axes, slot))
+
+    steps = []
+    for victim in order:
         group = [f for f in factors if victim in f[0]]
         factors = [f for f in factors if victim not in f[0]]
         scope, shapes = group[0][0], []
         for other, _ in group[1:]:
-            allvars = tuple(sorted(set(scope) | set(other)))
+            allvars = tuple(sorted(set(scope) | set(other), key=rank.get))
             size = math.prod(dims[v] for v in allvars)
             if size > limit:
                 return _EliminationPlan(
-                    error=f"factor over {allvars} has {size} states (limit {limit})")
+                    error=f"factor over {tuple(sorted(allvars))} has {size} states (limit {limit})")
             largest = max(largest, size)
             shapes.append(tuple(tuple(dims[v] if v in s else 1 for v in allvars)
                                 for s in (scope, other)))
@@ -293,13 +310,12 @@ def _plan_elimination(mech: MechanismSet, target: str, limit: int) -> _Eliminati
         slots = tuple(slot for _, slot in group)
         masks.append(functools.reduce(operator.or_, (masks[s] for s in slots)))
         steps.append((slots, tuple(shapes), scope.index(victim), masks[-1]))
-        factors.append((tuple(v for v in scope if v != victim), len(masks) - 1))
-        to_eliminate.discard(victim)
+        factors.append((scope[1:], len(masks) - 1))
 
     # the ancestral set is connected through the target, and eliminating
     # a node connects its neighbours, so every victim still has one and no
     # factor ends up over no variable: all that remain are over the target
-    return _EliminationPlan(leaves=tuple(leaves), steps=tuple(steps),
+    return _EliminationPlan(order=tuple(rank), leaves=tuple(leaves), steps=tuple(steps),
                             target_slots=tuple(slot for _, slot in factors),
                             largest=largest)
 
@@ -323,15 +339,28 @@ def elimination_plan(mech: MechanismSet, target: str,
     return plan
 
 
-def _run_step(values: list, slots, shapes, axis: int, r: int) -> np.ndarray:
-    """One planned multiply-and-sum on values with ``r`` leading window axes."""
+def _run_step(values: list, slots, shapes, r: int) -> np.ndarray:
+    """One planned multiply-and-sum on values with ``r`` trailing window
+    axes, the victim on axis 0. Every factor but the last is multiplied
+    whole, the last one victim slab by victim slab into one buffer, and
+    the slabs are added in order, so no product over the victim is held
+    whole and the sum's order is the same whatever the factors' memory
+    layout."""
+    def shaped(value, scope_shape):
+        return value.reshape(scope_shape + value.shape[value.ndim - r:])
+
     prod = values[slots[0]]
-    for slot, (lhs, rhs) in zip(slots[1:], shapes):
-        factor = values[slot]
-        if r:
-            lhs, rhs = prod.shape[:r] + lhs, factor.shape[:r] + rhs
-        prod = prod.reshape(lhs) * factor.reshape(rhs)
-    return prod.sum(axis=r + axis)
+    for slot, (lhs, rhs) in zip(slots[1:-1], shapes[:-1]):
+        prod = shaped(prod, lhs) * shaped(values[slot], rhs)
+    if not shapes:                 # the victim is in this one factor only
+        return functools.reduce(operator.iadd, prod[1:], prod[0].copy())
+    lhs, rhs = shapes[-1]
+    prod, last = shaped(prod, lhs), shaped(values[slots[-1]], rhs)
+    total = prod[0] * last[0]
+    slab = np.empty_like(total)
+    for v in range(1, len(prod)):
+        total += np.multiply(prod[v], last[v], out=slab)
+    return total
 
 
 @dataclass
@@ -341,7 +370,8 @@ class StepMemo:
     result keyed by ``(step, cur & mask)``, ``cur`` holding the mask bits
     of the fixed leaves on ``cur``. A step that depends on every ``fixed``
     leaf is unique to its run and not kept, and nothing more is kept once
-    the results hold ``limit`` states."""
+    the results hold ``limit`` states. Step results, like the leaf values,
+    carry their window axes last."""
 
     limit: int
     leaves: list = field(default_factory=list)
@@ -353,16 +383,16 @@ class StepMemo:
 def _run_plan(plan: _EliminationPlan, values: list, r: int,
               memo: Optional[StepMemo] = None, cur: int = 0) -> np.ndarray:
     """The planned multiplies and sums on leaf ``values`` that each carry
-    ``r`` leading window axes; those axes broadcast and are never summed.
+    ``r`` trailing window axes; those axes broadcast and are never summed.
     With a ``memo``, a step computes only when the memo lacks its result."""
-    for step, (slots, shapes, axis, mask) in enumerate(plan.steps):
+    for step, (slots, shapes, _, mask) in enumerate(plan.steps):
         if memo is None or mask & memo.fixed == memo.fixed:
-            values.append(_run_step(values, slots, shapes, axis, r))
+            values.append(_run_step(values, slots, shapes, r))
             continue
         key = (step, cur & mask)
         out = memo.steps.get(key)
         if out is None:
-            out = _run_step(values, slots, shapes, axis, r)
+            out = _run_step(values, slots, shapes, r)
             if memo.states + out.size <= memo.limit:
                 memo.steps[key] = out
                 memo.states += out.size
@@ -396,11 +426,12 @@ def batched_marginals(plan: _EliminationPlan, windows: Sequence[Optional[str]],
     is a C-contiguous ``(2**j, k)`` array; row ``b`` has batched leaf
     ``i`` (in leaf order) on ``cur`` when bit ``j-1-i`` of ``b`` is set.
     One run of the plan computes every row: each batched leaf carries
-    its ref and cur tables on its own window axis, and the planned
-    multiplies broadcast over those axes. Runs that share a ``memo``
-    reuse its leaf values and every step result it holds for the same
-    windows of the fixed leaves that step depends on. Each row is
-    bit-identical to ``target_marginal`` under the same assignment.
+    its ref and cur tables on its own window axis, after its scope axes,
+    and the planned multiplies broadcast over those axes; the run's
+    ``(k, 2, ..., 2)`` result is transposed into the rows. Runs that
+    share a ``memo`` reuse its leaf values and every step result it holds
+    for the same windows of the fixed leaves that step depends on. Each
+    row is bit-identical to ``target_marginal`` under the same assignment.
     """
     j, n = windows.count(None), len(windows)
     leaves = memo.leaves if memo is not None else []
@@ -408,17 +439,18 @@ def batched_marginals(plan: _EliminationPlan, windows: Sequence[Optional[str]],
         i = 0
         for (_, tables), w in zip(plan.leaves, windows):
             if w is None:
-                stacked = np.stack([tables["ref"], tables["cur"]])
-                leaves.append({None: stacked.reshape((1,) * i + (2,) + (1,) * (j - i - 1)
-                                                     + stacked.shape[1:])})
+                stacked = np.stack([tables["ref"], tables["cur"]], axis=-1)
+                leaves.append({None: stacked.reshape(stacked.shape[:-1] + (1,) * i + (2,)
+                                                     + (1,) * (j - i - 1))})
                 i += 1
             else:
-                leaves.append({v: t.reshape((1,) * j + t.shape) for v, t in tables.items()})
+                leaves.append({v: t.reshape(t.shape + (1,) * j) for v, t in tables.items()})
         if memo is not None:
             memo.fixed = sum(1 << (n - 1 - i) for i, w in enumerate(windows) if w is not None)
     cur = sum(1 << (n - 1 - i) for i, w in enumerate(windows) if w == "cur")
     values = [leaf[w] for leaf, w in zip(leaves, windows)]
-    return np.ascontiguousarray(_run_plan(plan, values, j, memo, cur)).reshape(1 << j, -1)
+    out = _run_plan(plan, values, j, memo, cur)
+    return np.ascontiguousarray(out.reshape(len(out), -1).T)
 
 
 def sample_marginal(mech: MechanismSet, assignment: dict, target: str,
@@ -460,11 +492,15 @@ def jsd_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     Rows that differ only by rounding can sum to a few ulps below zero,
     so results are clipped at 0.
     """
-    m = 0.5 * (p + q)
+    m = p + q
+    m *= 0.5
 
-    def kl(a):
-        ratio = np.divide(a, m, out=np.ones_like(a), where=a > 0)
-        return np.sum(a * np.log(ratio), axis=-1)
+    def kl(a):              # a * log(a / m) in one buffer
+        terms = np.ones_like(a)
+        np.divide(a, m, out=terms, where=a > 0)
+        np.log(terms, out=terms)
+        terms *= a
+        return terms.sum(axis=-1)
 
     return np.maximum(0.5 * kl(p) + 0.5 * kl(q), 0.0)
 

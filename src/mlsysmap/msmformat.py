@@ -161,18 +161,7 @@ def parse_map(text: str) -> SystemMap:
     try:
         return mapcore.build_map(map_name, nodes.values(), relations)
     except MapBuildError as exc:
-        pos = None
-        edge = getattr(exc, "edge", None)
-        if edge is not None:
-            pos = positions.get(edge)
-        node = getattr(exc, "node", None)
-        if pos is None and node is not None:
-            pos = positions.get(node)
-        if pos is None:
-            for n in getattr(exc, "nodes", ()):  # mapping violations
-                if n in positions:
-                    pos = positions[n]
-                    break
+        pos = next((positions[key] for key in exc.at if key in positions), None)
         if pos is not None:
             exc.line, exc.col = pos
         raise

@@ -284,6 +284,26 @@ def test_blocked_game_values_equal_per_coalition_reference(monkeypatch, batch_st
     assert multi_block >= (0 if batch_states == 1 << 18 else 8)
 
 
+@pytest.mark.parametrize("batch_states", [1 << 18, 64, 8])
+def test_blocked_values_with_many_state_victims_equal_reference(monkeypatch, batch_states):
+    """Blocked runs equal one coalition at a time bit for bit also where
+    victims have 8 or 9 states, which ``random_mechanism_set``'s default
+    of at most 3 never draws."""
+    monkeypatch.setattr(attribution, "BATCH_STATES", batch_states)
+    rng = np.random.default_rng(8)
+    many_state_victims = 0
+    for _ in range(6):
+        mech = random_mechanism_set(rng, n_nodes=int(rng.integers(3, 6)), max_states=9)
+        for target in mech.nodes:
+            game = MechanismSwapGame(mech, target)
+            many_state_victims += sum(mech.disc[v].n_states >= 8
+                                      for v in game._plan.order[:-1])
+            for mask in range(1 << len(mech.nodes)):
+                s = frozenset(p for i, p in enumerate(mech.nodes) if mask >> i & 1)
+                assert game(s) == reference_game_value(mech, target, s)
+    assert many_state_victims >= 5
+
+
 def test_fallback_sampling_keeps_non_ancestors_dummies():
     mech = random_mechanism_set(np.random.default_rng(7), n_nodes=6)
     target = "system.n3"

@@ -63,6 +63,17 @@ def test_numeric_quantile_bins():
     assert list(bins.encode(np.array([0.0, 1.0, 2.0, 3.0]))) == [0, 0, 1, 1]
 
 
+@pytest.mark.parametrize("n_edges", [0, 1, 15])
+def test_numeric_encode_counts_the_edges_at_or_below_each_value(n_edges):
+    rng = np.random.default_rng(n_edges)
+    edges = np.sort(rng.choice(np.linspace(-3.0, 3.0, 61), n_edges, replace=False))
+    values = np.concatenate([rng.normal(size=200), edges, np.nextafter(edges, -np.inf),
+                             [-1e300, 1e300]])
+    got = NumericBins(tuple(edges.tolist())).encode(values)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.searchsorted(edges, values, side="right"))
+
+
 def test_numeric_bins_deduplicate_tied_quantiles():
     bins = fit_variable(np.array([1.0] * 10 + [2.0]), k=8)
     assert len(bins.edges) < 8
@@ -284,6 +295,30 @@ def test_planned_elimination_is_bit_identical_to_reference():
                 got = target_marginal(mech, assignment, target)
                 want = reference_target_marginal(mech, assignment, target)
                 assert np.array_equal(got, want)
+
+
+def test_plan_sums_out_axis_zero_in_min_degree_order():
+    """Every step's victim leads its axes, and victims come in min-degree
+    order with lexicographic tie-breaks ("n10" sorts before "n2")."""
+    mech = random_mechanism_set(np.random.default_rng(1), n_nodes=12, p_edge=0.35)
+    plan = mechanisms.elimination_plan(mech, "system.n11")
+    assert [axis for _, _, axis, _ in plan.steps] == [0] * len(plan.steps)
+    assert plan.order == tuple(f"system.{v}" for v in (
+        "n2", "n1", "n4", "n9", "n7", "n3", "n0", "n10", "n5", "n6", "n11"))
+
+
+def test_many_state_marginals_match_the_reference_to_rounding():
+    """Victims of 8 or 9 states are summed slab by slab in order; numpy's
+    ``sum`` in the reference may add them pairwise, so the two agree to
+    rounding, not always to the bit."""
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        mech = random_mechanism_set(rng, n_nodes=int(rng.integers(3, 7)), max_states=9)
+        for target in mech.nodes:
+            assignment = {q: ("cur" if rng.random() < 0.5 else "ref") for q in mech.nodes}
+            got = target_marginal(mech, assignment, target)
+            want = reference_target_marginal(mech, assignment, target)
+            assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps
 
 
 def test_cached_plan_is_per_state_limit():
