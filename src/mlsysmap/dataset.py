@@ -5,24 +5,25 @@ Input is a CSV with a header row, one ``window`` column labeling each row
 member of its equivalence class; the simulator hands over the same
 columns as arrays. Every CSV row must have as many cells as the header.
 The text is cut into columns once: numpy's C reader types unquoted text
-without blank lines in one ``np.loadtxt`` call, interning label cells as
-it reads them, unless a cell it cannot parse (an empty cell or a missing
-token in a numeric column, say) makes the call fail; any other text is
-read by ``csv.reader``. Both give the same columns.
+without blank lines in one ``np.loadtxt`` call, reading each label cell
+as an integer code, unless a cell it cannot parse (an empty cell or a
+missing token in a numeric column, say) makes the call fail; any other
+text is read by ``csv.reader``. Both give the same columns.
 :func:`build_dataset` unifies columns to the canonical (lexicographically
 smallest) class member and types each column once: a column is numeric
 (float64, ``NaN`` = missing, i.e. empty, non-finite or one of
 ``MISSING_TOKENS``) when its node is not a modulator and every non-empty
-cell is a number or a missing token, else categorical (``str`` cells,
-``""`` = missing, tokens kept as labels). Past that point only
+cell is a number or a missing token, else categorical: a
+:class:`LabelColumn` of codes into its sorted labels (``""`` = missing,
+tokens kept as labels), as is the ``window`` column. Past that point only
 :func:`present` tests for the two missing markers.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
-import operator
 import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Union
@@ -46,31 +47,93 @@ MISSING_TOKENS = ("NA", "N/A", "null", "NULL", "None")
 _AS_NAN = dict.fromkeys(("",) + MISSING_TOKENS, "nan")
 
 
-def present(column: np.ndarray) -> np.ndarray:
+class _FirstSeen(dict):
+    """Label -> code, handing each label not yet seen the next code."""
+
+    def __missing__(self, label):
+        code = self[label] = len(self)
+        return code
+
+
+class LabelColumn:
+    """A categorical column: integer codes into its sorted distinct labels.
+
+    It reads like the object array of its ``str`` cells: ``len``,
+    iteration, an int index (the cell's label, so equal cells are one
+    interned ``str``), mask or index-array indexing (a column over the same
+    labels), ``np.asarray`` and ``column == label`` (a mask). A column
+    made by :meth:`of` holds each of its labels; one indexed out of it
+    keeps them all.
+    """
+
+    __slots__ = ("codes", "labels")
+    dtype = np.dtype(object)
+
+    def __init__(self, codes: np.ndarray, labels: tuple[str, ...]):
+        self.codes, self.labels = codes, labels
+
+    @classmethod
+    def of(cls, cells) -> LabelColumn:
+        """The column of a sequence or array of cells, each read as ``str``;
+        a LabelColumn is returned as it is."""
+        if isinstance(cells, LabelColumn):
+            return cells
+        return cls.first_seen(*_first_seen_codes(cells))
+
+    @classmethod
+    def first_seen(cls, codes: np.ndarray, labels: list[str]) -> LabelColumn:
+        """The column of ``codes`` into ``labels`` in first-seen order: the
+        C-contiguous intp ``codes`` are recoded to the sorted labels in place
+        (``take`` reads each code before it writes that slot)."""
+        ordered = sorted(labels)
+        if ordered != labels:
+            rank = {label: i for i, label in enumerate(ordered)}
+            np.take(np.fromiter(map(rank.__getitem__, labels), np.intp, len(labels)), codes,
+                    out=codes, mode="wrap")
+        return cls(codes, tuple(map(sys.intern, ordered)))
+
+    def code(self, label: str) -> int:
+        """The code of ``label``, or -1 where the column has no such label."""
+        i = bisect.bisect_left(self.labels, label)
+        return i if i < len(self.labels) and self.labels[i] == label else -1
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        return map(self.labels.__getitem__, self.codes.tolist())
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self.labels[self.codes[key]]
+        return LabelColumn(self.codes[key], self.labels)
+
+    def __array__(self, dtype=None, copy=None):
+        cells = np.array(self.labels, dtype=object)[self.codes]
+        return cells if dtype is None else cells.astype(dtype)
+
+    def __eq__(self, label: str) -> np.ndarray:
+        return self.codes == self.code(label)
+
+
+def present(column) -> np.ndarray:
     """Mask of the cells of a typed column that are not missing."""
-    if column.dtype == object:
-        return column != ""
+    if isinstance(column, LabelColumn):
+        return column.codes != column.code("")
     return ~np.isnan(column)
-
-
-def _labels(cells) -> np.ndarray:
-    """Object array of the interned cells: no cell string outlives the load.
-    An array is kept as it is: numpy's C reader interns label cells as read."""
-    if isinstance(cells, np.ndarray):
-        return cells
-    return np.fromiter(map(sys.intern, cells), object, len(cells))
 
 
 @dataclass
 class WindowedDataset:
     """Column store keyed by canonical qualified name, plus window labels."""
 
-    columns: dict[str, np.ndarray]   # qname -> float64 or object array of str
-    window: np.ndarray               # object array of 'ref' / 'cur'
+    columns: dict[str, Union[np.ndarray, LabelColumn]]   # qname -> float64 array or labels
+    window: LabelColumn              # 'ref' / 'cur'; cells of another type are read into one
     warnings: list[str] = field(default_factory=list)
     _masks: dict = field(init=False, repr=False, compare=False)  # label -> read-only mask
 
     def __post_init__(self):
+        self.window = LabelColumn.of(self.window)
         self._masks = {label: self.window == label for label in WINDOWS}
         for mask in self._masks.values():
             mask.flags.writeable = False
@@ -85,50 +148,69 @@ class WindowedDataset:
         return self._masks[label]
 
 
-def _typed_column(values, modulator: bool) -> tuple[np.ndarray, dict]:
-    """The column as float64 or as str cells, and by reason the number of
+def _first_seen_codes(cells) -> tuple[np.ndarray, list[str]]:
+    """Codes of the cells, each read as ``str``, into their distinct labels
+    in first-seen order."""
+    if isinstance(cells, np.ndarray) and cells.dtype != object:
+        cells = cells.astype(str).tolist()
+    seen = _FirstSeen()
+    codes = np.fromiter(map(seen.__getitem__, cells), np.intp, len(cells))
+    if not all(type(label) is str for label in seen):    # numbers in an object array
+        return _first_seen_codes(list(map(str, cells)))
+    return codes, list(seen)
+
+
+def _typed_column(values, modulator: bool) -> tuple[Union[np.ndarray, LabelColumn], dict]:
+    """The column as float64 or as labels, and by reason the number of
     non-empty cells loaded as missing.
 
-    ``values`` is a list of CSV cells, an object array of ``str`` cells
-    (kept as it is when the column is categorical) or another array. Text
-    is numeric when every cell parses with ``float`` (as the object-to-float
-    cast does), or does once empty cells and missing tokens read as
-    ``"nan"``.
+    ``values`` is a list of CSV cells, a :class:`LabelColumn` (kept as it is
+    when categorical) or an array. Text is numeric when every cell parses
+    with ``float`` (as the object-to-float cast does), or does once empty
+    cells and missing tokens read as ``"nan"``; past the first try, that
+    is decided on the column's distinct labels, each parsed once.
     """
-    missing = np.zeros(len(values), dtype=bool)
-    tokens = 0
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf" and not modulator:
+    if modulator:
+        return LabelColumn.of(values), {}
+    floats, tokens, marked = None, 0, 0
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
         floats = values.astype(np.float64)
-    else:
+    elif not isinstance(values, LabelColumn):
         cells = (values.astype(str).tolist()
                  if isinstance(values, np.ndarray) and values.dtype != object else values)
-        if modulator:
-            return _labels(cells), {}
         try:
             floats = np.fromiter(map(float, cells), np.float64, len(cells))
         except ValueError:
-            try:
-                floats = np.fromiter(map(float, map(_AS_NAN.get, cells, cells)),
-                                     np.float64, len(cells))
-            except ValueError:
-                return _labels(cells), {}
-            missing = np.fromiter(map(_AS_NAN.__contains__, cells), bool, len(cells))
-            tokens = int(np.count_nonzero(missing)) - operator.countOf(cells, "")
+            pass
+    if floats is None:
+        column = values if isinstance(values, LabelColumn) else None
+        codes, labels = ((column.codes, column.labels) if column is not None
+                         else _first_seen_codes(cells))
+        held = np.bincount(codes, minlength=len(labels))
+        # a label that no cell holds reads as empty, so it types nothing
+        cells = [label if n else "" for label, n in zip(labels, held)]
+        try:
+            floats = np.fromiter(map(float, map(_AS_NAN.get, cells, cells)),
+                                 np.float64, len(cells))[codes]
+        except ValueError:
+            return (column if column is not None else LabelColumn.first_seen(codes, labels)), {}
+        tokens = int(held[[cell in MISSING_TOKENS for cell in cells]].sum())
+        marked = int(held[[cell in _AS_NAN for cell in cells]].sum())
     non_finite = ~np.isfinite(floats)
     floats[non_finite] = np.nan
-    return floats, {"non-finite": int(np.count_nonzero(non_finite & ~missing)),
+    return floats, {"non-finite": int(np.count_nonzero(non_finite)) - marked,
                     "missing-token": tokens}
 
 
 def build_dataset(system_map: SystemMap, columns: Iterable[tuple[str, Union[np.ndarray, list]]],
-                  window: np.ndarray) -> WindowedDataset:
+                  window: Union[np.ndarray, LabelColumn]) -> WindowedDataset:
     """A dataset from (name, cells) columns aligned with ``window``.
 
     A name may be any member of an equivalence class; two columns from one
     class are an error. Columns matching no map node, and non-finite or
     missing-token cells (loaded as missing), are reported as warnings.
     """
-    ds = WindowedDataset(columns={}, window=np.asarray(window, dtype=object))
+    ds = WindowedDataset(columns={}, window=window)
     for label in WINDOWS:
         if not np.any(ds.window_mask(label)):
             raise EmptyWindow(f"window '{label}' has no rows")
@@ -212,15 +294,14 @@ def _loadtxt_columns(system_map: SystemMap, lines: list[str]) -> tuple[list[str]
     ``np.loadtxt`` call, or None where that call fails or reads another
     number of rows.
 
-    A column is a float64 field when its node is not a modulator and its
-    first cell parses with ``float``, returned as a view of the table; the
-    window column and the other map columns are object fields of ``str``
-    cells. Those are interned as they are read and returned as object
-    arrays, unless the first cell is empty or a missing token: such a
-    column may still be numeric, and its cells are returned as a list.
-    numpy parses each number with ``PyOS_string_to_double``, as ``float``
-    does, so the values are the same bits; an empty cell, a token or any
-    other cell it cannot parse as a number, and a ragged row, raise
+    Each column gets the field of :func:`_field`. A float64 field is
+    returned as a view of the table. A label field holds integer codes: its
+    converter, a dict's ``__getitem__``, hands each label not yet seen the
+    next code, and the codes are recoded to the sorted labels once, in a
+    :class:`LabelColumn`. The cells of an object field are returned as a
+    list. numpy parses each number with ``PyOS_string_to_double``, as
+    ``float`` does, so the values are the same bits; an empty cell, a token
+    or any other cell it cannot parse as a number, and a ragged row, raise
     ``ValueError``.
     """
     header, first = lines[0].split(","), lines[1].split(",")
@@ -228,34 +309,39 @@ def _loadtxt_columns(system_map: SystemMap, lines: list[str]) -> tuple[list[str]
         return None
     fields = np.dtype([(f"f{i}", _field(system_map, name, cell))
                        for i, (name, cell) in enumerate(zip(header, first))])
-    labels = {i: sys.intern for i, cell in enumerate(first)
-              if fields[i] == object and cell not in _AS_NAN}
+    seen = {i: _FirstSeen() for i in range(len(header)) if fields[i] == np.intp}
     try:    # encoding=None: numpy 1.x passes bytes to converters by default
         table = np.loadtxt(lines, fields, delimiter=",", comments=None, quotechar=None, skiprows=1,
-                           max_rows=len(lines) - 1, ndmin=1, converters=labels, encoding=None)
+                           max_rows=len(lines) - 1, ndmin=1, encoding=None,
+                           converters={i: labels.__getitem__ for i, labels in seen.items()})
     except ValueError:
         return None
     if len(table) != len(lines) - 1:
         return None
-    return header, [np.ascontiguousarray(table[name]) if i in labels
-                    else table[name].tolist() if fields[i] == object else table[name]
+    return header, [LabelColumn.first_seen(np.ascontiguousarray(table[name]), list(seen[i]))
+                    if i in seen else table[name].tolist() if fields[i] == object else table[name]
                     for i, name in enumerate(fields.names)]
 
 
 def _field(system_map: SystemMap, name: str, cell: str):
-    """The C reader's field type for a column: float64, object (``str``
-    cells), or a one-character field for a column that matches no map node
-    (its cells are never read)."""
+    """The C reader's field type for a column, from its first cell: integer
+    codes for a label column (the window, a modulator, or a first cell that
+    is no number, so the column is categorical), object (``str`` cells)
+    where that cell is empty or a missing token, so the column may yet be
+    numeric, else float64; and a one-character field for a column that
+    matches no map node (its cells are never read)."""
     if name == WINDOW_COLUMN:
-        return object
+        return np.intp
     if not system_map.has_node(name):
         return "U1"
     if system_map.node(system_map.canonical_name(name)).kind is NodeKind.MODULATOR:
+        return np.intp
+    if cell in _AS_NAN:
         return object
     try:
         float(cell)
     except ValueError:
-        return object
+        return np.intp
     return np.float64
 
 
@@ -267,8 +353,8 @@ def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> Window
     leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
     write, is not part of the first header cell. The text is read whole and
     cut into columns once (:func:`_columns`): clean unquoted text is typed
-    by numpy's C reader where it can be, with label cells interned as they
-    are read; anything else goes through ``csv.reader``. A file that is not
+    by numpy's C reader where it can be, with label cells read as codes;
+    anything else goes through ``csv.reader``. A file that is not
     UTF-8, or a quoted cell longer than ``csv.field_size_limit()``, raises
     ``DatasetError`` naming its line.
     """
@@ -276,9 +362,10 @@ def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> Window
 
     if WINDOW_COLUMN not in header:
         raise MissingWindowColumn("CSV has no 'window' column")
-    window = _labels(columns.pop(header.index(WINDOW_COLUMN)))
+    window = LabelColumn.of(columns.pop(header.index(WINDOW_COLUMN)))
     header.remove(WINDOW_COLUMN)
-    bad = np.flatnonzero((window != "ref") & (window != "cur"))
+    known = np.array([label in WINDOWS for label in window.labels], dtype=bool)
+    bad = np.flatnonzero(~known[window.codes])
     if len(bad):
         raise BadWindowLabel(
             f"row {bad[0] + 2}: window label '{window[bad[0]]}' (expected ref/cur)")

@@ -22,7 +22,8 @@ is Laplace-smoothed with ``SMOOTHING`` pseudo-counts per state.
 
 Column types and missing cells are decided once, when the dataset is
 built (see :mod:`mlsysmap.dataset`); here a float64 column is numeric and
-an object column is categorical, and missing cells are dropped. Numeric
+a ``LabelColumn``, codes into its sorted labels, is categorical, and
+missing cells are dropped. Numeric
 variables are binned on quantiles of both windows pooled, so a location
 shift in the current window keeps parent-child conditionals expressible
 instead of collapsing into a single edge bin. Categorical
@@ -45,7 +46,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dataset import ViewTable, WindowedDataset, present, resolve_column, view_matrix
+from .dataset import (LabelColumn, ViewTable, WindowedDataset, present, resolve_column,
+                      view_matrix)
 from .errors import (
     EmptyTable,
     InsufficientData,
@@ -95,10 +97,14 @@ class CategoryList:
     def n_states(self) -> int:
         return len(self.categories) + 1
 
-    def encode(self, values: np.ndarray) -> np.ndarray:
+    def encode(self, values) -> np.ndarray:
+        """Each cell's category index, or the unseen bucket's: one lookup
+        per label of the cells as a :class:`LabelColumn`."""
+        column = LabelColumn.of(values)
         index = {c: i for i, c in enumerate(self.categories)}
         unseen = itertools.repeat(len(self.categories))
-        return np.fromiter(map(index.get, map(str, values), unseen), np.int64, len(values))
+        remap = np.fromiter(map(index.get, column.labels, unseen), np.intp, len(column.labels))
+        return remap[column.codes]
 
     def labels(self) -> tuple[str, ...]:
         return self.categories + (UNSEEN,)
@@ -110,12 +116,17 @@ VariableBins = Union[NumericBins, CategoryList]
 def fit_variable(ref_values, k: int, extra_values=None) -> VariableBins:
     """Bins for one variable: pooled quantiles (numeric) or categories.
 
-    A number array is numeric, anything else categorical; the values are
-    the present cells of a typed column, so all numbers are finite.
+    A number array is numeric, anything else categorical: the categories
+    are the labels that some reference cell holds, sorted as the labels of
+    a :class:`LabelColumn` are. The values are the present cells of a typed
+    column, so all numbers are finite.
     """
-    ref_values = np.asarray(ref_values)
+    if not isinstance(ref_values, LabelColumn):
+        ref_values = np.asarray(ref_values)
     if not np.issubdtype(ref_values.dtype, np.number):
-        return CategoryList(tuple(sorted(set(map(str, ref_values)))))
+        ref = LabelColumn.of(ref_values)
+        held = np.bincount(ref.codes, minlength=len(ref.labels))
+        return CategoryList(tuple(itertools.compress(ref.labels, held)))
     pooled = ref_values if extra_values is None else np.concatenate([ref_values, extra_values])
     # the same order statistics, but np.quantile partitions sorted values faster
     qs = np.quantile(np.sort(pooled), [i / k for i in range(1, k)])

@@ -58,8 +58,9 @@ def brute_force_marginal(mech: MechanismSet, assignment: dict, target: str):
 def reference_target_marginal(mech: MechanismSet, assignment: dict, target: str,
                               limit: int = DEFAULT_STATE_LIMIT):
     """Variable elimination re-planned on every call (min-degree order,
-    lexicographic ties), multiplying and summing in the same order as
-    ``target_marginal``."""
+    lexicographic ties), multiplying in the same order as
+    ``target_marginal`` and summing each victim's slabs in index order,
+    as it does, whatever the victim's state count or memory layout."""
 
     def factor_for(node, window):
         scope = mech.parents[node] + (node,)
@@ -100,8 +101,9 @@ def reference_target_marginal(mech: MechanismSet, assignment: dict, target: str,
         for f in group[1:]:
             prod = multiply(prod, f)
         scope, array = prod
+        slabs = np.moveaxis(array, scope.index(victim), 0)
         factors.append((tuple(v for v in scope if v != victim),
-                        array.sum(axis=scope.index(victim))))
+                        functools.reduce(np.add, slabs[1:], slabs[0])))
         to_eliminate.discard(victim)
 
     out = None

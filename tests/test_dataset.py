@@ -30,7 +30,7 @@ from mlsysmap.errors import (
     RaggedRow,
 )
 from mlsysmap.mapcore import View
-from mlsysmap.mechanisms import fit_mechanisms
+from mlsysmap.mechanisms import fit_mechanisms, fit_variable
 from mlsysmap.msmformat import parse_map
 from mlsysmap.simulator import SCENARIOS, ScenarioConfig, churn_map, generate, generate_csv
 
@@ -367,8 +367,9 @@ def test_quoted_cell_loads_like_unquoted_text(tmp_path):
     p.write_text(CSV.replace("cur,4.0,0.4,b", 'cur,4.0,0.4,"b,c"'), encoding="utf-8")
     ds, clean = load_csv(MAP, str(p)), load_csv(MAP, CSV)
     assert list(ds.columns["pipe.raw"]) == ["a", "b", "a", "b,c"]
-    ds.columns["pipe.raw"][3] = "b"
-    _assert_same_dataset(ds, clean)
+    cells = {q: ["a", "b", "a", "b,c"] if q == "pipe.raw" else col
+             for q, col in clean.columns.items()}
+    _assert_same_dataset(ds, dataset.build_dataset(MAP, cells.items(), clean.window))
 
 
 def test_window_masks_are_built_once_and_read_only():
@@ -498,6 +499,42 @@ def test_c_reader_named_cells(cells, column, dtype, c_reader):
     assert took_c_reader is c_reader
 
 
+_CELL = st.sampled_from(("", "a", "B", "b", "é", "日本", "x y") + MISSING_TOKENS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_label_codes_are_alike_on_every_route_and_fit_like_their_cells(data):
+    # a first row whose labels sort last, so first-seen order is not sorted order,
+    # and a cur row with labels that ref never holds
+    rows = [(w,) + data.draw(st.tuples(_CELL, _CELL))
+            for w in data.draw(st.lists(st.sampled_from(WINDOWS), min_size=2, max_size=14))]
+    rows = [("ref", "zz", data.draw(st.sampled_from(["zz", ""])))] + rows + [("cur", "ω", "ω")]
+    text = "window,pipe.raw,pipe.knob\n" + "".join(",".join(r) + "\n" for r in rows)
+    got, took_c_reader, _ = _load_both(text)
+    assert took_c_reader
+    quoted = load_csv(MOD_MAP, text.replace("ref,zz,", 'ref,"zz",', 1))
+    window, raw, knob = (np.array(c, dtype=object) for c in zip(*rows))
+    cells = {"pipe.raw": raw, "pipe.knob": knob}
+    built = dataset.build_dataset(MOD_MAP, cells.items(), window)
+    for ds in (quoted, built):
+        assert ds.window.labels == got.window.labels == ("cur", "ref")
+        assert np.array_equal(ds.window.codes, got.window.codes)
+        for q in cells:
+            assert ds.columns[q].labels == got.columns[q].labels
+            assert np.array_equal(ds.columns[q].codes, got.columns[q].codes)
+    ref = window == "ref"
+    for q, column in got.columns.items():
+        q_cells = cells[q]
+        assert column.labels == tuple(sorted(set(q_cells)))
+        assert np.array_equal(present(column), q_cells != "")
+        keep = present(column) & ref
+        bins = fit_variable(column[keep], 8)
+        assert bins.categories == tuple(sorted(set(q_cells[keep])))
+        index = {c: i for i, c in enumerate(bins.categories)}
+        assert bins.encode(column).tolist() == [index.get(c, len(index)) for c in q_cells]
+
+
 @pytest.mark.parametrize("text, n", [
     ("window,system.score\nref,1\n \ncur,2\n", 3),     # a whitespace-only line
     ("\nwindow\nref\ncur\n", 2),                       # a blank header line
@@ -544,13 +581,14 @@ def test_late_missing_cell_loads_through_csv_reader(dirt):
 
 
 def test_label_fields_hold_whole_cells():
-    # a long first-row label sizes no field: labels are read as str objects
+    # a long first-row label sizes no field: label fields hold integer codes
     rows = [f"ref,{'u' * 300},1"] + [f"{w},ab,{i}" for i, w in enumerate(["ref", "cur"] * 500)]
     text = "window,pipe.raw,system.score\n" + "\n".join(rows) + "\n"
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
         got, took_c_reader, want = _load_both(text)
     assert took_c_reader
-    assert [f.kind for f, _ in loadtxt.call_args.args[1].fields.values()] == ["O", "O", "f"]
+    assert [f for f, _ in loadtxt.call_args.args[1].fields.values()] == [
+        np.dtype(np.intp), np.dtype(np.intp), np.dtype(np.float64)]
     _assert_same_outcome(got, want)
     assert got.columns["pipe.raw"][0] == "u" * 300
 
