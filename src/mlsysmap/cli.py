@@ -98,7 +98,7 @@ def cmd_trace(args) -> int:
     result = trace(system_map, ds, args.alert, config)
     # stream offset keeps this independent of the per-node detect streams
     alert_test = shift_test(ds, system_map, args.alert,
-                            B=DEFAULT_RESPLITS, seed=[args.seed, 10_000])
+                            B=DEFAULT_RESPLITS, seed=[args.seed, 10_000], k=args.bins)
     _emit(report_mod.trace_document(system_map.name, result, config, alert_test), args)
     return 0
 

@@ -10,12 +10,15 @@ environment boundary.
 Maps are immutable after :func:`build_map`, which performs all structural
 validation and canonicalizes ordering so downstream output is
 deterministic. It also builds each view's causal DAG (:class:`ViewGraph`)
-once, rejecting a cyclic view as it does; the map keeps those graphs.
+once with :mod:`graphlib`, rejecting a cyclic view as it does, and merges
+the mapping edges into equivalence classes; the map keeps both.
 """
 
 from __future__ import annotations
 
 import enum
+import graphlib
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -193,7 +196,7 @@ class SystemMap:
     def equivalence_class(self, qname: str) -> tuple[str, ...]:
         """All nodes representing the same quantity, including ``qname``."""
         self.node(qname)
-        return self._equiv.get(qname, (qname,))
+        return self._equiv[qname]
 
     def canonical_name(self, qname: str) -> str:
         """Lexicographically smallest member of the equivalence class."""
@@ -208,7 +211,8 @@ class SystemMap:
         ]
         if len(terminals) != 1:
             raise TerminalViolation(
-                f"view '{view.name}' has {len(terminals)} terminal data nodes")
+                f"view '{view.name}' has {len(terminals)} terminal data nodes",
+                at=tuple(n.qname for n in terminals or graph.nodes))
         return terminals[0]
 
     def route_subsystem(self, system_node: str) -> View:
@@ -261,53 +265,6 @@ class SystemMap:
             f"SystemMap({self.name!r}, {len(self._nodes)} nodes, "
             f"{len(self.relations)} relations, {len(self.views)} views)"
         )
-
-
-def _topo_sort(names, parents, children):
-    """Kahn topological sort; returns None when a cycle exists."""
-    indeg = {n: len(parents[n]) for n in names}
-    ready = sorted(n for n in names if indeg[n] == 0)
-    order = []
-    while ready:
-        n = ready.pop(0)
-        order.append(n)
-        added = []
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                added.append(c)
-        if added:
-            ready = sorted(ready + added)
-    if len(order) != len(names):
-        return None
-    return order
-
-
-def _find_cycle(names, parents):
-    """Some cycle in the graph, as a list of node names."""
-    color = {n: 0 for n in names}
-    stack = []
-
-    def visit(n):
-        color[n] = 1
-        stack.append(n)
-        for p in parents[n]:
-            if color[p] == 1:
-                return stack[stack.index(p):]
-            if color[p] == 0:
-                found = visit(p)
-                if found:
-                    return found
-        stack.pop()
-        color[n] = 2
-        return None
-
-    for n in sorted(names):
-        if color[n] == 0:
-            found = visit(n)
-            if found:
-                return sorted(found)
-    return []
 
 
 def build_map(name: str, nodes: Iterable[Node], relations) -> SystemMap:
@@ -402,7 +359,8 @@ def _check_relation_kinds(r, node_index):
 
 
 def _view_graph(view, node_index, relations) -> ViewGraph:
-    """The causal DAG of one view; raises CycleError on a causal cycle."""
+    """The causal DAG of one view, ``topo`` its lexicographically smallest
+    topological order; raises CycleError on a causal cycle."""
     nodes = tuple(n for n in node_index.values() if n.view == view)
     names = {n.qname for n in nodes}
     edges = tuple(
@@ -412,35 +370,35 @@ def _view_graph(view, node_index, relations) -> ViewGraph:
     )
     parents = {n.qname: tuple(sorted(s for s, d in edges if d == n.qname)) for n in nodes}
     children = {n.qname: tuple(sorted(d for s, d in edges if s == n.qname)) for n in nodes}
-    topo = _topo_sort(sorted(names), parents, children)
-    if topo is None:
-        cycle = _find_cycle(names, parents)
-        raise CycleError(f"causal cycle in view '{view.name}': {cycle}", cycle=cycle)
+    sorter = graphlib.TopologicalSorter(parents)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as exc:
+        path = exc.args[1]           # each node a parent of the next, first == last
+        cycle = sorted(set(path))
+        raise CycleError(f"causal cycle in view '{view.name}': {cycle}",
+                         cycle=cycle, at=tuple(zip(path, path[1:]))) from None
+    ready, topo = [], []
+    while sorter:
+        for n in sorter.get_ready():
+            heapq.heappush(ready, n)
+        topo.append(heapq.heappop(ready))
+        sorter.done(topo[-1])
     return ViewGraph(view, nodes, parents, children, tuple(topo))
 
 
 def _equivalence_classes(node_index, relations):
-    parent = {q: q for q in node_index}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """Each node's class under the mapping edges: the sorted tuple of its
+    members, itself alone if unmapped. Raises MappingViolation on the first
+    class, by smallest member, that holds two nodes of one view."""
+    equiv = {q: (q,) for q in node_index}
     for r in relations:
-        if r.kind is RelationKind.MAPPING:
-            a, b = find(r.src), find(r.dst)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+        if r.kind is RelationKind.MAPPING and equiv[r.src] != equiv[r.dst]:
+            merged = tuple(sorted(equiv[r.src] + equiv[r.dst]))
+            for m in merged:
+                equiv[m] = merged
 
-    classes: dict[str, list] = {}
-    for q in node_index:
-        classes.setdefault(find(q), []).append(q)
-
-    equiv = {}
-    for members in classes.values():
-        members = tuple(sorted(members))
+    for members in dict.fromkeys(equiv.values()):     # by smallest member
         per_view: dict[str, str] = {}
         for m in members:
             vname = node_index[m].view.name
@@ -451,8 +409,6 @@ def _equivalence_classes(node_index, relations):
                     at=(per_view[vname], m),
                 )
             per_view[vname] = m
-        for m in members:
-            equiv[m] = members
     return equiv
 
 
@@ -480,4 +436,5 @@ def _check_terminals(built: SystemMap):
         if not linked:
             raise TerminalViolation(
                 f"terminal '{terminal.qname}' of view '{view.name}' has no "
-                "mapping link into the ML-system view")
+                "mapping link into the ML-system view",
+                at=(terminal.qname,))

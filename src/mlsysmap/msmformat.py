@@ -130,11 +130,10 @@ def parse_map(text: str) -> SystemMap:
                 err(f"'{kw}' declaration before any view header", line.no, line.cols[0])
             if len(line.tokens) < 2 or not _IDENT.match(line.tokens[1]):
                 err(f"expected an identifier after '{kw}'", line.no, line.cols[-1])
-            boundary = False
-            if len(line.tokens) == 3 and line.tokens[2] == "boundary":
-                boundary = True
-            elif len(line.tokens) > 2:
-                err(f"unexpected token '{line.tokens[2]}'", line.no, line.cols[2])
+            boundary = line.tokens[2:3] == ["boundary"]
+            stray = 2 + boundary                 # first token after the accepted ones
+            if len(line.tokens) > stray:
+                err(f"unexpected token '{line.tokens[stray]}'", line.no, line.cols[stray])
             node = Node(current, line.tokens[1], _NODE_KEYWORDS[kw], boundary=boundary)
             if node.qname in nodes:
                 err(f"duplicate node '{node.qname}'", line.no, line.cols[1])

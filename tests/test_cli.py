@@ -187,6 +187,20 @@ def test_trace_text_output(workspace, capsys):
     assert "verdict:" in text
 
 
+@pytest.mark.parametrize("bins", [4, 16])
+def test_trace_scores_the_alert_at_its_bins(workspace, tmp_path, bins):
+    _, map_path, data_path = workspace
+    out = tmp_path / "trace.json"
+    assert main(["trace", map_path, data_path, "--alert", "system.promo_ranking",
+                 "--bins", str(bins), "--format", "json", "--out", str(out)]) == 0
+    system_map = parse_map(Path(map_path).read_text(encoding="utf-8"))
+    ds = load_csv(system_map, data_path)
+    at = {k: mechanisms.shift_test(ds, system_map, "system.promo_ranking",
+                                   seed=[0, 10_000], k=k).statistic for k in (8, bins)}
+    assert at[bins] != at[8]
+    assert json.loads(out.read_text())["alerts"][0]["statistic"] == at[bins]
+
+
 def test_trace_unknown_alert(workspace, capsys):
     _, map_path, data_path = workspace
     rc = main(["trace", map_path, data_path, "--alert", "system.nope"])

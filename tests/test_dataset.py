@@ -616,3 +616,14 @@ def test_load_holds_about_one_copy_of_the_file(tmp_path):
     size = p.stat().st_size
     assert peak < 4.5 * size
     assert held[0] < 2 * size     # the lines alone, about 1.5x; with the text, 2.5x
+
+
+def test_object_cells_mixing_numbers_and_text_read_as_their_str():
+    # 1 and "1" are one label, as they would be in CSV text
+    window = np.array(["ref", "ref", "cur", "cur"], dtype=object)
+    mixed = np.array([1, "1", 2.5, "a"], dtype=object)
+    ds = dataset.build_dataset(MOD_MAP, [("pipe.raw", mixed), ("pipe.knob", mixed.copy())],
+                               window)
+    for q in ("pipe.raw", "pipe.knob"):
+        assert ds.columns[q].labels == ("1", "2.5", "a")
+        assert list(ds.columns[q]) == ["1", "1", "2.5", "a"]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlsysmap.errors import (
     CycleError,
@@ -137,6 +139,12 @@ def test_subsystem_may_not_shadow_reserved_view_names():
                         Node(SYS, "s", NodeKind.DATA)], [])
 
 
+def test_one_view_name_with_two_view_types_rejected():
+    with pytest.raises(ViewViolation, match="view name used with two different view types"):
+        build_map("m", [Node(SYS, "a", NodeKind.DATA),
+                        Node(View.subsystem("system"), "b", NodeKind.DATA)], [])
+
+
 def test_unknown_relation_endpoint():
     with pytest.raises(UnknownNode):
         build_map("m", [Node(SYS, "a", NodeKind.DATA)],
@@ -241,6 +249,25 @@ def test_view_graph_topology():
     assert g.children["pipe.raw"] == ("pipe.out",)
     assert ancestors(g.parents, "pipe.out") == {"pipe.knob", "pipe.raw"}
     assert ancestors(g.parents, "pipe.raw") == set()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_view_topo_is_the_lexicographically_smallest_order(data):
+    # edges run forward in the drawn name order, which need not be sorted
+    names = data.draw(st.lists(st.sampled_from("abcdefghijkl"), min_size=1, max_size=10,
+                               unique=True))
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    m = build_map("m", [Node(SYS, n, NodeKind.DATA) for n in names],
+                  [(f"system.{a}", f"system.{b}", RelationKind.CAUSAL) for a, b in edges])
+    g = m.view_graph(SYS)
+    placed = set()
+    for q in g.topo:
+        ready = [r for r in g.parents if r not in placed and set(g.parents[r]) <= placed]
+        assert q == min(ready)
+        placed.add(q)
+    assert placed == set(g.parents)
 
 
 def test_view_graph_unknown_view():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mlsysmap.errors import CycleError, KindViolation, MapBuildError, ParseError
+from mlsysmap.errors import (CycleError, KindViolation, MapBuildError, ParseError,
+                             TerminalViolation)
 from mlsysmap.msmformat import parse_map, serialize_map
 from mlsysmap.simulator import churn_map_text
 
@@ -76,6 +77,23 @@ def test_parse_errors_carry_positions(text, line, col):
     assert f"line {line}, col {col}" in str(exc.value)
 
 
+@pytest.mark.parametrize("text,message,line,col", [
+    ("map m\nview system\ndata a\nedge a -> 9x\n", "bad name '9x'", 4, 11),
+    ("map m\nedge a -> b\n", "unqualified name 'a' before any view header", 2, 6),
+    ("map m\nview\n", "expected a view kind after 'view'", 2, 1),
+    ("map m\nview system extra\n", "unexpected token after 'view system'", 2, 13),
+    ("map m\nview environment extra\n", "unexpected token after 'view environment'", 2, 18),
+    ("map m\nview subsystem 9p\n", "expected 'view subsystem NAME'", 2, 16),
+    ("map m\nview subsystem p extra\n", "expected 'view subsystem NAME'", 2, 18),
+    ("map m\nview subsystem p\ndata x boundary extra\n", "unexpected token 'extra'", 3, 17),
+    ("map m\nview subsystem p\ndata x extra\n", "unexpected token 'extra'", 3, 8),
+])
+def test_grammar_errors_name_the_problem_and_its_position(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_map(text)
+    assert str(exc.value) == f"line {line}, col {col}: {message}"
+
+
 def test_no_forward_references():
     text = "map m\nview system\nedge a -> b\ndata a\ndata b\n"
     with pytest.raises(ParseError) as exc:
@@ -98,6 +116,44 @@ def test_cycle_reported_from_build():
     text = "map m\nview system\ndata a\ndata b\nedge a -> b\nedge b -> a\n"
     with pytest.raises(CycleError):
         parse_map(text)
+
+
+def test_cycle_error_names_the_line_of_a_cycle_edge():
+    text = ("map m\nview system\n  data a\n  data b\n  data c\n"
+            "  edge a -> b\n  edge b -> c\n  edge c -> a\n")
+    with pytest.raises(CycleError) as exc:
+        parse_map(text)
+    assert (exc.value.line, exc.value.col) == (6, 3)
+    assert exc.value.cycle == ("system.a", "system.b", "system.c")
+
+
+def test_named_cycle_is_a_closed_walk_over_map_edges():
+    # two cycles in one view: whichever is named, its edges exist and close
+    text = ("map m\nview system\ndata a\ndata b\ndata c\ndata d\n"
+            "edge a -> b\nedge b -> a\nedge c -> d\nedge d -> c\n")
+    with pytest.raises(CycleError) as exc:
+        parse_map(text)
+    edges = {("system.a", "system.b"), ("system.b", "system.a"),
+             ("system.c", "system.d"), ("system.d", "system.c")}
+    walk = exc.value.at
+    assert walk and set(walk) <= edges
+    assert all(a[1] == b[0] for a, b in zip(walk, walk[1:] + walk[:1]))
+    assert sorted({src for src, _ in walk}) == list(exc.value.cycle)
+    assert exc.value.line is not None
+
+
+@pytest.mark.parametrize("text,message,line,col", [
+    ("map m\nview system\n  data s\nview subsystem p\n  data x\n  data y\n"
+     "equiv p.x = system.s\n", "view 'p' has 2 terminal data nodes", 5, 8),
+    ("map m\nview system\n  data s\nview subsystem p\n  modulator k\n",
+     "view 'p' has 0 terminal data nodes", 5, 13),
+    ("map m\nview system\n  data s\nview subsystem p\n  data out\n",
+     "terminal 'p.out' of view 'p' has no mapping link into the ML-system view", 5, 8),
+])
+def test_terminal_errors_name_a_line(text, message, line, col):
+    with pytest.raises(TerminalViolation) as exc:
+        parse_map(text)
+    assert str(exc.value) == f"line {line}, col {col}: {message}"
 
 
 INVALID_CORPUS = [

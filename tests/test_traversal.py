@@ -15,7 +15,7 @@ from mlsysmap.attribution import AttributionResult, Classification
 from mlsysmap.dataset import (MISSING_TOKENS, WindowedDataset, build_dataset, load_csv,
                               present)
 from mlsysmap.errors import InsufficientData, UnknownAlert, ViewMismatch
-from mlsysmap.mechanisms import UNSEEN
+from mlsysmap.mechanisms import UNSEEN, shift_test
 from mlsysmap.msmformat import parse_map
 from mlsysmap.traversal import (
     Pattern,
@@ -351,6 +351,18 @@ def test_detect_alerts_s1_vs_s0():
     assert detect_alerts(s0.system_map, s0.dataset, alpha=0.01, B=200) == []
 
 
+def test_detect_skips_a_node_without_a_column():
+    s1 = simulate("S1")
+    columns = {k: v for k, v in s1.dataset.columns.items() if k != "serving2.promo_out"}
+    ds = WindowedDataset(columns=columns, window=s1.dataset.window)
+    with pytest.raises(InsufficientData, match="no data column for 'system.promo_ranking'"):
+        shift_test(ds, s1.system_map, "system.promo_ranking")
+    everything = detect_alerts(s1.system_map, s1.dataset, alpha=1.0, B=100)
+    assert "system.promo_ranking" in [a.node for a in everything]
+    assert detect_alerts(s1.system_map, ds, alpha=1.0, B=100) == [
+        a for a in everything if a.node != "system.promo_ranking"]
+
+
 # ---------------------------------------------------------------------------
 # routing on hand-placed attribution mass
 
@@ -483,6 +495,20 @@ def test_environment_step_notes_non_ancestral_mass(monkeypatch):
     upstream = env_step("env.up")
     assert upstream.pattern is Pattern.AP3_1 and upstream.note is None
     assert [(v.kind, v.node) for v in upstream.verdicts] == [("external", "env.up")]
+
+
+def test_text_report_lines_for_no_alerts_and_for_a_step_note(monkeypatch):
+    quiet = report_mod.detect_document("m", [], 0.01, 100, 0, [])
+    assert report_mod.render_text(quiet) == "map: m\nalerts: none\n"
+    report = pinned_trace(monkeypatch, {
+        ("system", "system.score"): ("concentrated", ("system.feat",)),
+        ("pipe", "pipe.out"): ("concentrated", ("pipe.raw",)),
+        ("env", "env.act"): ("concentrated", ("env.side",)),
+    })
+    lines = report_mod.render_text(
+        report_mod.trace_document("pin", report, TraceConfig())).splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("      AQ3 [Environment]"))
+    assert lines[head + 1] == "        note: non-ancestral mass"
 
 
 def test_undetermined_when_no_subsystem_produces_the_node(monkeypatch):
