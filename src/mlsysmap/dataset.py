@@ -6,9 +6,9 @@ member of its equivalence class; the simulator hands over the same
 columns as arrays. Every CSV row must have as many cells as the header.
 The text is cut into columns once: numpy's C reader types unquoted text
 without blank lines in one ``np.loadtxt`` call, reading each label cell
-as an integer code, unless a cell it cannot parse (an empty cell or a
-missing token in a numeric column, say) makes the call fail; any other
-text is read by ``csv.reader``. Both give the same columns.
+as a raw 8-byte key or a code, unless a cell it cannot parse (an empty
+cell or a missing token in a numeric column, say) makes the call fail;
+any other text is read by ``csv.reader``. Both give the same columns.
 :func:`build_dataset` unifies columns to the canonical (lexicographically
 smallest) class member and types each column once: a column is numeric
 (float64, ``NaN`` = missing, i.e. empty, non-finite or one of
@@ -91,6 +91,12 @@ class LabelColumn:
             np.take(np.fromiter(map(rank.__getitem__, labels), np.intp, len(labels)), codes,
                     out=codes, mode="wrap")
         return cls(codes, tuple(map(sys.intern, ordered)))
+
+    @classmethod
+    def of_keys(cls, cells: np.ndarray) -> LabelColumn:
+        """The column of ``S8`` cells of NUL-free ASCII: as big-endian keys they sort as labels."""
+        keys, codes = np.unique(cells.view(">u8"), return_inverse=True)
+        return cls(codes.reshape(-1), tuple(map(sys.intern, keys.view("S8").astype(str).tolist())))
 
     def code(self, label: str) -> int:
         """The code of ``label``, or -1 where the column has no such label."""
@@ -253,8 +259,9 @@ def _columns(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> tuple[
             lines.pop()
     if len(lines) < 2 or "" in lines:
         return _csv_columns(io.StringIO(text, newline=""))
+    ascii_text = text.isascii()
     del text
-    return _loadtxt_columns(system_map, lines) or _csv_columns(lines)
+    return _loadtxt_columns(system_map, lines, ascii_text) or _csv_columns(lines)
 
 
 def _csv_columns(lines) -> tuple[list[str], list]:
@@ -289,47 +296,55 @@ def _text(source: Union[str, io.TextIOBase]) -> str:
     return source.removeprefix("\ufeff")
 
 
-def _loadtxt_columns(system_map: SystemMap, lines: list[str]) -> tuple[list[str], list] | None:
+def _loadtxt_columns(system_map: SystemMap, lines: list[str],
+                     ascii_text: bool) -> tuple[list[str], list] | None:
     """Header and columns of clean lines (see :func:`_columns`), typed in one
-    ``np.loadtxt`` call, or None where that call fails or reads another
-    number of rows.
+    ``np.loadtxt`` call (the lines are emptied), or None where that call
+    fails or reads another number of rows.
 
-    Each column gets the field of :func:`_field`. A float64 field is
-    returned as a view of the table. A label field holds integer codes: its
-    converter, a dict's ``__getitem__``, hands each label not yet seen the
-    next code, and the codes are recoded to the sorted labels once, in a
-    :class:`LabelColumn`. The cells of an object field are returned as a
-    list. numpy parses each number with ``PyOS_string_to_double``, as
-    ``float`` does, so the values are the same bits; an empty cell, a token
-    or any other cell it cannot parse as a number, and a ragged row, raise
-    ``ValueError``.
+    Each column gets the field of :func:`_field`; a float64 field is a view
+    of the table. In ASCII text a label field whose first cell is under 8
+    characters holds ``S8`` keys, coded by :meth:`LabelColumn.of_keys`; the
+    columns with a key that fills 8 bytes, so may be cut, are read again in
+    one more call, as codes like other label fields: a dict's ``__getitem__``
+    converter hands each new label the next code, recoded to the sorted
+    labels once. An object field's cells are returned as a list. numpy
+    parses numbers as ``float`` does, to the same bits; a cell it cannot
+    parse as a number, and a ragged row, raise ``ValueError``.
     """
     header, first = lines[0].split(","), lines[1].split(",")
     if len(first) != len(header):
         return None
-    fields = np.dtype([(f"f{i}", _field(system_map, name, cell))
-                       for i, (name, cell) in enumerate(zip(header, first))])
-    seen = {i: _FirstSeen() for i in range(len(header)) if fields[i] == np.intp}
-    try:    # encoding=None: numpy 1.x passes bytes to converters by default
-        table = np.loadtxt(lines, fields, delimiter=",", comments=None, quotechar=None, skiprows=1,
-                           max_rows=len(lines) - 1, ndmin=1, encoding=None,
-                           converters={i: labels.__getitem__ for i, labels in seen.items()})
+    kinds = [_field(system_map, name, cell) for name, cell in zip(header, first)]
+    keyed = {i for i, c in enumerate(first) if ascii_text and kinds[i] == np.intp and len(c) < 8}
+    fields = np.dtype([(f"f{i}", "S8" if i in keyed else k) for i, k in enumerate(kinds)])
+    seen = {i: _FirstSeen() for i, k in enumerate(kinds) if k == np.intp}
+    rows = dict(delimiter=",", comments=None, quotechar=None, skiprows=1, max_rows=len(lines) - 1,
+                ndmin=1, encoding=None)     # else numpy 1.x passes bytes to converters
+    try:
+        table = np.loadtxt(lines, fields, **rows,
+                           converters={i: seen[i].__getitem__ for i in seen if i not in keyed})
     except ValueError:
         return None
     if len(table) != len(lines) - 1:
         return None
-    return header, [LabelColumn.first_seen(np.ascontiguousarray(table[name]), list(seen[i]))
-                    if i in seen else table[name].tolist() if fields[i] == object else table[name]
+    cut = [i for i in keyed if np.any(table[f"f{i}"].view(">u8") & 0xFF)]
+    recut = cut and np.loadtxt(lines, [(f"f{i}", np.intp) for i in cut], **rows, usecols=cut,
+                               converters={i: seen[i].__getitem__ for i in cut})
+    lines.clear()
+    return header, [LabelColumn.of_keys(table[name]) if i in keyed and i not in cut
+                    else LabelColumn.first_seen(np.ascontiguousarray(
+                        (recut if i in cut else table)[name]), list(seen[i])) if i in seen
+                    else table[name].tolist() if fields[i] == object else table[name]
                     for i, name in enumerate(fields.names)]
 
 
 def _field(system_map: SystemMap, name: str, cell: str):
-    """The C reader's field type for a column, from its first cell: integer
-    codes for a label column (the window, a modulator, or a first cell that
-    is no number, so the column is categorical), object (``str`` cells)
+    """The C reader's field type for a column, from its first cell: intp (a
+    label field, of keys or codes) for the window, a modulator or a first
+    cell that is no number (a categorical column); object (``str`` cells)
     where that cell is empty or a missing token, so the column may yet be
-    numeric, else float64; and a one-character field for a column that
-    matches no map node (its cells are never read)."""
+    numeric; else float64; and ``U1``, never read, for an unmapped column."""
     if name == WINDOW_COLUMN:
         return np.intp
     if not system_map.has_node(name):
@@ -353,8 +368,8 @@ def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> Window
     leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
     write, is not part of the first header cell. The text is read whole and
     cut into columns once (:func:`_columns`): clean unquoted text is typed
-    by numpy's C reader where it can be, with label cells read as codes;
-    anything else goes through ``csv.reader``. A file that is not
+    by numpy's C reader where it can be, with label cells read as keys or
+    codes; anything else goes through ``csv.reader``. A file that is not
     UTF-8, or a quoted cell longer than ``csv.field_size_limit()``, raises
     ``DatasetError`` naming its line.
     """

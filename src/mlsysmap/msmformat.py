@@ -58,6 +58,14 @@ def _tokenize(text):
     return lines
 
 
+def _name_col(line, i):
+    """The column to blame where token ``i`` must be an identifier ending the
+    line: that token's (the last one's where it is missing), else the next."""
+    if len(line.tokens) <= i or not _IDENT.match(line.tokens[i]):
+        return line.cols[:i + 1][-1]
+    return line.cols[i + 1]
+
+
 def parse_map(text: str) -> SystemMap:
     """Parse map text into a validated SystemMap.
 
@@ -76,7 +84,7 @@ def parse_map(text: str) -> SystemMap:
         raise ParseError("expected 'map NAME'", head.no, head.cols[0])
     if len(head.tokens) != 2 or not _IDENT.match(head.tokens[1]):
         raise ParseError("expected a map name identifier", head.no,
-                         head.cols[-1] if len(head.tokens) > 1 else head.cols[0] + 4)
+                         _name_col(head, 1) if len(head.tokens) > 1 else head.cols[0] + 4)
     map_name = head.tokens[1]
 
     nodes: dict[str, Node] = {}
@@ -117,7 +125,7 @@ def parse_map(text: str) -> SystemMap:
                 view = View.environment()
             elif vkind == "subsystem":
                 if len(line.tokens) != 3 or not _IDENT.match(line.tokens[2]):
-                    err("expected 'view subsystem NAME'", line.no, line.cols[-1])
+                    err("expected 'view subsystem NAME'", line.no, _name_col(line, 2))
                 view = View.subsystem(line.tokens[2])
             else:
                 err(f"unknown view kind '{vkind}'", line.no, line.cols[1])
@@ -129,7 +137,7 @@ def parse_map(text: str) -> SystemMap:
             if current is None:
                 err(f"'{kw}' declaration before any view header", line.no, line.cols[0])
             if len(line.tokens) < 2 or not _IDENT.match(line.tokens[1]):
-                err(f"expected an identifier after '{kw}'", line.no, line.cols[-1])
+                err(f"expected an identifier after '{kw}'", line.no, _name_col(line, 1))
             boundary = line.tokens[2:3] == ["boundary"]
             stray = 2 + boundary                 # first token after the accepted ones
             if len(line.tokens) > stray:

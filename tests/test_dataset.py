@@ -488,6 +488,11 @@ def test_c_reader_equals_csv_reader(data):
     (("a", "#", "b"), "pipe.raw", object, True),
     (("1", "\xa01", "2"), "system.score", np.float64, True),    # both strip U+00A0
     (("v1", "v" * 40, "v2"), "pipe.knob", object, True),      # longer than any first-row label
+    (("v1", "v" * 7, "v2"), "pipe.knob", object, True),       # the longest key never cut
+    (("v1", "v" * 8, "v2"), "pipe.knob", object, True),       # a key that may be cut
+    (("v1", "v" * 9, "v2"), "pipe.knob", object, True),       # a cut key
+    (("ab", "abcdefgh", "abcdefghi"), "pipe.raw", object, True),  # equal when cut to 8 bytes
+    (("v" * 8, "v1", "v2"), "pipe.knob", object, True),       # no key holds the first cell
 ])
 def test_c_reader_named_cells(cells, column, dtype, c_reader):
     rows = "".join(f"{w},{c},{i}\n" for i, (w, c) in enumerate(zip(("ref", "ref", "cur"), cells)))
@@ -581,16 +586,51 @@ def test_late_missing_cell_loads_through_csv_reader(dirt):
 
 
 def test_label_fields_hold_whole_cells():
-    # a long first-row label sizes no field: label fields hold integer codes
+    # a long first-row label sizes no field: its field holds integer codes, and
+    # the short window labels are 8-byte keys
     rows = [f"ref,{'u' * 300},1"] + [f"{w},ab,{i}" for i, w in enumerate(["ref", "cur"] * 500)]
     text = "window,pipe.raw,system.score\n" + "\n".join(rows) + "\n"
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
         got, took_c_reader, want = _load_both(text)
     assert took_c_reader
     assert [f for f, _ in loadtxt.call_args.args[1].fields.values()] == [
-        np.dtype(np.intp), np.dtype(np.intp), np.dtype(np.float64)]
+        np.dtype("S8"), np.dtype(np.intp), np.dtype(np.float64)]
     _assert_same_outcome(got, want)
     assert got.columns["pipe.raw"][0] == "u" * 300
+
+
+def test_churn_label_fields_are_read_as_keys_in_one_call():
+    # the window and the 6 categorical columns of a churn file are short ASCII labels
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        got, took_c_reader, want = _load_both(generate_csv(ScenarioConfig("S2", n=300, seed=3)),
+                                              churn_map())
+    assert took_c_reader and loadtxt.call_count == 1
+    kinds = [f for f, _ in loadtxt.call_args.args[1].fields.values()]
+    assert kinds.count(np.dtype("S8")) == 7 and kinds.count(np.dtype(np.float64)) == len(kinds) - 7
+    _assert_same_outcome(got, want)
+
+
+_S8, _CODES = np.dtype("S8"), np.dtype(np.intp)
+
+
+@pytest.mark.parametrize("rows, calls", [
+    # a key that fills 8 bytes sends its column, and only it, to one more read, as codes
+    ("ref,ab,k\ncur,abcdefghi,k\nref,abcdefgh,k2\ncur,ab,k\n",
+     [([_S8, _S8, _S8], None), ([_CODES], [1])]),
+    ("ref,ab,k\ncur,abcdefghi,k\nref,ab,kkkkkkkk\ncur,ab,k\n",
+     [([_S8, _S8, _S8], None), ([_CODES, _CODES], [1, 2])]),
+    ("ref,abcdefgh,k\ncur,ab,k2\n", [([_S8, _CODES, _S8], None)]),   # a first-row cell of 8
+    ("ref,é,k\ncur,ab,k2\n", [([_CODES, _CODES, _CODES], None)]),    # text that is not ASCII
+])
+def test_label_fields_are_keys_only_where_no_key_may_be_cut(rows, calls):
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        got, took_c_reader, want = _load_both("window,pipe.raw,pipe.knob\n" + rows)
+    assert took_c_reader
+    assert [([f for f, _ in np.dtype(call.args[1]).fields.values()], call.kwargs.get("usecols"))
+            for call in loadtxt.call_args_list] == calls
+    _assert_same_outcome(got, want)
+    for q, c in (("pipe.raw", 1), ("pipe.knob", 2)):
+        assert got.columns[q].labels == tuple(sorted({r.split(",")[c] for r in rows.split()}))
 
 
 def test_load_holds_about_one_copy_of_the_file(tmp_path):

@@ -87,6 +87,14 @@ def test_parse_errors_carry_positions(text, line, col):
     ("map m\nview subsystem p extra\n", "expected 'view subsystem NAME'", 2, 18),
     ("map m\nview subsystem p\ndata x boundary extra\n", "unexpected token 'extra'", 3, 17),
     ("map m\nview subsystem p\ndata x extra\n", "unexpected token 'extra'", 3, 8),
+    # a name that is no identifier is blamed, else the first token past it
+    ("map 9x extra\n", "expected a map name identifier", 1, 5),
+    ("map m extra more\n", "expected a map name identifier", 1, 7),
+    ("map m\nview subsystem p\ndata 9x boundary\n", "expected an identifier after 'data'", 3, 6),
+    ("map m\nview subsystem p\nmodulator 9x extra\n",
+     "expected an identifier after 'modulator'", 3, 11),
+    ("map m\nview subsystem 9p extra\n", "expected 'view subsystem NAME'", 2, 16),
+    ("map m\nview subsystem\n", "expected 'view subsystem NAME'", 2, 6),
 ])
 def test_grammar_errors_name_the_problem_and_its_position(text, message, line, col):
     with pytest.raises(ParseError) as exc:
