@@ -27,10 +27,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import mechanisms as mech_mod
 from .errors import InsufficientData, StateSpaceTooLarge, TooManyPlayers
 from .mapcore import View, ancestors
-from .mechanisms import (MechanismSet, StepMemo, batched_marginals, elimination_plan,
+from .mechanisms import (BatchedRuns, MechanismSet, batched_marginals, elimination_plan,
                          jsd_rows, sample_marginal, target_marginal)
 
 EXACT_PLAYER_LIMIT = 16           # most relevant players solved exactly
@@ -80,18 +79,17 @@ class MechanismSwapGame:
     (:func:`mechanisms.batched_marginals`) and one ``jsd_rows`` call, for
     the largest ``j`` with ``2**j`` times the plan's largest product at
     most ``BATCH_STATES``. ``j`` is 0 past ``EXACT_PLAYER_LIMIT`` relevant
-    players and past ``state_limit``, where a marginal is
+    players and past ``mechanisms.STATE_LIMIT``, where a marginal is
     ``FALLBACK_SAMPLES`` ancestral samples seeded ``[seed, key]``. Up to
-    that limit values fill one float64 :meth:`table` of ``2**r`` keys in
-    ``runs`` runs; past it they are cached per key. With more than one
-    run, the runs share a :class:`mechanisms.StepMemo` of at most
-    ``BATCH_STATES`` states: while it has room, an elimination step runs
-    once per value of ``block & mask``, ``mask`` marking the fixed leaves
-    it depends on, and a step that depends on all of them once per block.
+    that player limit values fill one float64 :meth:`table` of ``2**r``
+    keys in ``runs`` runs; past it they are cached per key. The runs share
+    one :class:`mechanisms.BatchedRuns` of at most ``BATCH_STATES`` kept
+    states: while it has room, an elimination step runs once per value of
+    ``block & mask``, ``mask`` marking the fixed leaves it depends on, and
+    a step that depends on all of them once per block.
     """
 
-    def __init__(self, mech: MechanismSet, target: str,
-                 state_limit: int = mech_mod.DEFAULT_STATE_LIMIT, seed=0):
+    def __init__(self, mech: MechanismSet, target: str, seed=0):
         self.mech = mech
         self.target = target
         self.seed = seed
@@ -101,37 +99,33 @@ class MechanismSwapGame:
         self._weight = dict.fromkeys(self.players, 0)
         self._weight.update((p, 1 << (r - 1 - i)) for i, p in enumerate(self.relevant))
         try:
-            self._plan = elimination_plan(mech, target, state_limit)
+            self._plan = elimination_plan(mech, target)
         except StateSpaceTooLarge:
             self._plan = None
         self.used_sampling = self._plan is None
         self._j = (min(r, max(0, (BATCH_STATES // self._plan.largest).bit_length() - 1))
                    if not self.used_sampling and r <= EXACT_PLAYER_LIMIT else 0)
         self.runs = 1 << (r - self._j)
-        self._memo = StepMemo(BATCH_STATES) if not self.used_sampling and self.runs > 1 else None
+        self._runs = None if self.used_sampling else BatchedRuns(self._plan, self._j, BATCH_STATES)
         self._values = {0: 0.0}      # by key, when there is no table
         # NaN marks a key whose block is not computed; v(∅) alone needs no run
         self._table = np.full(1 << r, np.nan) if r <= EXACT_PLAYER_LIMIT else None
         if self._table is not None and not self._j:
             self._table[0] = 0.0
         baseline = (sample_marginal(mech, {}, target, FALLBACK_SAMPLES, [seed, 0])
-                    if self.used_sampling
-                    else target_marginal(mech, {}, target, limit=state_limit))
+                    if self.used_sampling else target_marginal(mech, {}, target))
         # one baseline row per block row: a stride-0 broadcast baseline can
         # change the last ulp of a JSD; a materialized one cannot
         self._baseline = np.tile(baseline, (1 << self._j, 1))
 
     def _block(self, block: int) -> np.ndarray:
         """Game values of the ``2**j`` coalitions keyed ``block << j | b``."""
-        if self._plan is None:
+        if self._runs is None:
             subset = [p for p in self.relevant if self._weight[p] & block]
             rows = sample_marginal(self.mech, dict.fromkeys(subset, "cur"), self.target,
                                    FALLBACK_SAMPLES, [self.seed, block])[None]
         else:
-            fixed = len(self.relevant) - self._j
-            windows = [("cur" if block >> (fixed - 1 - i) & 1 else "ref")
-                       for i in range(fixed)] + [None] * self._j
-            rows = batched_marginals(self._plan, windows, self._memo)
+            rows = batched_marginals(self._runs, block)
         return jsd_rows(rows, self._baseline)
 
     def _value(self, key: int) -> float:
@@ -241,25 +235,27 @@ MODES = ("auto", "exact", "sampled")
 
 def attribute(mech: MechanismSet, target: str, mode: str = "auto",
               permutations: int = DEFAULT_PERMUTATIONS, seed=0,
-              tau: float = DEFAULT_TAU, epsilon: float = DEFAULT_EPSILON,
-              state_limit: int = mech_mod.DEFAULT_STATE_LIMIT) -> AttributionResult:
+              tau: float = DEFAULT_TAU, epsilon: float = DEFAULT_EPSILON) -> AttributionResult:
     """Mechanism-swap Shapley attribution of the shift in one target.
 
     ``mode`` "exact" solves the game from its table, "sampled" averages
     over ``permutations`` seeded player orders, and "auto" is exact when
     the table takes no more runs than the orders could ask for (r + 1
-    coalitions each). Dummies get φ = 0.0. The result's mode is "sampled"
-    also when the game fell back to ancestral sampling past ``state_limit``.
+    coalitions each). Past ``mechanisms.STATE_LIMIT`` every value is a
+    sampling, so up to ``EXACT_PLAYER_LIMIT`` relevant players "exact"
+    then follows auto mode's rule, and the result's mode is "sampled".
+    Dummies get φ = 0.0.
     """
     if mode not in MODES:
         raise ValueError(f"unknown attribution mode '{mode}' (expected one of {MODES})")
     if target not in mech.nodes:
         raise InsufficientData(
             f"no fitted data for '{target}' in view '{mech.view.name}'")
-    game = MechanismSwapGame(mech, target, state_limit, seed=seed)
+    game = MechanismSwapGame(mech, target, seed=seed)
     r = len(game.relevant)
-    exact = mode == "exact" or (mode == "auto" and r <= EXACT_PLAYER_LIMIT
-                                and game.runs <= permutations * (r + 1))
+    exact = (mode == "exact" and (not game.used_sampling or r > EXACT_PLAYER_LIMIT)
+             or mode != "sampled" and r <= EXACT_PLAYER_LIMIT
+             and game.runs <= permutations * (r + 1))
     if exact:
         phi = dict.fromkeys(sorted(game.players), 0.0)
         phi.update(zip(game.relevant, shapley_from_table(game.table()).tolist()))

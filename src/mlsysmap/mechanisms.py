@@ -7,15 +7,17 @@ discretization. Exact marginals of any node under a per-node window
 assignment are computed by variable elimination, planned once per
 target (``elimination_plan``). ``target_marginal`` runs the plan for one
 assignment; ``batched_marginals`` runs it once for every ref/cur choice
-of a set of batched leaves, each carrying its two tables on a window
+of the plan's last ``j`` leaves, each carrying its two tables on a window
 axis that is never summed out (a regime indicator in the sense of
 Dawid, "Influence diagrams for causal modelling and inference", Int.
 Stat. Review 2002), with rows bit-identical to ``target_marginal``.
 Every factor has its axes in elimination order, window axes last, so
-each step's victim is axis 0 and is summed out slab by slab.
-Runs that share a ``StepMemo`` compute each elimination step once per
-window choice of the fixed leaves that step depends on. A sampled
-fallback uses ancestral sampling. Jensen-Shannon divergence
+each step's victim is axis 0 and is summed out slab by slab. The runs
+of one ``BatchedRuns`` compute each elimination step once per window
+choice of the fixed leaves that step depends on. ``fit_mechanisms``
+and ``elimination_plan`` refuse a table or product of more than
+``STATE_LIMIT`` states, read when they run; ``sample_marginal`` is the
+ancestral-sampling fallback. Jensen-Shannon divergence
 (natural log) is the one shift measure, computed by the unchecked
 kernel ``jsd_rows``; ``jsd`` validates outside input first. Every table
 is Laplace-smoothed with ``SMOOTHING`` pseudo-counts per state.
@@ -42,7 +44,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -59,7 +61,7 @@ from .errors import (
 from .mapcore import SystemMap, View, ancestors
 
 DEFAULT_BINS = 8
-DEFAULT_STATE_LIMIT = 1_000_000
+STATE_LIMIT = 1_000_000
 DEFAULT_RESPLITS = 1000           # shift-test re-splits
 SMOOTHING = 1.0                   # Laplace pseudo-count per state
 UNSEEN = "__unseen__"
@@ -217,9 +219,9 @@ def fit_mechanisms(system_map: SystemMap, ds: WindowedDataset, view: View,
         child_k = disc[q].n_states
         pa_dims = tuple(disc[p].n_states for p in pa)
         n_cfg = math.prod(pa_dims)
-        if n_cfg * child_k > DEFAULT_STATE_LIMIT:
+        if n_cfg * child_k > STATE_LIMIT:
             raise StateSpaceTooLarge(f"table of '{q}' given {', '.join(pa)} has "
-                                     f"{n_cfg * child_k} cells (limit {DEFAULT_STATE_LIMIT})")
+                                     f"{n_cfg * child_k} cells (limit {STATE_LIMIT})")
         counts = {}
         for w in ("ref", "cur"):
             if pa:
@@ -263,7 +265,7 @@ class _EliminationPlan:
     The marginal is the product of the ``target_slots`` factors, the
     factors left over the target alone. ``largest`` is the size of the
     largest table or product one run touches. ``error`` is set, and
-    nothing else used, when some product would exceed the state limit.
+    nothing else used, when some product would exceed ``STATE_LIMIT``.
     """
 
     order: tuple = ()
@@ -274,7 +276,7 @@ class _EliminationPlan:
     error: Optional[str] = None
 
 
-def _plan_elimination(mech: MechanismSet, target: str, limit: int) -> _EliminationPlan:
+def _plan_elimination(mech: MechanismSet, target: str) -> _EliminationPlan:
     """Min-degree elimination order, lexicographic tie-breaks, found over
     the scopes as sets before any axis is placed."""
     relevant = ancestors(mech.parents, target) | {target}
@@ -311,9 +313,9 @@ def _plan_elimination(mech: MechanismSet, target: str, limit: int) -> _Eliminati
         for other, _ in group[1:]:
             allvars = tuple(sorted(set(scope) | set(other), key=rank.get))
             size = math.prod(dims[v] for v in allvars)
-            if size > limit:
-                return _EliminationPlan(
-                    error=f"factor over {tuple(sorted(allvars))} has {size} states (limit {limit})")
+            if size > STATE_LIMIT:
+                return _EliminationPlan(error=f"factor over {tuple(sorted(allvars))} has "
+                                              f"{size} states (limit {STATE_LIMIT})")
             largest = max(largest, size)
             shapes.append(tuple(tuple(dims[v] if v in s else 1 for v in allvars)
                                 for s in (scope, other)))
@@ -331,20 +333,19 @@ def _plan_elimination(mech: MechanismSet, target: str, limit: int) -> _Eliminati
                             largest=largest)
 
 
-def elimination_plan(mech: MechanismSet, target: str,
-                     limit: int = DEFAULT_STATE_LIMIT) -> _EliminationPlan:
-    """The elimination plan of ``target`` under ``limit``, built on first
-    use and cached on the mechanism set.
+def elimination_plan(mech: MechanismSet, target: str) -> _EliminationPlan:
+    """The elimination plan of ``target``, built on first use and cached
+    on the mechanism set under the ``STATE_LIMIT`` then in force.
 
     The order, the factor transposes, the broadcast shapes and the
     state-limit check depend only on the structure. Raises
-    ``StateSpaceTooLarge`` when some product would exceed ``limit``.
+    ``StateSpaceTooLarge`` when some product would exceed the limit.
     """
     if target not in mech.parents:
         raise KeyError(f"'{target}' is not a fitted node of view '{mech.view.name}'")
-    plan = mech._plans.get((target, limit))
+    plan = mech._plans.get(target)
     if plan is None:
-        plan = mech._plans[(target, limit)] = _plan_elimination(mech, target, limit)
+        plan = mech._plans[target] = _plan_elimination(mech, target)
     if plan.error is not None:
         raise StateSpaceTooLarge(plan.error)
     return plan
@@ -374,39 +375,46 @@ def _run_step(values: list, slots, shapes, r: int) -> np.ndarray:
     return total
 
 
-@dataclass
-class StepMemo:
-    """What the batched runs of one plan share, when every run batches the
-    same leaves: the leaf values, built on the first run, and each step's
-    result keyed by ``(step, cur & mask)``, ``cur`` holding the mask bits
-    of the fixed leaves on ``cur``. A step that depends on every ``fixed``
-    leaf is unique to its run and not kept, and nothing more is kept once
-    the results hold ``limit`` states. Step results, like the leaf values,
-    carry their window axes last."""
+class BatchedRuns:
+    """The runs of ``plan`` that batch its last ``j`` leaves, and what they
+    share. ``leaves[i]`` holds leaf ``i``'s values by its bit in a run's
+    ``block << j``: a fixed leaf's ref and cur tables with ``j`` trailing
+    unit axes; the ``b``-th batched leaf, whose bit is 0, its two tables
+    stacked on window axis ``b`` of ``j``. ``fixed`` has the fixed leaves'
+    mask bits. ``steps`` keeps step results by ``(step, cur & mask)``,
+    ``cur`` holding the mask bits of the leaves on ``cur``, until they hold
+    ``limit`` states (``states``); a step that depends on every fixed leaf
+    is unique to its run and not kept."""
 
-    limit: int
-    leaves: list = field(default_factory=list)
-    fixed: int = 0
-    steps: dict = field(default_factory=dict)
-    states: int = 0
+    def __init__(self, plan: _EliminationPlan, j: int, limit: int):
+        n = len(plan.leaves)
+        self.plan, self.j, self.limit = plan, j, limit
+        self.leaves = []
+        for b, (_, tables) in enumerate(plan.leaves, start=j - n):
+            units = (1,) * (j if b < 0 else j - 1)      # fixed leaves come first, b < 0
+            pair = [t.reshape(t.shape + units) for t in (tables["ref"], tables["cur"])]
+            self.leaves.append(pair if b < 0 else [np.stack(pair, axis=b - j)])
+        self.fixed = (1 << n) - (1 << j)
+        self.steps: dict = {}
+        self.states = 0
 
 
 def _run_plan(plan: _EliminationPlan, values: list, r: int,
-              memo: Optional[StepMemo] = None, cur: int = 0) -> np.ndarray:
+              runs: Optional[BatchedRuns] = None, cur: int = 0) -> np.ndarray:
     """The planned multiplies and sums on leaf ``values`` that each carry
     ``r`` trailing window axes; those axes broadcast and are never summed.
-    With a ``memo``, a step computes only when the memo lacks its result."""
+    With ``runs``, a step computes only when ``runs`` lacks its result."""
     for step, (slots, shapes, _, mask) in enumerate(plan.steps):
-        if memo is None or mask & memo.fixed == memo.fixed:
+        if runs is None or mask & runs.fixed == runs.fixed:
             values.append(_run_step(values, slots, shapes, r))
             continue
         key = (step, cur & mask)
-        out = memo.steps.get(key)
+        out = runs.steps.get(key)
         if out is None:
             out = _run_step(values, slots, shapes, r)
-            if memo.states + out.size <= memo.limit:
-                memo.steps[key] = out
-                memo.states += out.size
+            if runs.states + out.size <= runs.limit:
+                runs.steps[key] = out
+                runs.states += out.size
         values.append(out)
     out = values[plan.target_slots[0]].copy()
     for slot in plan.target_slots[1:]:
@@ -414,8 +422,7 @@ def _run_plan(plan: _EliminationPlan, values: list, r: int,
     return out
 
 
-def target_marginal(mech: MechanismSet, assignment: dict, target: str,
-                    limit: int = DEFAULT_STATE_LIMIT) -> np.ndarray:
+def target_marginal(mech: MechanismSet, assignment: dict, target: str) -> np.ndarray:
     """Exact marginal of ``target`` under a per-node window assignment.
 
     A node missing from ``assignment`` uses its ``ref`` table. Only the
@@ -424,43 +431,25 @@ def target_marginal(mech: MechanismSet, assignment: dict, target: str,
     so results are bit-deterministic. Each call runs the cached
     :func:`elimination_plan` on the assigned tables.
     """
-    plan = elimination_plan(mech, target, limit)
+    plan = elimination_plan(mech, target)
     return _run_plan(plan, [tables[assignment.get(q, "ref")] for q, tables in plan.leaves], 0)
 
 
-def batched_marginals(plan: _EliminationPlan, windows: Sequence[Optional[str]],
-                      memo: Optional[StepMemo] = None) -> np.ndarray:
-    """Target marginals for every window choice of the batched leaves.
+def batched_marginals(runs: BatchedRuns, block: int) -> np.ndarray:
+    """Target marginals for the keys ``block << j | b`` of ``runs``.
 
-    ``windows[i]`` is ``"ref"`` or ``"cur"`` for a fixed leaf of ``plan``
-    and ``None`` for a batched one. With ``j`` batched leaves the result
-    is a C-contiguous ``(2**j, k)`` array; row ``b`` has batched leaf
-    ``i`` (in leaf order) on ``cur`` when bit ``j-1-i`` of ``b`` is set.
-    One run of the plan computes every row: each batched leaf carries
-    its ref and cur tables on its own window axis, after its scope axes,
-    and the planned multiplies broadcast over those axes; the run's
-    ``(k, 2, ..., 2)`` result is transposed into the rows. Runs that
-    share a ``memo`` reuse its leaf values and every step result it holds
-    for the same windows of the fixed leaves that step depends on. Each
-    row is bit-identical to ``target_marginal`` under the same assignment.
+    With ``n`` leaves, key bit ``n-1-i`` puts leaf ``i`` on ``cur``; the
+    result is a C-contiguous ``(2**j, k)`` array whose row ``b`` is the
+    marginal of key ``block << j | b``. One run of the plan computes every
+    row: the planned multiplies broadcast over the batched leaves' window
+    axes, and the run's ``(k, 2, ..., 2)`` result is transposed into the
+    rows. The run reuses every step result ``runs`` holds for the same
+    windows of the fixed leaves that step depends on. Each row is
+    bit-identical to ``target_marginal`` under the same assignment.
     """
-    j, n = windows.count(None), len(windows)
-    leaves = memo.leaves if memo is not None else []
-    if not leaves:
-        i = 0
-        for (_, tables), w in zip(plan.leaves, windows):
-            if w is None:
-                stacked = np.stack([tables["ref"], tables["cur"]], axis=-1)
-                leaves.append({None: stacked.reshape(stacked.shape[:-1] + (1,) * i + (2,)
-                                                     + (1,) * (j - i - 1))})
-                i += 1
-            else:
-                leaves.append({v: t.reshape(t.shape + (1,) * j) for v, t in tables.items()})
-        if memo is not None:
-            memo.fixed = sum(1 << (n - 1 - i) for i, w in enumerate(windows) if w is not None)
-    cur = sum(1 << (n - 1 - i) for i, w in enumerate(windows) if w == "cur")
-    values = [leaf[w] for leaf, w in zip(leaves, windows)]
-    out = _run_plan(plan, values, j, memo, cur)
+    cur, n = block << runs.j, len(runs.leaves)
+    values = [leaf[cur >> (n - 1 - i) & 1] for i, leaf in enumerate(runs.leaves)]
+    out = _run_plan(runs.plan, values, runs.j, runs, cur)
     return np.ascontiguousarray(out.reshape(len(out), -1).T)
 
 

@@ -21,12 +21,12 @@ import math
 
 import numpy as np
 
+from mlsysmap import mechanisms
 from mlsysmap.mapcore import (Node, NodeKind, Relation, RelationKind, View, ancestors,
                               build_map)
 from mlsysmap.attribution import FALLBACK_SAMPLES
 from mlsysmap.errors import StateSpaceTooLarge
 from mlsysmap.mechanisms import (
-    DEFAULT_STATE_LIMIT,
     MechanismSet,
     NumericBins,
     jsd_rows,
@@ -55,12 +55,12 @@ def brute_force_marginal(mech: MechanismSet, assignment: dict, target: str):
     return out
 
 
-def reference_target_marginal(mech: MechanismSet, assignment: dict, target: str,
-                              limit: int = DEFAULT_STATE_LIMIT):
+def reference_target_marginal(mech: MechanismSet, assignment: dict, target: str):
     """Variable elimination re-planned on every call (min-degree order,
     lexicographic ties), multiplying in the same order as
     ``target_marginal`` and summing each victim's slabs in index order,
-    as it does, whatever the victim's state count or memory layout."""
+    as it does, whatever the victim's state count or memory layout.
+    Products are limited by ``mechanisms.STATE_LIMIT`` at call time."""
 
     def factor_for(node, window):
         scope = mech.parents[node] + (node,)
@@ -80,9 +80,9 @@ def reference_target_marginal(mech: MechanismSet, assignment: dict, target: str,
         size = 1
         for v in allvars:
             size *= dims[v]
-        if size > limit:
+        if size > mechanisms.STATE_LIMIT:
             raise StateSpaceTooLarge(
-                f"factor over {allvars} has {size} states (limit {limit})")
+                f"factor over {allvars} has {size} states (limit {mechanisms.STATE_LIMIT})")
         return allvars, broadcast(a1, s1, allvars) * broadcast(a2, s2, allvars)
 
     relevant = ancestors(mech.parents, target) | {target}
@@ -116,12 +116,11 @@ def reference_target_marginal(mech: MechanismSet, assignment: dict, target: str,
     return out
 
 
-def reference_game_value(mech: MechanismSet, target: str, subset,
-                         state_limit: int = DEFAULT_STATE_LIMIT, seed=0) -> float:
+def reference_game_value(mech: MechanismSet, target: str, subset, seed=0) -> float:
     """Mechanism-swap game value of one coalition on its own: the JSD of
     the target's marginal with ``subset`` on ``cur`` against the
     all-reference marginal, 0.0 when no ancestor of the target (or the
-    target itself) is in ``subset``. Past ``state_limit`` both marginals
+    target itself) is in ``subset``. Past the state limit both marginals
     are ``FALLBACK_SAMPLES`` ancestral samples, the coalition's seeded
     ``[seed, key]`` with ``key`` the sum of ``1 << (r-1-i)`` over the
     indices ``i`` of its players among the r sorted relevant ones, the
@@ -131,8 +130,8 @@ def reference_game_value(mech: MechanismSet, target: str, subset,
         return 0.0
     assignment = dict.fromkeys(subset, "cur")
     try:
-        p = target_marginal(mech, assignment, target, limit=state_limit)
-        q = target_marginal(mech, {}, target, limit=state_limit)
+        p = target_marginal(mech, assignment, target)
+        q = target_marginal(mech, {}, target)
     except StateSpaceTooLarge:
         r = len(relevant)
         key = sum(1 << (r - 1 - i) for i, n in enumerate(relevant) if n in subset)

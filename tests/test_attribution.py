@@ -16,8 +16,11 @@ from mlsysmap.attribution import (
     sampled_shapley,
     shares_of,
 )
-from mlsysmap.errors import InsufficientData, TooManyPlayers
-from mlsysmap.mapcore import ancestors
+from mlsysmap.dataset import load_csv
+from mlsysmap.errors import InsufficientData, StateSpaceTooLarge, TooManyPlayers
+from mlsysmap.mapcore import View, ancestors
+from mlsysmap.mechanisms import fit_mechanisms
+from mlsysmap.msmformat import parse_map
 
 from helpers import random_mechanism_set, reference_exact_shapley, reference_game_value
 
@@ -219,15 +222,84 @@ def test_target_without_fitted_data_is_insufficient():
         attribute(mech, "system.nope")
 
 
-def test_state_limit_falls_back_to_sampling():
-    mech = random_mechanism_set(np.random.default_rng(40), n_nodes=4, p_edge=1.0)
+def chain_of_four():
+    return random_mechanism_set(np.random.default_rng(40), n_nodes=4, p_edge=1.0)
+
+
+def test_state_limit_falls_back_to_sampling(monkeypatch):
+    mech = chain_of_four()
     target = mech.nodes[-1]
-    result = attribute(mech, target, mode="exact", state_limit=2)
+    monkeypatch.setattr(mechanisms, "STATE_LIMIT", 2)
+    result = attribute(mech, target, mode="exact")
     assert result.mode == "sampled"
     assert sum(result.phi.values()) == pytest.approx(result.total, abs=1e-9)
-    again = attribute(mech, target, mode="exact", state_limit=2)
+    again = attribute(mech, target, mode="exact")
     assert again.phi == result.phi
-    assert attribute(mech, target, mode="exact").mode == "exact"
+    monkeypatch.undo()
+    assert attribute(chain_of_four(), target, mode="exact").mode == "exact"
+
+
+def test_exact_mode_past_the_state_limit_samples_orders_when_they_cost_less(monkeypatch):
+    """Past the limit a table of 2**r values is 2**r samplings, so "exact"
+    samples orders where auto mode would: 1 order asks for at most
+    r + 1 = 5 coalitions, each one sampling, and the baseline one more.
+    Past ``EXACT_PLAYER_LIMIT`` relevant players "exact" still raises."""
+    mech = chain_of_four()
+    target = mech.nodes[-1]
+    monkeypatch.setattr(mechanisms, "STATE_LIMIT", 2)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[3])
+        return mechanisms.sample_marginal(*args)
+
+    monkeypatch.setattr(attribution, "sample_marginal", counting)
+    result = attribute(mech, target, mode="exact", permutations=1, seed=4)
+    assert len(calls) <= 6
+    game = MechanismSwapGame(mech, target, seed=4)
+    assert game.used_sampling and game.runs == 16
+    assert result.phi == sampled_shapley(game, game.players, 1, seed=4)
+    assert result.mode == "sampled"
+    many = random_mechanism_set(np.random.default_rng(32), n_nodes=18, max_states=2,
+                                p_edge=0.2)
+    assert MechanismSwapGame(many, "system.n17").used_sampling
+    with pytest.raises(TooManyPlayers, match="17 relevant players"):
+        attribute(many, "system.n17", mode="exact")
+
+
+STATE_MAP = parse_map("""\
+map diamond
+view system
+  data a
+  data b
+  data c
+  data d
+  edge a -> b
+  edge a -> c
+  edge b -> d
+  edge c -> d
+""")
+
+STATE_CSV = "window,system.a,system.b,system.c,system.d\n" + "".join(
+    f"{w},{a},u,u,u\n" for w, cells in (("ref", "pqrs"), ("cur", "ppqs")) for a in cells)
+
+
+def test_one_state_limit_governs_the_fit_and_inference(monkeypatch):
+    """a has 5 states and b, c, d 2 each: the largest table, b given a, has
+    10 cells, and eliminating a first multiplies a product of 20 states."""
+    ds = load_csv(STATE_MAP, STATE_CSV)
+    monkeypatch.setattr(mechanisms, "STATE_LIMIT", 9)
+    with pytest.raises(StateSpaceTooLarge, match="10 cells"):
+        fit_mechanisms(STATE_MAP, ds, View.system())
+    monkeypatch.setattr(mechanisms, "STATE_LIMIT", 10)
+    mech = fit_mechanisms(STATE_MAP, ds, View.system())
+    with pytest.raises(StateSpaceTooLarge, match="20 states"):
+        mechanisms.target_marginal(mech, {}, "system.d")
+    assert attribute(mech, "system.d", mode="exact").mode == "sampled"
+    monkeypatch.setattr(mechanisms, "STATE_LIMIT", 20)
+    mech = fit_mechanisms(STATE_MAP, ds, View.system())
+    assert attribute(mech, "system.d", mode="exact").mode == "exact"
+
 
 def non_ancestors(mech, target):
     return sorted(set(mech.nodes) - ancestors(mech.parents, target) - {target})
@@ -304,10 +376,11 @@ def test_blocked_values_with_many_state_victims_equal_reference(monkeypatch, bat
     assert many_state_victims >= 5
 
 
-def test_fallback_sampling_keeps_non_ancestors_dummies():
+def test_fallback_sampling_keeps_non_ancestors_dummies(monkeypatch):
     mech = random_mechanism_set(np.random.default_rng(7), n_nodes=6)
     target = "system.n3"
-    result = attribute(mech, target, mode="exact", state_limit=4)
+    monkeypatch.setattr(mechanisms, "STATE_LIMIT", 4)
+    result = attribute(mech, target, mode="exact")
     assert result.mode == "sampled"
     outside = non_ancestors(mech, target)
     assert outside
@@ -317,21 +390,21 @@ def test_fallback_sampling_keeps_non_ancestors_dummies():
 
 @pytest.mark.parametrize("seed, n_nodes, p_edge, target, limit", [
     (7, 6, 0.5, "system.n3", 4), (40, 4, 1.0, "system.n3", 2), (40, 4, 1.0, "system.n3", 8)])
-def test_fallback_phi_equals_per_coalition_reference(seed, n_nodes, p_edge, target, limit):
+def test_fallback_phi_equals_per_coalition_reference(monkeypatch, seed, n_nodes, p_edge,
+                                                     target, limit):
     """Past the VE limit each coalition keeps its own ``[seed, key]``
     sample, so φ is bit for bit that of the per-coalition game solved
     over the relevant players."""
     mech = random_mechanism_set(np.random.default_rng(seed), n_nodes=n_nodes, p_edge=p_edge)
-    result = attribute(mech, target, mode="exact", state_limit=limit, seed=5)
+    monkeypatch.setattr(mechanisms, "STATE_LIMIT", limit)
+    result = attribute(mech, target, mode="exact", seed=5)
     assert result.mode == "sampled"
     relevant = ancestors(mech.parents, target) | {target}
     reference = dict.fromkeys(mech.nodes, 0.0)
     reference.update(exact_shapley(
-        lambda s: reference_game_value(mech, target, s, state_limit=limit, seed=5),
-        relevant))
+        lambda s: reference_game_value(mech, target, s, seed=5), relevant))
     assert result.phi == reference
-    assert result.total == reference_game_value(mech, target, mech.nodes,
-                                                state_limit=limit, seed=5)
+    assert result.total == reference_game_value(mech, target, mech.nodes, seed=5)
 
 
 def test_sparse_game_evaluates_each_requested_coalition_alone(monkeypatch):
@@ -421,23 +494,24 @@ def table_phi(game):
     return phi
 
 
-def test_auto_is_exact_only_where_the_table_costs_no_more_than_the_orders():
+def test_auto_is_exact_only_where_the_table_costs_no_more_than_the_orders(monkeypatch):
     """Auto mode fills the table when its runs are at most
     ``permutations * (r + 1)``, and otherwise samples orders; past
-    ``state_limit`` each run is one sampling."""
+    the state limit each run is one sampling."""
+    monkeypatch.setattr(mechanisms, "STATE_LIMIT", 2)
     rng = np.random.default_rng(44)
     checked = 0
     for _ in range(6):
         mech = random_mechanism_set(rng, n_nodes=int(rng.integers(4, 6)), p_edge=0.8)
         target = mech.nodes[-1]
-        game = MechanismSwapGame(mech, target, state_limit=2, seed=3)
+        game = MechanismSwapGame(mech, target, seed=3)
         r = len(game.relevant)
         if not game.used_sampling or r < 3:
             continue
         assert game.runs == 2 ** r
-        few = attribute(mech, target, state_limit=2, permutations=1, seed=3)
+        few = attribute(mech, target, permutations=1, seed=3)
         assert few.phi == sampled_shapley(game, game.players, 1, seed=3)
-        many = attribute(mech, target, state_limit=2, permutations=2 ** r, seed=3)
+        many = attribute(mech, target, permutations=2 ** r, seed=3)
         assert many.phi == table_phi(game)
         assert few.mode == many.mode == "sampled"
         checked += 1
@@ -487,13 +561,13 @@ def test_sampled_orders_compute_only_the_blocks_they_reach(monkeypatch):
 
 def counting_steps(monkeypatch):
     """Patch the plan's one-step executor and the game's batched runs to
-    record, per executed step, its slots and the window choices of its run."""
+    record, per executed step, its slots and the block key of its run."""
     real_step, real_run = mechanisms._run_step, attribution.batched_marginals
     runs, steps = [], []
 
-    def run(plan, windows, *args):
-        runs.append(tuple(windows))
-        return real_run(plan, windows, *args)
+    def run(batched, block):
+        runs.append(block)
+        return real_run(batched, block)
 
     def step(values, slots, *args):
         steps.append((runs[-1] if runs else None, slots))
@@ -508,11 +582,6 @@ def step_masks(game):
     """Per step slots: its mask over the fixed leaves, and the all-fixed mask."""
     j = len(game.relevant) - (game.runs.bit_length() - 1)
     return {slots: mask >> j for slots, _, _, mask in game._plan.steps}, game.runs - 1
-
-
-def fixed_key(windows):
-    return sum(1 << (len(windows) - 1 - i) for i, w in enumerate(windows) if w == "cur") \
-        >> windows.count(None)
 
 
 @pytest.mark.parametrize("batch_states", [8, 32])
@@ -536,9 +605,9 @@ def test_memoized_steps_equal_per_coalition_reference(monkeypatch, batch_states)
             for key in range(1 << r):
                 s = [p for i, p in enumerate(game.relevant) if key >> (r - 1 - i) & 1]
                 assert table[key] == reference_game_value(mech, target, s)
-            assert game._memo.states <= batch_states
+            assert game._runs.states <= batch_states
             masks, full = step_masks(game)
-            seen = [(slots, fixed_key(w) & masks[slots]) for w, slots in steps
+            seen = [(slots, block & masks[slots]) for block, slots in steps
                     if masks[slots] != full]
             capped += len(seen) > len(set(seen))
             seed = int(rng.integers(100))
@@ -554,7 +623,8 @@ def test_each_step_runs_once_per_assignment_of_its_fixed_leaves(monkeypatch):
     distinct ``block & mask``, and a step over every fixed leaf once per
     block; most games run fewer steps than blocks times steps."""
     monkeypatch.setattr(attribution, "BATCH_STATES", 16)
-    monkeypatch.setattr(attribution, "StepMemo", lambda limit: mechanisms.StepMemo(math.inf))
+    monkeypatch.setattr(attribution, "BatchedRuns",
+                        lambda plan, j, limit: mechanisms.BatchedRuns(plan, j, math.inf))
     runs, steps = counting_steps(monkeypatch)
     checked = saved = 0
     for seed in range(6):
@@ -568,13 +638,12 @@ def test_each_step_runs_once_per_assignment_of_its_fixed_leaves(monkeypatch):
             assert len(set(runs)) == len(runs) >= game.runs - 1   # v(∅) may need no run
             masks, full = step_masks(game)
             expected = []
-            for windows in runs:
-                block = fixed_key(windows)
+            for block in runs:
                 expected += [(slots, block & mask) for slots, mask in masks.items()
                              if mask == full or (slots, block & mask) not in expected]
-            executed = [(slots, fixed_key(w) & masks[slots]) for w, slots in steps]
+            executed = [(slots, block & masks[slots]) for block, slots in steps]
             assert sorted(executed) == sorted(expected)
-            kept = [game._plan.steps[step][0] for step, _ in game._memo.steps]
+            kept = [game._plan.steps[step][0] for step, _ in game._runs.steps]
             assert full not in [masks[slots] for slots in kept]   # unique per block
             saved += len(executed) < len(masks) * game.runs
             checked += 1

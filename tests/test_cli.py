@@ -242,7 +242,7 @@ def test_trace_alert_without_data_is_a_domain_error(workspace, tmp_path, capsys)
 def test_table_past_the_state_limit_is_a_domain_error(workspace, monkeypatch, capsys):
     # a view whose table would outgrow the bound stops before any counting
     _, map_path, data_path = workspace
-    monkeypatch.setattr(mechanisms, "DEFAULT_STATE_LIMIT", 20)
+    monkeypatch.setattr(mechanisms, "STATE_LIMIT", 20)
     rc = main(["trace", map_path, data_path, "--alert", "system.outreach_decision"])
     err = capsys.readouterr().err
     assert rc == 1

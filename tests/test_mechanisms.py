@@ -214,7 +214,7 @@ def test_fit_discretization_rejects_bad_inputs():
 def test_table_size_is_checked_before_counting(monkeypatch):
     # system.b has 3 parent configurations (x, y, unseen) and 3 states: 9 cells
     ds = load_csv(CHAIN_MAP, CHAIN_CSV)
-    monkeypatch.setattr(mechanisms, "DEFAULT_STATE_LIMIT", 9)
+    monkeypatch.setattr(mechanisms, "STATE_LIMIT", 9)
     assert fit_mechanisms(CHAIN_MAP, ds, View.system()).tables["system.b"]["ref"].shape == (3, 3)
 
     bincount = np.bincount
@@ -223,7 +223,7 @@ def test_table_size_is_checked_before_counting(monkeypatch):
         assert minlength <= 8, "counted into a table past the limit"
         return bincount(x, minlength=minlength)
 
-    monkeypatch.setattr(mechanisms, "DEFAULT_STATE_LIMIT", 8)
+    monkeypatch.setattr(mechanisms, "STATE_LIMIT", 8)
     monkeypatch.setattr(np, "bincount", no_oversized_counts)
     with pytest.raises(StateSpaceTooLarge, match=r"'system\.b' given system\.a has 9 cells"):
         fit_mechanisms(CHAIN_MAP, ds, View.system())
@@ -277,11 +277,19 @@ def test_unknown_target_rejected():
         target_marginal(mech, {}, "system.nope")
 
 
-def test_state_space_limit():
+def test_state_space_limit(monkeypatch):
+    """A plan past the limit raises on every call, with the reference's
+    message."""
     rng = np.random.default_rng(3)
     mech = random_mechanism_set(rng, n_nodes=3, max_states=4, p_edge=1.0)
-    with pytest.raises(StateSpaceTooLarge):
-        target_marginal(mech, {}, mech.nodes[-1], limit=7)
+    target = mech.nodes[-1]
+    monkeypatch.setattr(mechanisms, "STATE_LIMIT", 7)
+    with pytest.raises(StateSpaceTooLarge) as ref_err:
+        reference_target_marginal(mech, {}, target)
+    for _ in range(2):
+        with pytest.raises(StateSpaceTooLarge) as err:
+            target_marginal(mech, {}, target)
+        assert str(err.value) == str(ref_err.value)
 
 
 def test_planned_elimination_is_bit_identical_to_reference():
@@ -322,27 +330,33 @@ def test_many_state_marginals_match_the_reference_to_rounding():
             assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps
 
 
-def test_cached_plan_is_per_state_limit():
-    def fresh():
-        rng = np.random.default_rng(3)
-        return random_mechanism_set(rng, n_nodes=3, max_states=4, p_edge=1.0)
-
-    mech = fresh()
-    target = mech.nodes[-1]
-    want = reference_target_marginal(mech, {}, target)
-    with pytest.raises(StateSpaceTooLarge) as ref_err:
-        reference_target_marginal(mech, {}, target, limit=7)
-    # default limit first: its plan must not serve the limit-7 call
-    assert np.array_equal(target_marginal(mech, {}, target), want)
-    for _ in range(2):
-        with pytest.raises(StateSpaceTooLarge) as err:
-            target_marginal(mech, {}, target, limit=7)
-        assert str(err.value) == str(ref_err.value)
-    # limit 7 first: its cached failure must not block the default limit
-    mech = fresh()
-    with pytest.raises(StateSpaceTooLarge):
-        target_marginal(mech, {}, target, limit=7)
-    assert np.array_equal(target_marginal(mech, {}, target), want)
+@pytest.mark.parametrize("limit", [0, math.inf])
+def test_batched_rows_equal_target_marginal(limit):
+    """Every row of every block, with the last 0, 1 or all leaves batched,
+    is bit-identical to ``target_marginal`` under its key's assignment,
+    whether the runs keep no step result or every one."""
+    rng = np.random.default_rng(47)
+    kept = 0
+    for _ in range(12):
+        mech = random_mechanism_set(rng, n_nodes=int(rng.integers(2, 7)),
+                                    max_states=int(rng.integers(2, 10)))
+        for target in mech.nodes:
+            plan = mechanisms.elimination_plan(mech, target)
+            leaves = [q for q, _ in plan.leaves]
+            n = len(leaves)
+            for j in sorted({0, 1, n}):
+                runs = mechanisms.BatchedRuns(plan, j, limit)
+                for block in range(1 << (n - j)):
+                    rows = mechanisms.batched_marginals(runs, block)
+                    assert rows.shape == (1 << j, mech.disc[target].n_states)
+                    assert rows.flags.c_contiguous
+                    for b, row in enumerate(rows):
+                        key = block << j | b
+                        assignment = {q: "cur" for i, q in enumerate(leaves)
+                                      if key >> (n - 1 - i) & 1}
+                        assert np.array_equal(row, target_marginal(mech, assignment, target))
+                kept += len(runs.steps)
+    assert (kept > 0) == (limit > 0)
 
 
 # ---------------------------------------------------------------------------
