@@ -244,16 +244,19 @@ def attribute(mech: MechanismSet, target: str, mode: str = "auto",
     coalitions each). Past ``mechanisms.STATE_LIMIT`` every value is a
     sampling, so up to ``EXACT_PLAYER_LIMIT`` relevant players "exact"
     then follows auto mode's rule, and the result's mode is "sampled".
-    Dummies get φ = 0.0.
+    "exact" past that player limit raises ``TooManyPlayers`` before any
+    game value is computed. Dummies get φ = 0.0.
     """
     if mode not in MODES:
         raise ValueError(f"unknown attribution mode '{mode}' (expected one of {MODES})")
     if target not in mech.nodes:
         raise InsufficientData(
             f"no fitted data for '{target}' in view '{mech.view.name}'")
+    r = len(ancestors(mech.parents, target)) + 1
+    if mode == "exact" and r > EXACT_PLAYER_LIMIT:
+        raise TooManyPlayers(f"{r} relevant players exceed exact limit {EXACT_PLAYER_LIMIT}")
     game = MechanismSwapGame(mech, target, seed=seed)
-    r = len(game.relevant)
-    exact = (mode == "exact" and (not game.used_sampling or r > EXACT_PLAYER_LIMIT)
+    exact = (mode == "exact" and not game.used_sampling
              or mode != "sampled" and r <= EXACT_PLAYER_LIMIT
              and game.runs <= permutations * (r + 1))
     if exact:

@@ -48,7 +48,7 @@ def _read(path: str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        before = data[:exc.start].decode("utf-8").split("\n")
+        before = data[:exc.start].decode("utf-8").removeprefix("\ufeff").split("\n")
         raise ParseError(f"not UTF-8 ({exc.reason})", len(before), len(before[-1]) + 1) from None
 
 

@@ -262,18 +262,16 @@ class _EliminationPlan:
     0: the victim comes first in the order. The result takes the next
     slot. A step's ``mask`` has bit ``n-1-i`` set, of ``n`` leaves, when
     its result depends on leaf ``i``.
-    The marginal is the product of the ``target_slots`` factors, the
-    factors left over the target alone. ``largest`` is the size of the
-    largest table or product one run touches. ``error`` is set, and
-    nothing else used, when some product would exceed ``STATE_LIMIT``.
+    The marginal is the last value: the last step's result, or the
+    target's table when it has no ancestors. ``largest`` is the size of
+    the largest table or product one run touches. No plan is built past
+    ``STATE_LIMIT``: ``_plan_elimination`` raises ``StateSpaceTooLarge``.
     """
 
-    order: tuple = ()
-    leaves: tuple = ()
-    steps: tuple = ()
-    target_slots: tuple = ()
-    largest: int = 0
-    error: Optional[str] = None
+    order: tuple
+    leaves: tuple
+    steps: tuple
+    largest: int
 
 
 def _plan_elimination(mech: MechanismSet, target: str) -> _EliminationPlan:
@@ -314,8 +312,8 @@ def _plan_elimination(mech: MechanismSet, target: str) -> _EliminationPlan:
             allvars = tuple(sorted(set(scope) | set(other), key=rank.get))
             size = math.prod(dims[v] for v in allvars)
             if size > STATE_LIMIT:
-                return _EliminationPlan(error=f"factor over {tuple(sorted(allvars))} has "
-                                              f"{size} states (limit {STATE_LIMIT})")
+                raise StateSpaceTooLarge(f"factor over {tuple(sorted(allvars))} has "
+                                         f"{size} states (limit {STATE_LIMIT})")
             largest = max(largest, size)
             shapes.append(tuple(tuple(dims[v] if v in s else 1 for v in allvars)
                                 for s in (scope, other)))
@@ -325,29 +323,27 @@ def _plan_elimination(mech: MechanismSet, target: str) -> _EliminationPlan:
         steps.append((slots, tuple(shapes), scope.index(victim), masks[-1]))
         factors.append((scope[1:], len(masks) - 1))
 
-    # the ancestral set is connected through the target, and eliminating
-    # a node connects its neighbours, so every victim still has one and no
-    # factor ends up over no variable: all that remain are over the target
+    # only the target's own table holds the target, and each step merges
+    # every factor over its victim, so exactly one factor over the target
+    # is left: the last value, which _run_plan returns
     return _EliminationPlan(order=tuple(rank), leaves=tuple(leaves), steps=tuple(steps),
-                            target_slots=tuple(slot for _, slot in factors),
                             largest=largest)
 
 
 def elimination_plan(mech: MechanismSet, target: str) -> _EliminationPlan:
     """The elimination plan of ``target``, built on first use and cached
-    on the mechanism set under the ``STATE_LIMIT`` then in force.
+    on the mechanism set.
 
     The order, the factor transposes, the broadcast shapes and the
     state-limit check depend only on the structure. Raises
-    ``StateSpaceTooLarge`` when some product would exceed the limit.
+    ``StateSpaceTooLarge``, and caches nothing, when some product would
+    exceed the ``STATE_LIMIT`` then in force.
     """
     if target not in mech.parents:
         raise KeyError(f"'{target}' is not a fitted node of view '{mech.view.name}'")
     plan = mech._plans.get(target)
     if plan is None:
         plan = mech._plans[target] = _plan_elimination(mech, target)
-    if plan.error is not None:
-        raise StateSpaceTooLarge(plan.error)
     return plan
 
 
@@ -416,10 +412,7 @@ def _run_plan(plan: _EliminationPlan, values: list, r: int,
                 runs.steps[key] = out
                 runs.states += out.size
         values.append(out)
-    out = values[plan.target_slots[0]].copy()
-    for slot in plan.target_slots[1:]:
-        out = out * values[slot]
-    return out
+    return values[-1].copy()
 
 
 def target_marginal(mech: MechanismSet, assignment: dict, target: str) -> np.ndarray:

@@ -15,12 +15,15 @@ insignificant)::
 
 Unqualified names resolve in the current view. Unknown keywords are
 errors. Parsing validates through ``build_map``, so a successfully parsed
-file always yields a structurally valid map.
+file always yields a structurally valid map. The keyword tables below,
+with each relation's kind and separator, are read by both ``parse_map``
+and ``serialize_map``.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from . import mapcore
 from .errors import MapBuildError, ParseError
@@ -29,20 +32,20 @@ from .mapcore import Node, NodeKind, Relation, RelationKind, SystemMap, View, Vi
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _QNAME = re.compile(r"([A-Za-z_][A-Za-z0-9_]*\.)?[A-Za-z_][A-Za-z0-9_]*\Z")
 
-_NODE_KEYWORDS = {
-    "data": NodeKind.DATA,
-    "modulator": NodeKind.MODULATOR,
-    "random": NodeKind.RANDOM,
+_NODE_KEYWORDS = {kind.value: kind for kind in NodeKind}
+_RELATION_KEYWORDS = {
+    "edge": (RelationKind.CAUSAL, "->"),
+    "equiv": (RelationKind.MAPPING, "="),
+    "measure": (RelationKind.MEASURE, "->"),
+    "actuate": (RelationKind.ACTUATE, "->"),
 }
+_FIXED_VIEWS = {"system": View.system, "environment": View.environment}
 
 
-class _Line:
-    __slots__ = ("no", "tokens", "cols")
-
-    def __init__(self, no, tokens, cols):
-        self.no = no
-        self.tokens = tokens
-        self.cols = cols
+class _Line(NamedTuple):
+    no: int
+    tokens: list
+    cols: list
 
 
 def _tokenize(text):
@@ -115,14 +118,10 @@ def parse_map(text: str) -> SystemMap:
             if len(line.tokens) < 2:
                 err("expected a view kind after 'view'", line.no, line.cols[0])
             vkind = line.tokens[1]
-            if vkind == "system":
+            if vkind in _FIXED_VIEWS:
                 if len(line.tokens) != 2:
-                    err("unexpected token after 'view system'", line.no, line.cols[2])
-                view = View.system()
-            elif vkind == "environment":
-                if len(line.tokens) != 2:
-                    err("unexpected token after 'view environment'", line.no, line.cols[2])
-                view = View.environment()
+                    err(f"unexpected token after 'view {vkind}'", line.no, line.cols[2])
+                view = _FIXED_VIEWS[vkind]()
             elif vkind == "subsystem":
                 if len(line.tokens) != 3 or not _IDENT.match(line.tokens[2]):
                     err("expected 'view subsystem NAME'", line.no, _name_col(line, 2))
@@ -147,18 +146,12 @@ def parse_map(text: str) -> SystemMap:
                 err(f"duplicate node '{node.qname}'", line.no, line.cols[1])
             nodes[node.qname] = node
             positions[node.qname] = (line.no, line.cols[1])
-        elif kw in ("edge", "measure", "actuate", "equiv"):
-            sep = "=" if kw == "equiv" else "->"
+        elif kw in _RELATION_KEYWORDS:
+            kind, sep = _RELATION_KEYWORDS[kw]
             if len(line.tokens) != 4 or line.tokens[2] != sep:
                 err(f"expected '{kw} NAME {sep} NAME'", line.no, line.cols[0])
             src = resolve(line.tokens[1], line.no, line.cols[1])
             dst = resolve(line.tokens[3], line.no, line.cols[3])
-            kind = {
-                "edge": RelationKind.CAUSAL,
-                "measure": RelationKind.MEASURE,
-                "actuate": RelationKind.ACTUATE,
-                "equiv": RelationKind.MAPPING,
-            }[kw]
             relations.append(Relation(src, dst, kind))
             positions[(src, dst)] = (line.no, line.cols[0])
             positions[(dst, src)] = (line.no, line.cols[0])
@@ -182,33 +175,27 @@ def serialize_map(m: SystemMap) -> str:
     declarations (equiv, measure, actuate) follow the last view block.
     """
     out = [f"map {m.name}"]
-    node_index = {n.qname: n for n in m.nodes()}
-
     for view in m.views:
         out.append("")
-        if view.type is ViewType.ML_SYSTEM:
-            out.append("view system")
-        elif view.type is ViewType.ENVIRONMENT:
-            out.append("view environment")
-        else:
+        if view.type is ViewType.SUBSYSTEM:
             out.append(f"view subsystem {view.name}")
-        view_nodes = sorted(m.view_nodes(view), key=lambda n: n.name)
+        else:
+            out.append(f"view {view.type.value}")
+        graph = m.view_graph(view)
+        view_nodes = sorted(graph.nodes, key=lambda n: n.name)
         for n in view_nodes:
             flag = " boundary" if n.boundary else ""
             out.append(f"  {n.kind.value} {n.name}{flag}")
-        names = {n.qname for n in view_nodes}
-        for r in m.relations:
-            if r.kind is RelationKind.CAUSAL and r.src in names:
-                out.append(f"  edge {node_index[r.src].name} -> {node_index[r.dst].name}")
+        for n in view_nodes:
+            for child in graph.children[n.qname]:
+                out.append(f"  edge {n.name} -> {m.node(child).name}")
 
+    cross_keywords = {kind: (kw, sep) for kw, (kind, sep) in _RELATION_KEYWORDS.items()}
     cross = []
     for r in m.relations:
-        if r.kind is RelationKind.MAPPING:
-            cross.append(f"equiv {r.src} = {r.dst}")
-        elif r.kind is RelationKind.MEASURE:
-            cross.append(f"measure {r.src} -> {r.dst}")
-        elif r.kind is RelationKind.ACTUATE:
-            cross.append(f"actuate {r.src} -> {r.dst}")
+        if r.kind is not RelationKind.CAUSAL:
+            kw, sep = cross_keywords[r.kind]
+            cross.append(f"{kw} {r.src} {sep} {r.dst}")
     if cross:
         out.append("")
         out.extend(sorted(cross))

@@ -267,6 +267,19 @@ def test_exact_mode_past_the_state_limit_samples_orders_when_they_cost_less(monk
         attribute(many, "system.n17", mode="exact")
 
 
+def test_exact_past_the_player_limit_is_refused_before_the_game_is_built(monkeypatch):
+    many = random_mechanism_set(np.random.default_rng(32), n_nodes=18, max_states=2,
+                                p_edge=0.2)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built the game")
+
+    monkeypatch.setattr(attribution, "MechanismSwapGame", unbuilt)
+    with pytest.raises(TooManyPlayers) as exc:
+        attribute(many, "system.n17", mode="exact")
+    assert str(exc.value) == "17 relevant players exceed exact limit 16"
+
+
 STATE_MAP = parse_map("""\
 map diamond
 view system

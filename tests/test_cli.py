@@ -49,6 +49,7 @@ def test_validate_rejects_bad_map(tmp_path, capsys):
 @pytest.mark.parametrize("data, where", [
     (b"map m\nview system\ndata caf\xe9", "line 3, col 9"),
     ("map m\r\nview system\r\ndata café x".encode() + b"\xff", "line 3, col 12"),
+    (b"\xef\xbb\xbfmap m\xff\n", "line 1, col 6"),    # a byte-order mark is no column
 ])
 def test_map_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command, data, where):
     bad = tmp_path / "bad.msm"

@@ -95,6 +95,12 @@ def test_parse_errors_carry_positions(text, line, col):
      "expected an identifier after 'modulator'", 3, 11),
     ("map m\nview subsystem 9p extra\n", "expected 'view subsystem NAME'", 2, 16),
     ("map m\nview subsystem\n", "expected 'view subsystem NAME'", 2, 6),
+    # each relation keyword names its own separator
+    ("map m\nview system\ndata a\nequiv a -> a\n", "expected 'equiv NAME = NAME'", 4, 1),
+    ("map m\nview system\ndata a\nmeasure a = a\n", "expected 'measure NAME -> NAME'", 4, 1),
+    ("map m\nview system\ndata a\nactuate a -> a extra\n",
+     "expected 'actuate NAME -> NAME'", 4, 1),
+    ("map m\nview system\ndata a\nedge a ->\n", "expected 'edge NAME -> NAME'", 4, 1),
 ])
 def test_grammar_errors_name_the_problem_and_its_position(text, message, line, col):
     with pytest.raises(ParseError) as exc:
