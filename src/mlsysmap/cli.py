@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
+import os
 import sys
 
 from . import report as report_mod
@@ -104,6 +105,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if os.path.realpath(args.out_data) == os.path.realpath(args.out_map):
+        print(f"error: --out-data and --out-map name one file: {args.out_data}", file=sys.stderr)
+        return 2
     config = ScenarioConfig(scenario=args.scenario, n=args.n, seed=args.seed)
     data = generate_csv(config)
     with open(args.out_data, "w", encoding="utf-8", newline="") as fh:

@@ -19,7 +19,8 @@ Generation is fully deterministic given (scenario, n, seed); the
 reference window stream is independent of the scenario, so reference
 distributions are identical across scenarios at a fixed seed.
 :func:`generate` hands the generated arrays straight to the dataset;
-:func:`generate_csv` formats the same arrays as CSV text.
+:func:`generate_csv` formats the same arrays as CSV text, column by
+column: each distinct number is formatted once, as ``repr`` writes it.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .traversal import Pattern
 
 SCENARIOS = ("S0", "S1", "S2", "S3", "S4", "S5", "S6")
 
-_BASE_ACTIVITY = {"young": 5.0, "adult": 3.0, "senior": 2.0}
-_DEMO_LEVELS = ("young", "adult", "senior")
+_DEMO_LEVELS = np.array(("young", "adult", "senior"))
+_BASE_ACTIVITY = np.array((5.0, 3.0, 2.0))          # per demographic level
 _DEMO_PROBS = (0.5, 0.3, 0.2)
 _MODEL_COEFFS = {"v1": (2.0, -0.8, 0.5), "v2": (1.0, -0.5, 0.9)}
 _EVENT_RATE = 7.0
@@ -136,10 +137,12 @@ def _truncated_normal(rng, mean, sd, n):
 
 
 def _generate_window(rng, params: WindowParams, n: int):
-    demo = rng.choice(_DEMO_LEVELS, p=_DEMO_PROBS, size=n)
+    # drawing an index takes the same random stream as drawing the label
+    level = rng.choice(len(_DEMO_LEVELS), p=_DEMO_PROBS, size=n)
+    demo = _DEMO_LEVELS[level]
     quality = _truncated_normal(rng, params.quality_mean, params.quality_sd, n)
     noise = rng.normal(params.noise_mean, params.noise_sd, n)
-    base = np.array([_BASE_ACTIVITY[d] for d in demo])
+    base = _BASE_ACTIVITY[level]
     activity = base * quality * np.exp(noise)
     events = rng.poisson(_EVENT_RATE * activity * params.parse_quality)
     counts = events
@@ -180,20 +183,35 @@ def _windows(config: ScenarioConfig):
     return ref, cur
 
 
+def _columns(config: ScenarioConfig):
+    """(name, reference rows then current rows) per column, in name order."""
+    ref, cur = _windows(config)
+    return [(c, np.concatenate([ref[c], cur[c]])) for c in sorted(ref)]
+
+
+def _cells(column: np.ndarray) -> list:
+    """Each cell of a column as text: a label as it is, a number as ``repr``
+    writes it. Numbers are told apart by their bits, so -0.0 and 0.0 stay apart."""
+    if column.dtype.kind == "U":
+        return column.tolist()
+    bits, codes = np.unique(column.view(f"u{column.dtype.itemsize}"),
+                            return_inverse=True)
+    # repr of a list writes each item as repr does, joined by ", "
+    text = repr(bits.view(column.dtype).tolist())[1:-1].split(", ")
+    return np.array(text, dtype=object)[codes].tolist()
+
+
 def generate_csv(config: ScenarioConfig) -> str:
     """Deterministic CSV text: n reference rows then n current rows.
 
-    The window label comes first, then the columns in name order.
+    The window label comes first, then the columns in name order. Each
+    distinct number in a column is written once, as ``repr`` writes it.
     """
-    ref, cur = _windows(config)
-    names = sorted(ref)
-    lines = [",".join(["window"] + names)]
-    for label, window in (("ref", ref), ("cur", cur)):
-        # tolist() yields str, int and float cells; repr of a float round-trips
-        for row in zip(*(window[c].tolist() for c in names)):
-            lines.append(",".join([label] + [v if isinstance(v, str) else repr(v)
-                                             for v in row]))
-    return "\n".join(lines) + "\n"
+    columns = _columns(config)
+    window = ["ref"] * config.n + ["cur"] * config.n
+    cells = [_cells(values) for _, values in columns]
+    header = ",".join(["window"] + [c for c, _ in columns])
+    return "\n".join([header, *map(",".join, zip(window, *cells)), ""])
 
 
 @dataclass
@@ -208,8 +226,7 @@ def generate(config: ScenarioConfig) -> SimulationOutput:
     The dataset equals ``load_csv(churn_map(), generate_csv(config))``.
     """
     system_map = churn_map()
-    ref, cur = _windows(config)
-    columns = [(c, np.concatenate([ref[c], cur[c]])) for c in sorted(ref)]
+    columns = _columns(config)
     window = np.repeat(np.array(["ref", "cur"], dtype=object), config.n)
     return SimulationOutput(
         system_map=system_map,

@@ -8,7 +8,9 @@ The reference game value scores one coalition at a time, as the
 mechanism-swap game did before it evaluated coalitions in blocks. The
 reference Shapley solver enumerates every subset of every player with a
 per-player loop, as ``exact_shapley`` did before it solved one value
-array. The random builders
+array. The reference CSV writer formats every cell on its own, row by
+row, as ``generate_csv`` did before it wrote column by column. The
+random builders
 produce structurally valid maps and mechanism sets from a seeded
 generator, for property-style checks over many instances.
 """
@@ -33,7 +35,7 @@ from mlsysmap.mechanisms import (
     sample_marginal,
     target_marginal,
 )
-from mlsysmap.simulator import ScenarioConfig, generate
+from mlsysmap.simulator import ScenarioConfig, _windows, generate
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +163,25 @@ def reference_exact_shapley(v, players) -> dict:
             s = bin(mask).count("1")
             phi[p] += weights[s] * (values[mask | bit] - values[mask])
     return phi
+
+
+# ---------------------------------------------------------------------------
+# CSV writer oracle
+
+def reference_generate_csv(config: ScenarioConfig) -> str:
+    """Deterministic CSV text: n reference rows then n current rows.
+
+    The window label comes first, then the columns in name order.
+    """
+    ref, cur = _windows(config)
+    names = sorted(ref)
+    lines = [",".join(["window"] + names)]
+    for label, window in (("ref", ref), ("cur", cur)):
+        # tolist() yields str, int and float cells; repr of a float round-trips
+        for row in zip(*(window[c].tolist() for c in names)):
+            lines.append(",".join([label] + [v if isinstance(v, str) else repr(v)
+                                             for v in row]))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

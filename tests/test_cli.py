@@ -114,6 +114,26 @@ def test_simulate_is_byte_deterministic(workspace, tmp_path):
     assert d2.read_bytes() == first
 
 
+@pytest.mark.parametrize("spelling", ["d.csv", "./sub/../d.csv", "link.csv"])
+@pytest.mark.parametrize("exists", [False, True])
+def test_simulate_refuses_one_file_for_both_outputs(tmp_path, capsys, spelling, exists):
+    """The map would overwrite the data: exit 2 before anything is written."""
+    (tmp_path / "sub").mkdir()
+    data = tmp_path / "d.csv"
+    if exists:
+        data.write_bytes(b"keep")
+    (tmp_path / "link.csv").symlink_to(data)
+    rc = main(["simulate", "--scenario", "S1", "--n", "5", "--out-data", str(data),
+               "--out-map", str(tmp_path / spelling)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--out-data" in err and "--out-map" in err and "Traceback" not in err
+    if exists:
+        assert data.read_bytes() == b"keep"
+    else:
+        assert not data.exists()
+
+
 def test_simulate_unknown_scenario(tmp_path, capsys):
     rc = main(["simulate", "--scenario", "S9", "--out-data",
                str(tmp_path / "d.csv"), "--out-map", str(tmp_path / "m.msm")])

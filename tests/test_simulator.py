@@ -1,5 +1,6 @@
 """Scenario generator: determinism, window alignment, scenario knobs."""
 
+import numpy as np
 import pytest
 
 from mlsysmap.errors import UnknownScenario
@@ -8,6 +9,10 @@ from mlsysmap.simulator import (
     SCENARIOS,
     ScenarioConfig,
     WindowParams,
+    _DEMO_PROBS,
+    _cells,
+    _generate_window,
+    _truncated_normal,
     churn_map,
     churn_map_text,
     generate,
@@ -15,6 +20,8 @@ from mlsysmap.simulator import (
     scenario_params,
 )
 from mlsysmap.msmformat import parse_map
+
+from helpers import reference_generate_csv
 
 
 def test_generation_is_deterministic():
@@ -35,6 +42,39 @@ def test_seed_changes_output():
     a = generate_csv(ScenarioConfig("S0", n=50, seed=0))
     b = generate_csv(ScenarioConfig("S0", n=50, seed=1))
     assert a != b
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_csv_equals_the_per_cell_writer(scenario):
+    for seed in (0, 3):
+        for n in (1, 2, 300):
+            cfg = ScenarioConfig(scenario, n=n, seed=seed)
+            assert generate_csv(cfg) == reference_generate_csv(cfg)
+
+
+def test_each_cell_is_written_as_repr_writes_it():
+    """Distinct numbers are told apart by their bits: a writer that merged
+    equal values would write -0.0 as 0.0, or the reverse."""
+    neg_nan = np.copysign(np.nan, -1.0)
+    floats = np.array([0.0, -0.0, np.nan, neg_nan, np.inf, -np.inf, 5e-324,
+                       0.1 + 0.2, 1e16] * 3)
+    floats = np.concatenate([floats, floats[::-1]])
+    ints = np.array([0, -1, 7, 2**63 - 1, -2**63, 7, 0, -1], dtype=np.int64)
+    labels = np.array(["q1", "young", "", "q0.7", "young"])
+    for column, write in ((floats, repr), (ints, repr), (labels, str)):
+        assert _cells(column) == [write(v) for v in column.tolist()]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_demographic_index_draw_is_the_label_draw(seed):
+    n, params = 400, WindowParams()
+    window = _generate_window(np.random.default_rng(seed), params, n)
+    rng = np.random.default_rng(seed)
+    demo = rng.choice(("young", "adult", "senior"), p=_DEMO_PROBS, size=n)
+    np.testing.assert_array_equal(window["env.user_demographics"], demo)
+    # the draw leaves the stream where the label draw left it
+    quality = _truncated_normal(rng, params.quality_mean, params.quality_sd, n)
+    np.testing.assert_array_equal(window["env.quality_of_service"], quality)
 
 
 def test_scenario_params():
