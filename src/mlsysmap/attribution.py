@@ -77,9 +77,10 @@ class MechanismSwapGame:
     keys that share all but their last ``j`` bits come from one run of the
     elimination plan with the last ``j`` leaves batched
     (:func:`mechanisms.batched_marginals`) and one ``jsd_rows`` call, for
-    the largest ``j`` with ``2**j`` times the plan's largest product at
-    most ``BATCH_STATES``. ``j`` is 0 past ``EXACT_PLAYER_LIMIT`` relevant
-    players and past ``mechanisms.STATE_LIMIT``, where a marginal is
+    the largest ``j`` with each of the plan's ``sizes``, doubled by each
+    batched leaf in its mask, at most ``BATCH_STATES``. ``j`` is 0 past
+    ``EXACT_PLAYER_LIMIT`` relevant players and past
+    ``mechanisms.STATE_LIMIT``, where a marginal is
     ``FALLBACK_SAMPLES`` ancestral samples seeded ``[seed, key]``. Up to
     that player limit values fill one float64 :meth:`table` of ``2**r``
     keys in ``runs`` runs; past it they are cached per key. The runs share
@@ -103,8 +104,10 @@ class MechanismSwapGame:
         except StateSpaceTooLarge:
             self._plan = None
         self.used_sampling = self._plan is None
-        self._j = (min(r, max(0, (BATCH_STATES // self._plan.largest).bit_length() - 1))
-                   if not self.used_sampling and r <= EXACT_PLAYER_LIMIT else 0)
+        self._j = r if not self.used_sampling and r <= EXACT_PLAYER_LIMIT else 0
+        while self._j and any(size << (mask & (1 << self._j) - 1).bit_count() > BATCH_STATES
+                              for size, mask in self._plan.sizes):
+            self._j -= 1
         self.runs = 1 << (r - self._j)
         self._runs = None if self.used_sampling else BatchedRuns(self._plan, self._j, BATCH_STATES)
         self._values = {0: 0.0}      # by key, when there is no table

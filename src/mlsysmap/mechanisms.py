@@ -130,8 +130,14 @@ def fit_variable(ref_values, k: int, extra_values=None) -> VariableBins:
         held = np.bincount(ref.codes, minlength=len(ref.labels))
         return CategoryList(tuple(itertools.compress(ref.labels, held)))
     pooled = ref_values if extra_values is None else np.concatenate([ref_values, extra_values])
-    # the same order statistics, but np.quantile partitions sorted values faster
-    qs = np.quantile(np.sort(pooled), [i / k for i in range(1, k)])
+    # np.quantile's linear rule on sorted values; one value is read at -1
+    # with weight 1, as np.quantile reads it
+    ranked = np.sort(pooled)
+    at = (len(ranked) - 1) * (np.arange(1, k) / k)
+    lo = np.minimum(np.floor(at), len(ranked) - 2).astype(np.intp)
+    below, above = ranked[lo], ranked[lo + 1]
+    t, step = at - lo, above - below
+    qs = np.where(t >= 0.5, above - step * (1 - t), below + step * t)
     edges = []
     for e in qs:
         if not edges or e > edges[-1]:
@@ -263,15 +269,16 @@ class _EliminationPlan:
     slot. A step's ``mask`` has bit ``n-1-i`` set, of ``n`` leaves, when
     its result depends on leaf ``i``.
     The marginal is the last value: the last step's result, or the
-    target's table when it has no ancestors. ``largest`` is the size of
-    the largest table or product one run touches. No plan is built past
-    ``STATE_LIMIT``: ``_plan_elimination`` raises ``StateSpaceTooLarge``.
+    target's table when it has no ancestors. ``sizes`` pairs the size of
+    each leaf table and of each product a step forms with its mask. No
+    plan is built past ``STATE_LIMIT``: ``_plan_elimination`` raises
+    ``StateSpaceTooLarge``.
     """
 
     order: tuple
     leaves: tuple
     steps: tuple
-    largest: int
+    sizes: tuple
 
 
 def _plan_elimination(mech: MechanismSet, target: str) -> _EliminationPlan:
@@ -292,7 +299,7 @@ def _plan_elimination(mech: MechanismSet, target: str) -> _EliminationPlan:
         to_eliminate.discard(victim)
     rank = {v: i for i, v in enumerate(order + [target])}
 
-    leaves, factors, dims, largest = [], [], {}, 0
+    leaves, factors, dims, sizes = [], [], {}, []
     masks = [1 << (len(relevant) - 1 - slot) for slot in range(len(relevant))]
     for slot, (q, scope) in enumerate(scopes.items()):
         axes = tuple(sorted(scope, key=rank.get))
@@ -300,34 +307,34 @@ def _plan_elimination(mech: MechanismSet, target: str) -> _EliminationPlan:
         windows = {w: np.transpose(t, perm) for w, t in mech.tables[q].items()}
         dims.update(zip(axes, windows["ref"].shape))
         leaves.append((q, windows))
-        largest = max(largest, windows["ref"].size)
+        sizes.append((windows["ref"].size, masks[slot]))
         factors.append((axes, slot))
 
     steps = []
     for victim in order:
         group = [f for f in factors if victim in f[0]]
         factors = [f for f in factors if victim not in f[0]]
-        scope, shapes = group[0][0], []
-        for other, _ in group[1:]:
+        scope, shapes, mask = group[0][0], [], masks[group[0][1]]
+        for other, slot in group[1:]:
             allvars = tuple(sorted(set(scope) | set(other), key=rank.get))
             size = math.prod(dims[v] for v in allvars)
             if size > STATE_LIMIT:
                 raise StateSpaceTooLarge(f"factor over {tuple(sorted(allvars))} has "
                                          f"{size} states (limit {STATE_LIMIT})")
-            largest = max(largest, size)
+            mask |= masks[slot]
+            sizes.append((size, mask))
             shapes.append(tuple(tuple(dims[v] if v in s else 1 for v in allvars)
                                 for s in (scope, other)))
             scope = allvars
-        slots = tuple(slot for _, slot in group)
-        masks.append(functools.reduce(operator.or_, (masks[s] for s in slots)))
-        steps.append((slots, tuple(shapes), scope.index(victim), masks[-1]))
+        masks.append(mask)
+        steps.append((tuple(slot for _, slot in group), tuple(shapes), scope.index(victim), mask))
         factors.append((scope[1:], len(masks) - 1))
 
     # only the target's own table holds the target, and each step merges
     # every factor over its victim, so exactly one factor over the target
     # is left: the last value, which _run_plan returns
     return _EliminationPlan(order=tuple(rank), leaves=tuple(leaves), steps=tuple(steps),
-                            largest=largest)
+                            sizes=tuple(sizes))
 
 
 def elimination_plan(mech: MechanismSet, target: str) -> _EliminationPlan:
@@ -376,11 +383,12 @@ class BatchedRuns:
     share. ``leaves[i]`` holds leaf ``i``'s values by its bit in a run's
     ``block << j``: a fixed leaf's ref and cur tables with ``j`` trailing
     unit axes; the ``b``-th batched leaf, whose bit is 0, its two tables
-    stacked on window axis ``b`` of ``j``. ``fixed`` has the fixed leaves'
-    mask bits. ``steps`` keeps step results by ``(step, cur & mask)``,
-    ``cur`` holding the mask bits of the leaves on ``cur``, until they hold
-    ``limit`` states (``states``); a step that depends on every fixed leaf
-    is unique to its run and not kept."""
+    stacked on window axis ``b`` of ``j``: each batched bit of its mask
+    doubles an array of a run. ``fixed`` has the fixed leaves' mask bits.
+    ``steps`` keeps step results by ``(step, cur & mask)``, ``cur``
+    holding the mask bits of the leaves on ``cur``, until they hold
+    ``limit`` states (``states``); a step that depends on every fixed
+    leaf is unique to its run and not kept."""
 
     def __init__(self, plan: _EliminationPlan, j: int, limit: int):
         n = len(plan.leaves)
@@ -489,8 +497,11 @@ def jsd_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     m *= 0.5
 
     def kl(a):              # a * log(a / m) in one buffer
-        terms = np.ones_like(a)
-        np.divide(a, m, out=terms, where=a > 0)
+        if a.all():         # no zero to mask: the same quotients
+            terms = a / m
+        else:
+            terms = np.ones_like(a)
+            np.divide(a, m, out=terms, where=a > 0)
         np.log(terms, out=terms)
         terms *= a
         return terms.sum(axis=-1)

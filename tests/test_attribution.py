@@ -333,7 +333,7 @@ def counting_blocks(monkeypatch):
 
 
 def test_exact_attribution_evaluates_each_ancestor_coalition_once(monkeypatch):
-    monkeypatch.setattr(attribution, "BATCH_STATES", 64)
+    monkeypatch.setattr(attribution, "BATCH_STATES", 32)
     rows = counting_blocks(monkeypatch)
     checked = multi_block = 0
     for seed in range(4):
@@ -387,6 +387,44 @@ def test_blocked_values_with_many_state_victims_equal_reference(monkeypatch, bat
                 s = frozenset(p for i, p in enumerate(mech.nodes) if mask >> i & 1)
                 assert game(s) == reference_game_value(mech, target, s)
     assert many_state_victims >= 5
+
+
+@pytest.mark.parametrize("batch_states", [8, 64, 1 << 18])
+def test_batch_width_keeps_each_step_within_batch_states(monkeypatch, batch_states):
+    """Every batched step reads and forms arrays of at most ``BATCH_STATES``
+    states, the game batches no fewer leaves than ``2**j`` times its
+    largest product within ``BATCH_STATES`` would, and its table equals
+    per-coalition evaluation bit for bit."""
+    monkeypatch.setattr(attribution, "BATCH_STATES", batch_states)
+    real_step, sizes = mechanisms._run_step, []
+
+    def step(values, slots, shapes, r):
+        out = real_step(values, slots, shapes, r)
+        sizes.extend([out.size] + [values[slot].size for slot in slots])
+        return out
+
+    monkeypatch.setattr(mechanisms, "_run_step", step)
+    rng = np.random.default_rng(23)
+    batched = wider = 0
+    for _ in range(12):
+        mech = random_mechanism_set(rng, n_nodes=int(rng.integers(3, 8)),
+                                    max_states=int(rng.integers(2, 6)), p_edge=0.6)
+        for target in mech.nodes:
+            game = MechanismSwapGame(mech, target)
+            r = len(game.relevant)
+            j = r - (game.runs.bit_length() - 1)
+            largest = max(size for size, _ in game._plan.sizes)
+            assert j >= min(r, max(0, (batch_states // largest).bit_length() - 1))
+            sizes.clear()
+            table = game.table()
+            if j:
+                assert max(sizes, default=0) <= batch_states
+                batched += 1
+            wider += j > 0 and largest << j > batch_states
+            for key in range(1 << r):
+                s = [p for i, p in enumerate(game.relevant) if key >> (r - 1 - i) & 1]
+                assert table[key] == reference_game_value(mech, target, s)
+    assert batched >= 25 and wider >= (5 if batch_states == 64 else 0)
 
 
 def test_fallback_sampling_keeps_non_ancestors_dummies(monkeypatch):

@@ -429,6 +429,35 @@ def test_jsd_properties(a, b):
     assert rows.tolist() == [d, jsd(q, p), jsd(p, p)]
 
 
+def masked_jsd_rows(p, q):
+    """``jsd_rows`` with every quotient taken under the ``a > 0`` mask."""
+    m = (p + q) * 0.5
+
+    def kl(a):
+        terms = np.ones_like(a)
+        np.divide(a, m, out=terms, where=a > 0)
+        return (np.log(terms) * a).sum(axis=-1)
+
+    return np.maximum(0.5 * kl(p) + 0.5 * kl(q), 0.0)
+
+
+@pytest.mark.parametrize("counts, positive", [
+    ([40, 35, 30, 25, 20, 15, 10, 5], False), ([400, 300, 200, 100], True),
+    ([1, 0, 6, 3, 900, 2], False), ([500, 501], True)])
+def test_jsd_rows_equal_the_masked_divide(counts, positive):
+    """Rows with and without zero entries score bit for bit as under the
+    masked divide: a shift test's ``(1001, k)`` re-splits at once, which
+    take the plain divide only when no entry is zero, and row by row."""
+    pooled = np.array(counts)
+    n_ref = int(pooled.sum()) // 2
+    splits = np.random.default_rng(4).multivariate_hypergeometric(pooled, n_ref, size=1000)
+    splits = np.vstack([pooled // 2, splits])
+    p, q = splits / n_ref, (pooled - splits) / (pooled.sum() - n_ref)
+    assert bool((p > 0).all() and (q > 0).all()) == positive
+    assert jsd_rows(p, q).tobytes() == masked_jsd_rows(p, q).tobytes()
+    assert all(jsd_rows(a, b).tobytes() == masked_jsd_rows(a, b).tobytes() for a, b in zip(p, q))
+
+
 # ---------------------------------------------------------------------------
 # re-split shift test
 
@@ -488,6 +517,24 @@ def test_quantile_edges_equal_those_of_the_unsorted_values(ref, cur, k):
             want.append(float(e))
     got = fit_variable(np.array(ref), k, extra_values=np.array(cur)).edges
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_quantile_edges_equal_np_quantile_on_random_inputs():
+    """The edges read off the sorted values equal np.quantile's, ties,
+    integers, one value and magnitudes near 1e±300 included (a zero edge
+    may differ in sign only, where -0.0 and 0.0 tie after the sort)."""
+    rng = np.random.default_rng(12)
+    for case in range(400):
+        n = int(rng.choice([1, 2, 3, 7, 64, 1001]))
+        pooled = [rng.normal(size=n), rng.integers(-3, 4, n).astype(float),
+                  rng.integers(-5, 5, n), rng.normal(size=n) * 1e300,
+                  rng.choice([-1e-300, 1e-300, 5e-324, 0.0, -0.0, 1e300, -1e300], n)][case % 5]
+        k = int(rng.integers(2, 17))
+        want = []
+        for e in np.quantile(pooled, [i / k for i in range(1, k)]):
+            if not want or e > want[-1]:
+                want.append(float(e))
+        assert list(fit_variable(pooled[: n // 2], k, extra_values=pooled[n // 2:]).edges) == want
 
 
 def _window_histograms(ds, k=8):
