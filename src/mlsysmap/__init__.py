@@ -11,8 +11,6 @@ from .attribution import (
     Classification,
     attribute,
     classify,
-    exact_shapley,
-    sampled_shapley,
 )
 from .dataset import WindowedDataset, load_csv, view_matrix
 from .mapcore import (

@@ -10,20 +10,20 @@ fitted nodes of the view, including the target itself, so a local
 mechanism change at the target is attributable to it. Players outside
 ancestors(target) | {target} are exact dummies; over the r others a
 :class:`MechanismSwapGame` is solved exactly from a table of its 2**r
-values when r is at most ``EXACT_PLAYER_LIMIT``.
+values when r is at most ``EXACT_PLAYER_LIMIT``, or by walking the
+coalition keys of sampled player orders.
 
 ``attribute`` is the one entry point on a mechanism set: it builds the
 game, solves it exactly or by sampled player orders, and classifies
 where the mass lands: on one node when its share reaches ``tau``,
 otherwise on every node whose share reaches ``BRANCH_CUTOFF``.
-``exact_shapley`` and ``sampled_shapley`` solve any set function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -81,9 +81,11 @@ class MechanismSwapGame:
     batched leaf in its mask, at most ``BATCH_STATES``. ``j`` is 0 past
     ``EXACT_PLAYER_LIMIT`` relevant players and past
     ``mechanisms.STATE_LIMIT``, where a marginal is
-    ``FALLBACK_SAMPLES`` ancestral samples seeded ``[seed, key]``. Up to
-    that player limit values fill one float64 :meth:`table` of ``2**r``
-    keys in ``runs`` runs; past it they are cached per key. The runs share
+    ``FALLBACK_SAMPLES`` ancestral samples seeded ``[seed, key]``. Each
+    computed block is kept in one store by block index: up to that player
+    limit :meth:`table` fills all ``runs`` blocks and joins them into the
+    ``2**r`` values, and :meth:`sampled_phi` computes only the blocks its
+    orders' prefix keys reach. The runs share
     one :class:`mechanisms.BatchedRuns` of at most ``BATCH_STATES`` kept
     states: while it has room, an elimination step runs once per value of
     ``block & mask``, ``mask`` marking the fixed leaves it depends on, and
@@ -110,11 +112,8 @@ class MechanismSwapGame:
             self._j -= 1
         self.runs = 1 << (r - self._j)
         self._runs = None if self.used_sampling else BatchedRuns(self._plan, self._j, BATCH_STATES)
-        self._values = {0: 0.0}      # by key, when there is no table
-        # NaN marks a key whose block is not computed; v(∅) alone needs no run
-        self._table = np.full(1 << r, np.nan) if r <= EXACT_PLAYER_LIMIT else None
-        if self._table is not None and not self._j:
-            self._table[0] = 0.0
+        # computed blocks by block index; a block of one key needs no run for v(∅)
+        self._blocks = {} if self._j else {0: np.zeros(1)}
         baseline = (sample_marginal(mech, {}, target, FALLBACK_SAMPLES, [seed, 0])
                     if self.used_sampling else target_marginal(mech, {}, target))
         # one baseline row per block row: a stride-0 broadcast baseline can
@@ -122,40 +121,53 @@ class MechanismSwapGame:
         self._baseline = np.tile(baseline, (1 << self._j, 1))
 
     def _block(self, block: int) -> np.ndarray:
-        """Game values of the ``2**j`` coalitions keyed ``block << j | b``."""
-        if self._runs is None:
-            subset = [p for p in self.relevant if self._weight[p] & block]
-            rows = sample_marginal(self.mech, dict.fromkeys(subset, "cur"), self.target,
-                                   FALLBACK_SAMPLES, [self.seed, block])[None]
-        else:
-            rows = batched_marginals(self._runs, block)
-        return jsd_rows(rows, self._baseline)
+        """Game values of the ``2**j`` coalitions keyed ``block << j | b``,
+        computed on first request."""
+        if block not in self._blocks:
+            if self._runs is None:
+                subset = [p for p in self.relevant if self._weight[p] & block]
+                rows = sample_marginal(self.mech, dict.fromkeys(subset, "cur"), self.target,
+                                       FALLBACK_SAMPLES, [self.seed, block])[None]
+            else:
+                rows = batched_marginals(self._runs, block)
+            self._blocks[block] = jsd_rows(rows, self._baseline)
+        return self._blocks[block]
 
     def _value(self, key: int) -> float:
-        if self._table is None:
-            if key not in self._values:
-                self._values[key] = self._block(key).item(0)
-            return self._values[key]
-        if math.isnan(self._table[key]):
-            block, j = key >> self._j, self._j
-            self._table[block << j:(block + 1) << j] = self._block(block)
-        return self._table.item(key)
+        return self._block(key >> self._j).item(key & (1 << self._j) - 1)
 
     def table(self) -> np.ndarray:
         """All ``2**r`` game values, indexed by key."""
-        if self._table is None:
+        if len(self.relevant) > EXACT_PLAYER_LIMIT:
             raise TooManyPlayers(f"{len(self.relevant)} relevant players exceed "
                                  f"exact limit {EXACT_PLAYER_LIMIT}")
-        for block in range(self.runs):
-            self._value(block << self._j)
-        return self._table
+        return np.concatenate([self._block(block) for block in range(self.runs)])
+
+    def sampled_phi(self, permutations: int, seed) -> dict[str, float]:
+        """Mean marginal contribution over ``permutations`` orders of the
+        sorted players drawn from ``default_rng(seed)``; each order walks
+        the keys of its prefixes."""
+        if permutations < 1:
+            raise ValueError(f"need at least 1 permutation, got {permutations}")
+        players = sorted(self.players)
+        weight = [self._weight[p] for p in players]
+        rng = np.random.default_rng(seed)
+        phi = [0.0] * len(players)
+        for _ in range(permutations):
+            key, prev = 0, self._value(0)
+            for idx in rng.permutation(len(players)):
+                key += weight[idx]
+                val = self._value(key)
+                phi[idx] += val - prev
+                prev = val
+        return {p: x / permutations for p, x in zip(players, phi)}
 
     def __call__(self, subset) -> float:
         return self._value(sum(self._weight[p] for p in subset))
 
 
 # ---------------------------------------------------------------------------
-# generic Shapley solvers (usable with any set function)
+# exact Shapley values from a value table
 
 def shapley_from_table(table: np.ndarray) -> np.ndarray:
     """Exact Shapley values of the r players of a game given by its ``2**r``
@@ -172,40 +184,6 @@ def shapley_from_table(table: np.ndarray) -> np.ndarray:
         v, w = np.moveaxis(cube, i, 0), np.moveaxis(weight, i, 0)
         phi.append(np.sum(w[0] * (v[1] - v[0])))
     return np.array(phi)
-
-
-def exact_shapley(v: Callable, players: Sequence[str]) -> dict[str, float]:
-    """Exact Shapley values of any set function v, which takes a frozenset
-    of player names, tabulated over every subset of the sorted players."""
-    players = sorted(players)
-    n = len(players)
-    if n > EXACT_PLAYER_LIMIT:
-        raise TooManyPlayers(f"{n} players exceeds exact limit {EXACT_PLAYER_LIMIT}")
-    table = [v(frozenset(p for i, p in enumerate(players) if key >> (n - 1 - i) & 1))
-             for key in range(1 << n)]
-    return dict(zip(players, shapley_from_table(np.array(table, dtype=float)).tolist()))
-
-
-def sampled_shapley(v: Callable, players: Sequence[str], permutations: int,
-                    seed) -> dict[str, float]:
-    """Mean marginal contribution over sampled player orders."""
-    if permutations < 1:
-        raise ValueError(f"need at least 1 permutation, got {permutations}")
-    players = sorted(players)
-    n = len(players)
-    rng = np.random.default_rng(seed)
-    phi = {p: 0.0 for p in players}
-    for _ in range(permutations):
-        order = rng.permutation(n)
-        prefix: set = set()
-        prev = v(frozenset())
-        for idx in order:
-            p = players[idx]
-            prefix.add(p)
-            val = v(frozenset(prefix))
-            phi[p] += val - prev
-            prev = val
-    return {p: phi[p] / permutations for p in players}
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +244,8 @@ def attribute(mech: MechanismSet, target: str, mode: str = "auto",
         phi = dict.fromkeys(sorted(game.players), 0.0)
         phi.update(zip(game.relevant, shapley_from_table(game.table()).tolist()))
     else:
-        phi = sampled_shapley(game, game.players, permutations, seed)
-    total = game(frozenset(game.players))
+        phi = game.sampled_phi(permutations, seed)
+    total = game._value((1 << r) - 1)
     return AttributionResult(
         view=mech.view,
         target=target,

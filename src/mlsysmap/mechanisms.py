@@ -555,6 +555,8 @@ def shift_test(ds: WindowedDataset, system_map: SystemMap, node: str,
     """
     if B < 100:
         raise ValueError(f"need at least 100 permutations, got {B}")
+    if k < 2:
+        raise ValueError(f"bin count must be >= 2, got {k}")
     col = resolve_column(ds, system_map, node)
     if col is None:
         raise InsufficientData(f"no data column for '{node}'")

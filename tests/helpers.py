@@ -5,10 +5,15 @@ it shares no code path with variable elimination. The reference
 elimination redoes the whole schedule on every call, as ``target_marginal``
 did before it planned once per target; the two must agree bit for bit.
 The reference game value scores one coalition at a time, as the
-mechanism-swap game did before it evaluated coalitions in blocks. The
-reference Shapley solver enumerates every subset of every player with a
-per-player loop, as ``exact_shapley`` did before it solved one value
-array. The reference CSV writer formats every cell on its own, row by
+mechanism-swap game did before it evaluated coalitions in blocks.
+``exact_shapley`` and ``sampled_shapley`` solve any set function that
+takes a frozenset of player names: the first from the table of its
+values, the second over seeded orders of the sorted players, one
+frozenset per prefix, which ``MechanismSwapGame.sampled_phi`` must equal
+bit for bit on its own keys. The reference Shapley solver enumerates
+every subset of every player with a per-player loop, as
+``exact_shapley`` did before it solved one value array. The reference
+CSV writer formats every cell on its own, row by
 row, as ``generate_csv`` did before it wrote column by column. The
 random builders
 produce structurally valid maps and mechanism sets from a seeded
@@ -20,14 +25,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import Callable, Sequence
 
 import numpy as np
 
 from mlsysmap import mechanisms
 from mlsysmap.mapcore import (Node, NodeKind, Relation, RelationKind, View, ancestors,
                               build_map)
-from mlsysmap.attribution import FALLBACK_SAMPLES
-from mlsysmap.errors import StateSpaceTooLarge
+from mlsysmap.attribution import EXACT_PLAYER_LIMIT, FALLBACK_SAMPLES, shapley_from_table
+from mlsysmap.errors import StateSpaceTooLarge, TooManyPlayers
 from mlsysmap.mechanisms import (
     MechanismSet,
     NumericBins,
@@ -140,6 +146,43 @@ def reference_game_value(mech: MechanismSet, target: str, subset, seed=0) -> flo
         p = sample_marginal(mech, assignment, target, FALLBACK_SAMPLES, [seed, key])
         q = sample_marginal(mech, {}, target, FALLBACK_SAMPLES, [seed, 0])
     return float(jsd_rows(p, q))
+
+
+# ---------------------------------------------------------------------------
+# Shapley solvers on any set function
+
+def exact_shapley(v: Callable, players: Sequence[str]) -> dict[str, float]:
+    """Exact Shapley values of any set function v, which takes a frozenset
+    of player names, tabulated over every subset of the sorted players."""
+    players = sorted(players)
+    n = len(players)
+    if n > EXACT_PLAYER_LIMIT:
+        raise TooManyPlayers(f"{n} players exceeds exact limit {EXACT_PLAYER_LIMIT}")
+    table = [v(frozenset(p for i, p in enumerate(players) if key >> (n - 1 - i) & 1))
+             for key in range(1 << n)]
+    return dict(zip(players, shapley_from_table(np.array(table, dtype=float)).tolist()))
+
+
+def sampled_shapley(v: Callable, players: Sequence[str], permutations: int,
+                    seed) -> dict[str, float]:
+    """Mean marginal contribution over sampled player orders."""
+    if permutations < 1:
+        raise ValueError(f"need at least 1 permutation, got {permutations}")
+    players = sorted(players)
+    n = len(players)
+    rng = np.random.default_rng(seed)
+    phi = {p: 0.0 for p in players}
+    for _ in range(permutations):
+        order = rng.permutation(n)
+        prefix: set = set()
+        prev = v(frozenset())
+        for idx in order:
+            p = players[idx]
+            prefix.add(p)
+            val = v(frozenset(prefix))
+            phi[p] += val - prev
+            prev = val
+    return {p: phi[p] / permutations for p in players}
 
 
 def reference_exact_shapley(v, players) -> dict:

@@ -12,8 +12,6 @@ from mlsysmap.attribution import (
     MechanismSwapGame,
     attribute,
     classify,
-    exact_shapley,
-    sampled_shapley,
     shares_of,
 )
 from mlsysmap.dataset import load_csv
@@ -22,7 +20,8 @@ from mlsysmap.mapcore import View, ancestors
 from mlsysmap.mechanisms import fit_mechanisms
 from mlsysmap.msmformat import parse_map
 
-from helpers import random_mechanism_set, reference_exact_shapley, reference_game_value
+from helpers import (exact_shapley, random_mechanism_set, reference_exact_shapley,
+                     reference_game_value, sampled_shapley)
 
 
 def dict_game(values):
@@ -633,6 +632,70 @@ def step_masks(game):
     """Per step slots: its mask over the fixed leaves, and the all-fixed mask."""
     j = len(game.relevant) - (game.runs.bit_length() - 1)
     return {slots: mask >> j for slots, _, _, mask in game._plan.steps}, game.runs - 1
+
+
+def test_one_sampled_order_runs_only_the_blocks_its_prefix_keys_reach(monkeypatch):
+    """``attribute``'s walk over one order runs the plan once per distinct
+    block of the order's prefix keys, v(∅) included unless a block holds
+    one key, and never once per block of the table."""
+    monkeypatch.setattr(attribution, "BATCH_STATES", 16)
+    runs, _ = counting_steps(monkeypatch)
+    checked = 0
+    for seed in range(6):
+        mech = random_mechanism_set(np.random.default_rng(seed), n_nodes=7, p_edge=0.6)
+        for target in mech.nodes:
+            game = MechanismSwapGame(mech, target, seed=seed)
+            r, players = len(game.relevant), sorted(game.players)
+            j = r - (game.runs.bit_length() - 1)
+            key, keys = 0, {0}
+            for idx in np.random.default_rng(seed).permutation(len(players)):
+                if players[idx] in game.relevant:
+                    key += 1 << (r - 1 - game.relevant.index(players[idx]))
+                keys.add(key)
+            runs.clear()
+            attribute(mech, target, mode="sampled", permutations=1, seed=seed)
+            assert sorted(runs) == sorted({k >> j for k in keys} - ({0} if j == 0 else set()))
+            checked += len(runs) < game.runs - 1
+    assert checked >= 8
+
+
+def dummy_game():
+    """11 of 20 players relevant: 9 dummies leave the prefix key unchanged."""
+    return random_mechanism_set(np.random.default_rng(0), n_nodes=20, max_states=2,
+                                p_edge=0.15), "system.n17"
+
+
+def many_player_game():
+    """25 relevant players: every block holds one key."""
+    return random_mechanism_set(np.random.default_rng(1), n_nodes=28, max_states=2,
+                                p_edge=0.15), "system.n27"
+
+
+def fallback_game():
+    """Past a state limit of 4 every value is an ancestral sampling."""
+    return random_mechanism_set(np.random.default_rng(7), n_nodes=6), "system.n3"
+
+
+@pytest.mark.parametrize("build, state_limit", [
+    (many_player_game, None), (dummy_game, None), (fallback_game, 4)])
+def test_sampled_phi_equals_the_set_function_solver(monkeypatch, build, state_limit):
+    """``attribute``'s sampled φ, walked on the game's keys, equals the
+    set-function solver's over the same orders bit for bit: on per-key
+    blocks past the player limit, with dummies, and past the state limit."""
+    mech, target = build()
+    if state_limit is not None:
+        monkeypatch.setattr(mechanisms, "STATE_LIMIT", state_limit)
+    result = attribute(mech, target, mode="sampled", permutations=4, seed=9)
+    game = MechanismSwapGame(mech, target, seed=9)
+    assert game.used_sampling == (state_limit is not None)
+    assert result.phi == sampled_shapley(game, game.players, 4, seed=9)
+    assert result.total == game(frozenset(game.players))
+    outside = non_ancestors(mech, target)
+    assert [result.phi[p] for p in outside] == [0.0] * len(outside)
+    if build is many_player_game:
+        assert game.runs == 2 ** len(game.relevant) == 2 ** 25
+    else:
+        assert outside
 
 
 @pytest.mark.parametrize("batch_states", [8, 32])

@@ -495,6 +495,15 @@ def test_shift_test_guards():
         shift_test(big, ONE_MAP, "system.a", B=99)
 
 
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_shift_test_refuses_fewer_than_two_bins(k):
+    """As ``fit_mechanisms`` does, and before any column is looked up."""
+    ds = load_csv(ONE_MAP, _csv(["0"] * 40, ["1"] * 40))
+    for node in ("system.a", "system.absent"):
+        with pytest.raises(ValueError, match=f"bin count must be >= 2, got {k}$"):
+            shift_test(ds, ONE_MAP, node, B=200, k=k)
+
+
 def test_shift_test_drops_non_finite_cells():
     # a single nan cell must not collapse the bins and hide the shift
     ds = load_csv(ONE_MAP, _csv(["0", "1"] * 30, ["0"] * 59 + ["nan"]))
@@ -515,8 +524,11 @@ def test_quantile_edges_equal_those_of_the_unsorted_values(ref, cur, k):
     for e in np.quantile(pooled, [i / k for i in range(1, k)]):
         if not want or e > want[-1]:
             want.append(float(e))
-    got = fit_variable(np.array(ref), k, extra_values=np.array(cur)).edges
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    bins = fit_variable(np.array(ref), k, extra_values=np.array(cur))
+    assert list(bins.edges) == want
+    # where -0.0 and 0.0 tie, a zero edge's sign may differ; it bins both alike
+    if 0.0 in bins.edges:
+        assert len(set(bins.encode(np.array([-0.0, 0.0])).tolist())) == 1
 
 
 def test_quantile_edges_equal_np_quantile_on_random_inputs():
