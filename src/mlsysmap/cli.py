@@ -172,6 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)         # detect and trace: never over an input
+    if out and os.path.realpath(out) in map(os.path.realpath, (args.map, args.data)):
+        print(f"error: --out names an input file: {out}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except MsmError as exc:

@@ -25,10 +25,10 @@ is Laplace-smoothed with ``SMOOTHING`` pseudo-counts per state.
 Column types and missing cells are decided once, when the dataset is
 built (see :mod:`mlsysmap.dataset`); here a float64 column is numeric and
 a ``LabelColumn``, codes into its sorted labels, is categorical, and
-missing cells are dropped. Numeric
-variables are binned on quantiles of both windows pooled, so a location
-shift in the current window keeps parent-child conditionals expressible
-instead of collapsing into a single edge bin. Categorical
+missing cells are dropped. Bins are fitted from the typed columns of
+both windows: numeric variables on quantiles of the two pooled, so a
+location shift in the current window keeps parent-child conditionals
+expressible instead of collapsing into a single edge bin; categorical
 variables keep the reference window's categories plus an "unseen" bucket.
 Conditional rows for parent configurations with no observations in one
 window fall back to the pooled fit: absent evidence, the mechanism is
@@ -64,7 +64,6 @@ DEFAULT_BINS = 8
 STATE_LIMIT = 1_000_000
 DEFAULT_RESPLITS = 1000           # shift-test re-splits
 SMOOTHING = 1.0                   # Laplace pseudo-count per state
-UNSEEN = "__unseen__"
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +90,7 @@ class NumericBins:
 
 @dataclass(frozen=True)
 class CategoryList:
-    """Known categories (reference window), with a trailing unseen bucket."""
+    """Labels held by reference cells, then an unseen bucket; encodes a LabelColumn."""
 
     categories: tuple[str, ...]
 
@@ -99,37 +98,28 @@ class CategoryList:
     def n_states(self) -> int:
         return len(self.categories) + 1
 
-    def encode(self, values) -> np.ndarray:
+    def encode(self, column: LabelColumn) -> np.ndarray:
         """Each cell's category index, or the unseen bucket's: one lookup
-        per label of the cells as a :class:`LabelColumn`."""
-        column = LabelColumn.of(values)
+        per label of the column."""
         index = {c: i for i, c in enumerate(self.categories)}
         unseen = itertools.repeat(len(self.categories))
         remap = np.fromiter(map(index.get, column.labels, unseen), np.intp, len(column.labels))
         return remap[column.codes]
 
-    def labels(self) -> tuple[str, ...]:
-        return self.categories + (UNSEEN,)
-
 
 VariableBins = Union[NumericBins, CategoryList]
 
 
-def fit_variable(ref_values, k: int, extra_values=None) -> VariableBins:
-    """Bins for one variable: pooled quantiles (numeric) or categories.
-
-    A number array is numeric, anything else categorical: the categories
-    are the labels that some reference cell holds, sorted as the labels of
-    a :class:`LabelColumn` are. The values are the present cells of a typed
-    column, so all numbers are finite.
+def fit_variable(ref_values, k: int, extra_values) -> VariableBins:
+    """Bins for one variable from the present reference and current cells
+    of its typed column, so all numbers are finite: a :class:`LabelColumn`
+    keeps the labels that some reference cell holds, in its sorted order;
+    a float array is binned on quantiles of both windows pooled.
     """
-    if not isinstance(ref_values, LabelColumn):
-        ref_values = np.asarray(ref_values)
-    if not np.issubdtype(ref_values.dtype, np.number):
-        ref = LabelColumn.of(ref_values)
-        held = np.bincount(ref.codes, minlength=len(ref.labels))
-        return CategoryList(tuple(itertools.compress(ref.labels, held)))
-    pooled = ref_values if extra_values is None else np.concatenate([ref_values, extra_values])
+    if isinstance(ref_values, LabelColumn):
+        held = np.bincount(ref_values.codes, minlength=len(ref_values.labels))
+        return CategoryList(tuple(itertools.compress(ref_values.labels, held)))
+    pooled = np.concatenate([ref_values, extra_values])
     # np.quantile's linear rule on sorted values; one value is read at -1
     # with weight 1, as np.quantile reads it
     ranked = np.sort(pooled)
@@ -146,23 +136,19 @@ def fit_variable(ref_values, k: int, extra_values=None) -> VariableBins:
 
 
 def fit_discretization(table: ViewTable, k: int,
-                       cur_table: Optional[ViewTable] = None) -> dict[str, VariableBins]:
-    """Fit bins for every node of a view table, shared by both windows.
+                       cur_table: ViewTable) -> dict[str, VariableBins]:
+    """Fit bins for the nodes of both windows' view tables, shared by both.
 
-    ``table`` is the reference window; when ``cur_table`` is given, bins
-    cover the nodes of both tables and numeric quantiles are computed on
-    both windows pooled (categories still come from the reference window
-    only).
+    ``table`` is the reference window and ``cur_table`` the current one;
+    numeric quantiles are computed on both windows pooled, and categories
+    come from the reference window only.
     """
     if k < 2:
         raise ValueError(f"bin count must be >= 2, got {k}")
     if table.n_rows == 0:
         raise EmptyTable("cannot fit a discretization on an empty table")
-    cur = {} if cur_table is None else cur_table.columns
-    return {
-        q: fit_variable(table.columns[q], k, cur.get(q))
-        for q in table.nodes if cur_table is None or q in cur
-    }
+    cur = cur_table.columns
+    return {q: fit_variable(table.columns[q], k, cur[q]) for q in table.nodes if q in cur}
 
 
 # ---------------------------------------------------------------------------

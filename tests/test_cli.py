@@ -222,6 +222,24 @@ def test_trace_scores_the_alert_at_its_bins(workspace, tmp_path, bins):
     assert json.loads(out.read_text())["alerts"][0]["statistic"] == at[bins]
 
 
+@pytest.mark.parametrize("command", [["detect"], ["trace", "--alert", "system.outreach_decision"]])
+@pytest.mark.parametrize("target", ["map", "data"])
+@pytest.mark.parametrize("relative", [False, True])
+def test_out_may_not_name_an_input(workspace, monkeypatch, capsys, command, target, relative):
+    """The report would overwrite the map or the data: exit 2 before anything
+    is read or written, whether --out spells the path as given or as ./name."""
+    root, map_path, data_path = workspace
+    path = Path(map_path if target == "map" else data_path)
+    before = path.read_bytes()
+    monkeypatch.chdir(root)
+    out = f"./{path.name}" if relative else str(path)
+    rc = main(command[:1] + [map_path, data_path] + command[1:] + ["--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert out in err and "--out" in err and "Traceback" not in err
+    assert path.read_bytes() == before
+
+
 def test_trace_unknown_alert(workspace, capsys):
     _, map_path, data_path = workspace
     rc = main(["trace", map_path, data_path, "--alert", "system.nope"])

@@ -534,7 +534,7 @@ def test_label_codes_are_alike_on_every_route_and_fit_like_their_cells(data):
         assert column.labels == tuple(sorted(set(q_cells)))
         assert np.array_equal(present(column), q_cells != "")
         keep = present(column) & ref
-        bins = fit_variable(column[keep], 8)
+        bins = fit_variable(column[keep], 8, column[present(column) & ~ref])
         assert bins.categories == tuple(sorted(set(q_cells[keep])))
         index = {c: i for i, c in enumerate(bins.categories)}
         assert bins.encode(column).tolist() == [index.get(c, len(index)) for c in q_cells]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlsysmap.dataset import load_csv
+from mlsysmap.dataset import LabelColumn, load_csv
 from mlsysmap.errors import (
     EmptyTable,
     InsufficientData,
@@ -24,7 +24,6 @@ from mlsysmap.errors import (
 from mlsysmap import mechanisms
 from mlsysmap.mapcore import View
 from mlsysmap.mechanisms import (
-    UNSEEN,
     CategoryList,
     NumericBins,
     fit_mechanisms,
@@ -56,7 +55,7 @@ def _csv(ref_vals, cur_vals):
 # discretization
 
 def test_numeric_quantile_bins():
-    bins = fit_variable(np.array([0.0, 1.0, 2.0, 3.0]), k=2)
+    bins = fit_variable(np.array([0.0, 1.0, 2.0, 3.0]), k=2, extra_values=np.array([]))
     assert isinstance(bins, NumericBins)
     assert bins.edges == (1.5,)
     assert bins.n_states == 2
@@ -75,7 +74,7 @@ def test_numeric_encode_counts_the_edges_at_or_below_each_value(n_edges):
 
 
 def test_numeric_bins_deduplicate_tied_quantiles():
-    bins = fit_variable(np.array([1.0] * 10 + [2.0]), k=8)
+    bins = fit_variable(np.array([1.0] * 10 + [2.0]), k=8, extra_values=np.array([]))
     assert len(bins.edges) < 8
     assert bins.edges == tuple(sorted(set(bins.edges)))
 
@@ -95,23 +94,22 @@ def test_modulator_is_always_categorical():
     mech = fit_mechanisms(BACKOFF_MAP, ds, View.subsystem("sub"))
     assert mech.disc["sub.m"] == CategoryList(("1", "2"))
     assert isinstance(mech.disc["sub.out"], NumericBins)
-    bins = fit_variable(np.array(["1", "2", "1"], dtype=object), k=4)
-    assert bins == CategoryList(("1", "2"))
+    ref = LabelColumn.of(np.array(["1", "2", "1"], dtype=object))
+    assert fit_variable(ref, k=4, extra_values=ref[:0]) == CategoryList(("1", "2"))
 
 
 def test_categories_come_from_reference_only():
-    bins = fit_variable(["a", "b"], k=4,
-                        extra_values=np.array(["c"], dtype=object))
+    bins = fit_variable(LabelColumn.of(["a", "b"]), k=4, extra_values=LabelColumn.of(["c"]))
     assert isinstance(bins, CategoryList)
     assert bins.categories == ("a", "b")
-    assert bins.labels() == ("a", "b", UNSEEN)
-    assert list(bins.encode(np.array(["a", "c", "b"], dtype=object))) == [0, 2, 1]
+    assert bins.n_states == 3
+    assert list(bins.encode(LabelColumn.of(["a", "c", "b"]))) == [0, 2, 1]
 
 
 def test_category_encode_matches_non_string_values():
     bins = CategoryList(("1", "2"))
-    assert list(bins.encode(np.array([1, 2, 3]))) == [0, 1, 2]
-    assert list(bins.encode(np.array(["2", "1"], dtype=object))) == [1, 0]
+    assert list(bins.encode(LabelColumn.of(np.array([1, 2, 3])))) == [0, 1, 2]
+    assert list(bins.encode(LabelColumn.of(np.array(["2", "1"], dtype=object)))) == [1, 0]
 
 
 def test_quantile_edges_ignore_non_finite_values():
@@ -234,7 +232,7 @@ def test_empty_table_rejected():
     from mlsysmap.mechanisms import fit_discretization
     empty = ViewTable(View.system(), "ref", (), {}, (), 0)
     with pytest.raises(EmptyTable):
-        fit_discretization(empty, 8)
+        fit_discretization(empty, 8, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +527,24 @@ def test_quantile_edges_equal_those_of_the_unsorted_values(ref, cur, k):
     # where -0.0 and 0.0 tie, a zero edge's sign may differ; it bins both alike
     if 0.0 in bins.edges:
         assert len(set(bins.encode(np.array([-0.0, 0.0])).tolist())) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=40),
+       st.lists(st.floats(-1e9, 1e9), max_size=40), st.integers(2, 16),
+       st.lists(st.sampled_from("abc"), min_size=1, max_size=20),
+       st.lists(st.sampled_from("abcd"), max_size=20))
+def test_an_empty_current_window_is_the_single_window_case(ref, cur, k, ref_cells, cur_cells):
+    # numeric bins read the two windows' cells pooled, so an empty current
+    # window bins the pooled cells alone; categories read the reference only
+    ref, cur = np.array(ref), np.array(cur)
+    pooled = np.concatenate([ref, cur])
+    assert fit_variable(ref, k, cur).edges == fit_variable(pooled, k, ref[:0]).edges
+    column = LabelColumn.of(ref_cells + cur_cells)
+    ref_column, cur_column = column[:len(ref_cells)], column[len(ref_cells):]
+    bins = fit_variable(ref_column, k, cur_column)
+    assert bins == fit_variable(ref_column, k, ref_column[:0])
+    assert bins.categories == tuple(sorted(set(ref_cells)))
 
 
 def test_quantile_edges_equal_np_quantile_on_random_inputs():

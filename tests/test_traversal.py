@@ -15,7 +15,7 @@ from mlsysmap.attribution import AttributionResult, Classification
 from mlsysmap.dataset import (MISSING_TOKENS, WindowedDataset, build_dataset, load_csv,
                               present)
 from mlsysmap.errors import InsufficientData, UnknownAlert, ViewMismatch
-from mlsysmap.mechanisms import UNSEEN, shift_test
+from mlsysmap.mechanisms import shift_test
 from mlsysmap.msmformat import parse_map
 from mlsysmap.traversal import (
     Pattern,
@@ -198,12 +198,12 @@ def test_detect_and_trace_invariant_to_monotone_relabeling(scenario):
 
 
 def is_label(text):
-    """A cell that stays a category label: not a number, missing token,
-    the empty missing marker or the unseen bucket's name."""
+    """A cell that stays a category label: not a number, missing token
+    or the empty missing marker."""
     try:
         float(text)
     except ValueError:
-        return text not in MISSING_TOKENS + ("", UNSEEN)
+        return text not in MISSING_TOKENS + ("",)
     return False
 
 
