@@ -53,6 +53,14 @@ def _read(path: str) -> str:
         raise ParseError(f"not UTF-8 ({exc.reason})", len(before), len(before[-1]) + 1) from None
 
 
+def _same_file(a: str, b: str) -> bool:
+    """One file: one inode where both paths exist (so a hard link too), else one path."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _emit(doc: dict, args):
     """Render a report document in the requested format to --out or stdout."""
     render = report_mod.render_json if args.format == "json" else report_mod.render_text
@@ -105,7 +113,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if os.path.realpath(args.out_data) == os.path.realpath(args.out_map):
+    if _same_file(args.out_data, args.out_map):
         print(f"error: --out-data and --out-map name one file: {args.out_data}", file=sys.stderr)
         return 2
     config = ScenarioConfig(scenario=args.scenario, n=args.n, seed=args.seed)
@@ -173,7 +181,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = getattr(args, "out", None)         # detect and trace: never over an input
-    if out and os.path.realpath(out) in map(os.path.realpath, (args.map, args.data)):
+    if out and any(_same_file(out, path) for path in (args.map, args.data)):
         print(f"error: --out names an input file: {out}", file=sys.stderr)
         return 2
     try:

@@ -137,6 +137,7 @@ class WindowedDataset:
     window: LabelColumn              # 'ref' / 'cur'; cells of another type are read into one
     warnings: list[str] = field(default_factory=list)
     _masks: dict = field(init=False, repr=False, compare=False)  # label -> read-only mask
+    _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.window = LabelColumn.of(self.window)
@@ -389,14 +390,15 @@ def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> Window
 
 @dataclass
 class ViewTable:
-    """Complete-case rows of one window, restricted to one view's nodes."""
+    """Complete-case rows of one window over one view's nodes; no cell is
+    copied: node ``q``'s are ``ds.columns[t.columns[q]][t.rows]``."""
 
     view: View
     window: str
     nodes: tuple[str, ...]                 # included qnames, canonical node order
-    columns: dict[str, np.ndarray]         # qname -> typed column, aligned rows
+    columns: dict[str, str]                # qname -> the dataset column behind it
+    rows: np.ndarray                       # mask of the window's complete rows
     excluded: tuple[str, ...]              # view nodes without any usable data
-    n_rows: int
 
 
 def resolve_column(ds: WindowedDataset, system_map: SystemMap, qname: str):
@@ -416,11 +418,12 @@ def resolve_column(ds: WindowedDataset, system_map: SystemMap, qname: str):
 
 def view_matrix(ds: WindowedDataset, system_map: SystemMap, view: View,
                 window: str) -> ViewTable:
-    """Row-aligned complete-case table over one view for one window.
+    """Complete-case table over one view for one window.
 
     Nodes without a backing column (directly or through a measure proxy),
     or whose column is entirely missing in the window, are excluded and
-    reported; remaining rows with any missing cell are dropped.
+    reported; ``rows`` masks the window's rows complete in the rest, and
+    ``NoDataForView`` is raised when there is none.
     """
     graph = system_map.view_graph(view)
     mask = ds.window_mask(window)
@@ -437,9 +440,7 @@ def view_matrix(ds: WindowedDataset, system_map: SystemMap, view: View,
     complete = mask.copy()
     for col in source.values():
         complete &= present(ds.columns[col])
-    n = int(np.count_nonzero(complete))
-    if n == 0 or not source:
+    if not source or not complete.any():
         raise NoDataForView(f"no complete rows for view '{view.name}' in window '{window}'")
-    columns = {q: ds.columns[col][complete] for q, col in source.items()}
-    return ViewTable(view=view, window=window, nodes=tuple(source), columns=columns,
-                     excluded=tuple(excluded), n_rows=n)
+    return ViewTable(view=view, window=window, nodes=tuple(source), columns=source,
+                     rows=complete, excluded=tuple(excluded))

@@ -117,10 +117,6 @@ class NoDataForView(DatasetError):
 # ---------------------------------------------------------------------------
 # mechanisms / inference
 
-class EmptyTable(MsmError):
-    pass
-
-
 class LengthMismatch(MsmError):
     pass
 

@@ -24,12 +24,13 @@ is Laplace-smoothed with ``SMOOTHING`` pseudo-counts per state.
 
 Column types and missing cells are decided once, when the dataset is
 built (see :mod:`mlsysmap.dataset`); here a float64 column is numeric and
-a ``LabelColumn``, codes into its sorted labels, is categorical, and
-missing cells are dropped. Bins are fitted from the typed columns of
-both windows: numeric variables on quantiles of the two pooled, so a
-location shift in the current window keeps parent-child conditionals
-expressible instead of collapsing into a single edge bin; categorical
-variables keep the reference window's categories plus an "unseen" bucket.
+a ``LabelColumn``, codes into its sorted labels, is categorical. Bins are
+fitted once per column and bin count, from its present cells in both
+windows, and shared by every view that holds the column and its shift
+test: numeric variables on quantiles of both windows pooled, so a location
+shift in the current window keeps parent-child conditionals expressible
+instead of collapsing into a single edge bin; categorical variables keep
+the reference window's categories plus an "unseen" bucket.
 Conditional rows for parent configurations with no observations in one
 window fall back to the pooled fit: absent evidence, the mechanism is
 assumed unchanged. This is what lets a brand-new modulator value show up
@@ -48,10 +49,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dataset import (LabelColumn, ViewTable, WindowedDataset, present, resolve_column,
-                      view_matrix)
+from .dataset import LabelColumn, WindowedDataset, present, resolve_column, view_matrix
 from .errors import (
-    EmptyTable,
     InsufficientData,
     LengthMismatch,
     NoDataForView,
@@ -135,20 +134,24 @@ def fit_variable(ref_values, k: int, extra_values) -> VariableBins:
     return NumericBins(tuple(edges))
 
 
-def fit_discretization(table: ViewTable, k: int,
-                       cur_table: ViewTable) -> dict[str, VariableBins]:
-    """Fit bins for the nodes of both windows' view tables, shared by both.
-
-    ``table`` is the reference window and ``cur_table`` the current one;
-    numeric quantiles are computed on both windows pooled, and categories
-    come from the reference window only.
-    """
+def _require_bins(k: int):
     if k < 2:
         raise ValueError(f"bin count must be >= 2, got {k}")
-    if table.n_rows == 0:
-        raise EmptyTable("cannot fit a discretization on an empty table")
-    cur = cur_table.columns
-    return {q: fit_variable(table.columns[q], k, cur[q]) for q in table.nodes if q in cur}
+
+
+def fit_discretization(ds: WindowedDataset, column: str, k: int) -> tuple[VariableBins, np.ndarray]:
+    """A column's bins for ``k`` bins and each row's code (read-only, in the
+    least type that holds ``n_states``; a missing cell's means nothing),
+    fitted once on its present cells in both windows, kept by ``(column, k)``."""
+    _require_bins(k)
+    if (column, k) not in ds._bins:
+        values = ds.columns[column]
+        ref, cur = (values[present(values) & ds.window_mask(w)] for w in ("ref", "cur"))
+        bins = fit_variable(ref, k, cur)
+        codes = bins.encode(values).astype(np.min_scalar_type(bins.n_states))
+        codes.flags.writeable = False
+        ds._bins[column, k] = bins, codes
+    return ds._bins[column, k]
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +196,16 @@ def fit_mechanisms(system_map: SystemMap, ds: WindowedDataset, view: View,
     excluded = tuple(sorted(set(ref_t.excluded) | set(cur_t.excluded)
                             | (set(ref_t.nodes) ^ set(cur_t.nodes))))
 
-    disc = fit_discretization(ref_t, k, cur_t)
+    fits = {q: fit_discretization(ds, ref_t.columns[q], k) for q in common}
+    disc = {q: bins for q, (bins, _) in fits.items()}
 
     graph = system_map.view_graph(view)
     in_set = set(common)
     parents = {q: tuple(p for p in graph.parents[q] if p in in_set) for q in common}
     topo = tuple(q for q in graph.topo if q in in_set)
 
-    codes = {
-        "ref": {q: disc[q].encode(ref_t.columns[q]) for q in common},
-        "cur": {q: disc[q].encode(cur_t.columns[q]) for q in common},
-    }
+    codes = {w: {q: fits[q][1][t.rows] for q in common}
+             for w, t in (("ref", ref_t), ("cur", cur_t))}
 
     tables: dict[str, dict[str, np.ndarray]] = {}
     for q in common:
@@ -216,10 +218,7 @@ def fit_mechanisms(system_map: SystemMap, ds: WindowedDataset, view: View,
                                      f"{n_cfg * child_k} cells (limit {STATE_LIMIT})")
         counts = {}
         for w in ("ref", "cur"):
-            if pa:
-                cfg = np.ravel_multi_index([codes[w][p] for p in pa], pa_dims)
-            else:
-                cfg = np.zeros(len(codes[w][q]), dtype=np.int64)
+            cfg = np.ravel_multi_index([codes[w][p] for p in pa], pa_dims) if pa else 0
             flat = np.bincount(cfg * child_k + codes[w][q], minlength=n_cfg * child_k)
             counts[w] = flat.reshape(n_cfg, child_k).astype(float)
         pooled = counts["ref"] + counts["cur"]
@@ -541,23 +540,18 @@ def shift_test(ds: WindowedDataset, system_map: SystemMap, node: str,
     """
     if B < 100:
         raise ValueError(f"need at least 100 permutations, got {B}")
-    if k < 2:
-        raise ValueError(f"bin count must be >= 2, got {k}")
+    _require_bins(k)
     col = resolve_column(ds, system_map, node)
     if col is None:
         raise InsufficientData(f"no data column for '{node}'")
-    values = ds.columns[col]
-    keep = present(values)
-    ref_vals = values[keep & ds.window_mask("ref")]
-    cur_vals = values[keep & ds.window_mask("cur")]
-    n_ref, n_cur = len(ref_vals), len(cur_vals)
+    keep = present(ds.columns[col])
+    ref_rows, cur_rows = keep & ds.window_mask("ref"), keep & ds.window_mask("cur")
+    n_ref, n_cur = int(np.count_nonzero(ref_rows)), int(np.count_nonzero(cur_rows))
     if n_ref < 30 or n_cur < 30:
-        raise InsufficientData(
-            f"'{node}': {n_ref} ref / {n_cur} cur rows (need 30 each)"
-        )
-    bins = fit_variable(ref_vals, k, cur_vals)
-    ref_counts = np.bincount(bins.encode(ref_vals), minlength=bins.n_states)
-    cur_counts = np.bincount(bins.encode(cur_vals), minlength=bins.n_states)
+        raise InsufficientData(f"'{node}': {n_ref} ref / {n_cur} cur rows (need 30 each)")
+    bins, codes = fit_discretization(ds, col, k)
+    ref_counts = np.bincount(codes[ref_rows], minlength=bins.n_states)
+    cur_counts = np.bincount(codes[cur_rows], minlength=bins.n_states)
     pooled = ref_counts + cur_counts
     rng = np.random.default_rng(seed)
     splits = np.vstack([ref_counts,

@@ -134,6 +134,18 @@ def test_simulate_refuses_one_file_for_both_outputs(tmp_path, capsys, spelling, 
         assert not data.exists()
 
 
+def test_simulate_refuses_a_hard_link_for_both_outputs(tmp_path, capsys):
+    """A hard link resolves to a path of its own, yet is the same file."""
+    data = tmp_path / "d.csv"
+    data.write_bytes(b"keep")
+    (tmp_path / "link.msm").hardlink_to(data)
+    rc = main(["simulate", "--scenario", "S1", "--n", "5", "--out-data", str(data),
+               "--out-map", str(tmp_path / "link.msm")])
+    assert rc == 2
+    assert "--out-data" in capsys.readouterr().err
+    assert data.read_bytes() == b"keep"
+
+
 def test_simulate_unknown_scenario(tmp_path, capsys):
     rc = main(["simulate", "--scenario", "S9", "--out-data",
                str(tmp_path / "d.csv"), "--out-map", str(tmp_path / "m.msm")])
@@ -237,6 +249,21 @@ def test_out_may_not_name_an_input(workspace, monkeypatch, capsys, command, targ
     assert rc == 2
     err = capsys.readouterr().err
     assert out in err and "--out" in err and "Traceback" not in err
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", [["detect"], ["trace", "--alert", "system.outreach_decision"]])
+@pytest.mark.parametrize("target", ["map", "data"])
+def test_out_may_not_be_a_hard_link_to_an_input(workspace, tmp_path, capsys, command, target):
+    _, map_path, data_path = workspace
+    path = Path(map_path if target == "map" else data_path)
+    before = path.read_bytes()
+    link = tmp_path / f"link{path.suffix}"
+    link.hardlink_to(path)
+    rc = main(command[:1] + [map_path, data_path] + command[1:] + ["--out", str(link)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(link) in err and "--out" in err
     assert path.read_bytes() == before
 
 

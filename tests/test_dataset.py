@@ -229,9 +229,9 @@ def test_view_matrix_shapes_and_exclusions():
     t = view_matrix(ds, MAP, View.system(), "ref")
     # node names stay view-local; data is sourced from canonical columns
     assert t.nodes == ("system.features", "system.score")
-    assert t.n_rows == 2
-    assert list(t.columns["system.score"]) == [0.1, 0.2]
-    assert list(t.columns["system.features"]) == [1.0, 2.0]
+    assert np.count_nonzero(t.rows) == 2
+    assert list(ds.columns[t.columns["system.score"]][t.rows]) == [0.1, 0.2]
+    assert list(ds.columns[t.columns["system.features"]][t.rows]) == [1.0, 2.0]
 
     sub = view_matrix(ds, MAP, View.subsystem("pipe"), "cur")
     assert sub.nodes == ("pipe.out", "pipe.raw")
@@ -247,8 +247,8 @@ def test_view_matrix_drops_incomplete_rows():
     ds = load_csv(MAP, text)
     ref = view_matrix(ds, MAP, View.system(), "ref")
     cur = view_matrix(ds, MAP, View.system(), "cur")
-    assert ref.n_rows == 1 and cur.n_rows == 1
-    assert list(cur.columns["system.features"]) == [4.0]
+    assert np.count_nonzero(ref.rows) == np.count_nonzero(cur.rows) == 1
+    assert list(ds.columns[cur.columns["system.features"]][cur.rows]) == [4.0]
 
 
 def test_view_matrix_excludes_all_missing_columns():

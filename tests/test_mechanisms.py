@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from mlsysmap.dataset import LabelColumn, load_csv
 from mlsysmap.errors import (
-    EmptyTable,
     InsufficientData,
     LengthMismatch,
     NoDataForView,
@@ -26,6 +25,7 @@ from mlsysmap.mapcore import View
 from mlsysmap.mechanisms import (
     CategoryList,
     NumericBins,
+    fit_discretization,
     fit_mechanisms,
     fit_variable,
     jsd,
@@ -227,12 +227,53 @@ def test_table_size_is_checked_before_counting(monkeypatch):
         fit_mechanisms(CHAIN_MAP, ds, View.system())
 
 
-def test_empty_table_rejected():
-    from mlsysmap.dataset import ViewTable
-    from mlsysmap.mechanisms import fit_discretization
-    empty = ViewTable(View.system(), "ref", (), {}, (), 0)
-    with pytest.raises(EmptyTable):
-        fit_discretization(empty, 8, empty)
+SHARED_MAP = parse_map("""\
+map shared
+view system
+  data s
+  data t
+  edge s -> t
+view subsystem sub
+  data knob
+  data out
+  edge knob -> out
+equiv sub.out = system.s
+""")
+
+
+def test_a_column_is_binned_alike_in_every_view_and_its_shift_test():
+    # blanks in system.t drop rows from the system view only, the high ones
+    # of its parent; the bins of the column behind system.s and sub.out
+    # must not move with them
+    rng = np.random.default_rng(5)
+    s = np.round(np.concatenate([rng.normal(0, 1, 200), rng.normal(0.5, 1, 200)]), 3)
+    t = np.where(s > 0.8, "", np.round(rng.normal(size=400), 3).astype(str))
+    knob = np.round(rng.normal(size=400), 3)
+    window = ["ref"] * 200 + ["cur"] * 200
+    ds = load_csv(SHARED_MAP, "window,system.s,system.t,sub.knob\n" + "".join(
+        f"{w},{a},{b},{c}\n" for w, a, b, c in zip(window, s, t, knob)))
+    system = fit_mechanisms(SHARED_MAP, ds, View.system(), k=4)
+    sub = fit_mechanisms(SHARED_MAP, ds, View.subsystem("sub"), k=4)
+    bins = sub.disc["sub.out"]
+    assert system.disc["system.s"] == bins
+    assert bins == fit_variable(s[:200], 4, s[200:])
+    want = jsd(np.bincount(bins.encode(s[:200]), minlength=bins.n_states) / 200,
+               np.bincount(bins.encode(s[200:]), minlength=bins.n_states) / 200)
+    assert shift_test(ds, SHARED_MAP, "system.s", B=200, k=4).statistic == want
+
+
+def test_fit_discretization_is_kept_per_column_and_bin_count():
+    ds = load_csv(ONE_MAP, _csv(range(40), range(20, 60)))
+    four = fit_discretization(ds, "system.a", 4)
+    assert all(a is b for a, b in zip(fit_discretization(ds, "system.a", 4), four))
+    eight = fit_discretization(ds, "system.a", 8)
+    assert (four[0].n_states, eight[0].n_states) == (4, 8)
+    assert fit_discretization(ds, "system.a", 4)[0] is four[0]
+    bins, codes = eight
+    assert codes.dtype == np.uint8 and not codes.flags.writeable
+    assert codes.tolist() == bins.encode(ds.columns["system.a"]).tolist()
+    with pytest.raises(ValueError, match="bin count must be >= 2, got 1$"):
+        fit_discretization(ds, "system.a", 1)
 
 
 # ---------------------------------------------------------------------------
