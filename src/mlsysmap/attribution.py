@@ -138,9 +138,6 @@ class MechanismSwapGame:
 
     def table(self) -> np.ndarray:
         """All ``2**r`` game values, indexed by key."""
-        if len(self.relevant) > EXACT_PLAYER_LIMIT:
-            raise TooManyPlayers(f"{len(self.relevant)} relevant players exceed "
-                                 f"exact limit {EXACT_PLAYER_LIMIT}")
         return np.concatenate([self._block(block) for block in range(self.runs)])
 
     def sampled_phi(self, permutations: int, seed) -> dict[str, float]:
@@ -161,9 +158,6 @@ class MechanismSwapGame:
                 phi[idx] += val - prev
                 prev = val
         return {p: x / permutations for p, x in zip(players, phi)}
-
-    def __call__(self, subset) -> float:
-        return self._value(sum(self._weight[p] for p in subset))
 
 
 # ---------------------------------------------------------------------------

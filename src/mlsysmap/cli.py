@@ -86,7 +86,7 @@ def cmd_detect(args) -> int:
     system_map = parse_map(_read(args.map))
     ds = load_csv(system_map, args.data)
     alerts = detect_alerts(system_map, ds, alpha=args.alpha,
-                           B=args.permutations, seed=args.seed)
+                           B=args.permutations, seed=args.seed, warnings=ds.warnings)
     _emit(report_mod.detect_document(system_map.name, alerts, args.alpha,
                                      args.permutations, args.seed, ds.warnings), args)
     return 0

@@ -2,21 +2,25 @@
 
 Input is a CSV with a header row, one ``window`` column labeling each row
 ``ref`` or ``cur``, and one column per observed variable named by any
-member of its equivalence class; the simulator hands over the same
-columns as arrays. Every CSV row must have as many cells as the header.
-The text is cut into columns once: numpy's C reader types unquoted text
-without blank lines in one ``np.loadtxt`` call, reading each label cell
-as a raw 8-byte key or a code, unless a cell it cannot parse (an empty
-cell or a missing token in a numeric column, say) makes the call fail;
-any other text is read by ``csv.reader``. Both give the same columns.
-:func:`build_dataset` unifies columns to the canonical (lexicographically
-smallest) class member and types each column once: a column is numeric
-(float64, ``NaN`` = missing, i.e. empty, non-finite or one of
-``MISSING_TOKENS``) when its node is not a modulator and every non-empty
-cell is a number or a missing token, else categorical: a
-:class:`LabelColumn` of codes into its sorted labels (``""`` = missing,
-tokens kept as labels), as is the ``window`` column. Past that point only
-:func:`present` tests for the two missing markers.
+member of its equivalence class. Every CSV row must have as many cells
+as the header. The text is cut into columns once: numpy's C reader types
+unquoted text without blank lines in one ``np.loadtxt`` call, reading
+each label cell as a raw 8-byte key or a code, unless a cell it cannot
+parse (an empty cell or a missing token in a numeric column, say) makes
+the call fail; any other text is read by ``csv.reader``. Both give the
+same columns. Each route hands :func:`build_dataset` a column in one of
+three forms: a numeric array (the C reader's float64 fields, the
+simulator's numbers), a :class:`LabelColumn` (the C reader's label
+fields, the simulator's labels) or a list of ``str`` cells (the columns
+of ``csv.reader``, the C reader's object fields). :func:`build_dataset`
+unifies columns to the canonical (lexicographically smallest) class
+member and types each column once: a column is numeric (float64,
+``NaN`` = missing, i.e. empty, non-finite or one of ``MISSING_TOKENS``)
+when its node is not a modulator and every non-empty cell is a number or
+a missing token, else categorical: a :class:`LabelColumn` of codes into
+its sorted labels (``""`` = missing, tokens kept as labels), as is the
+``window`` column. Past that point only :func:`present` tests for the
+two missing markers.
 """
 
 from __future__ import annotations
@@ -58,24 +62,19 @@ class _FirstSeen(dict):
 class LabelColumn:
     """A categorical column: integer codes into its sorted distinct labels.
 
-    It reads like the object array of its ``str`` cells: ``len``,
-    iteration, an int index (the cell's label, so equal cells are one
-    interned ``str``), mask or index-array indexing (a column over the same
-    labels), ``np.asarray`` and ``column == label`` (a mask). A column
-    made by :meth:`of` holds each of its labels; one indexed out of it
-    keeps them all.
+    Mask or index-array indexing gives a column over the same labels, and
+    ``column == label`` a mask. A column made by :meth:`of` holds each of
+    its labels; one indexed out of it keeps them all.
     """
 
     __slots__ = ("codes", "labels")
-    dtype = np.dtype(object)
 
     def __init__(self, codes: np.ndarray, labels: tuple[str, ...]):
         self.codes, self.labels = codes, labels
 
     @classmethod
-    def of(cls, cells) -> LabelColumn:
-        """The column of a sequence or array of cells, each read as ``str``;
-        a LabelColumn is returned as it is."""
+    def of(cls, cells: Union[list[str], LabelColumn]) -> LabelColumn:
+        """The column of a list of ``str`` cells; a LabelColumn is returned as it is."""
         if isinstance(cells, LabelColumn):
             return cells
         return cls.first_seen(*_first_seen_codes(cells))
@@ -103,20 +102,8 @@ class LabelColumn:
         i = bisect.bisect_left(self.labels, label)
         return i if i < len(self.labels) and self.labels[i] == label else -1
 
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __iter__(self):
-        return map(self.labels.__getitem__, self.codes.tolist())
-
-    def __getitem__(self, key):
-        if isinstance(key, (int, np.integer)):
-            return self.labels[self.codes[key]]
+    def __getitem__(self, key) -> LabelColumn:
         return LabelColumn(self.codes[key], self.labels)
-
-    def __array__(self, dtype=None, copy=None):
-        cells = np.array(self.labels, dtype=object)[self.codes]
-        return cells if dtype is None else cells.astype(dtype)
 
     def __eq__(self, label: str) -> np.ndarray:
         return self.codes == self.code(label)
@@ -134,20 +121,15 @@ class WindowedDataset:
     """Column store keyed by canonical qualified name, plus window labels."""
 
     columns: dict[str, Union[np.ndarray, LabelColumn]]   # qname -> float64 array or labels
-    window: LabelColumn              # 'ref' / 'cur'; cells of another type are read into one
+    window: LabelColumn              # 'ref' / 'cur'
     warnings: list[str] = field(default_factory=list)
     _masks: dict = field(init=False, repr=False, compare=False)  # label -> read-only mask
     _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.window = LabelColumn.of(self.window)
         self._masks = {label: self.window == label for label in WINDOWS}
         for mask in self._masks.values():
             mask.flags.writeable = False
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.window)
 
     def window_mask(self, label: str) -> np.ndarray:
         if label not in WINDOWS:
@@ -155,15 +137,10 @@ class WindowedDataset:
         return self._masks[label]
 
 
-def _first_seen_codes(cells) -> tuple[np.ndarray, list[str]]:
-    """Codes of the cells, each read as ``str``, into their distinct labels
-    in first-seen order."""
-    if isinstance(cells, np.ndarray) and cells.dtype != object:
-        cells = cells.astype(str).tolist()
+def _first_seen_codes(cells: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Codes of the cells into their distinct labels in first-seen order."""
     seen = _FirstSeen()
     codes = np.fromiter(map(seen.__getitem__, cells), np.intp, len(cells))
-    if not all(type(label) is str for label in seen):    # numbers in an object array
-        return _first_seen_codes(list(map(str, cells)))
     return codes, list(seen)
 
 
@@ -171,28 +148,26 @@ def _typed_column(values, modulator: bool) -> tuple[Union[np.ndarray, LabelColum
     """The column as float64 or as labels, and by reason the number of
     non-empty cells loaded as missing.
 
-    ``values`` is a list of CSV cells, a :class:`LabelColumn` (kept as it is
-    when categorical) or an array. Text is numeric when every cell parses
-    with ``float`` (as the object-to-float cast does), or does once empty
-    cells and missing tokens read as ``"nan"``; past the first try, that
-    is decided on the column's distinct labels, each parsed once.
+    ``values`` is a numeric array, a :class:`LabelColumn` (kept as it is
+    when categorical) or a list of ``str`` cells. Text is numeric when
+    every cell parses with ``float``, or does once empty cells and missing
+    tokens read as ``"nan"``; past the first try, that is decided on the
+    column's distinct labels, each parsed once.
     """
     if modulator:
         return LabelColumn.of(values), {}
     floats, tokens, marked = None, 0, 0
-    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+    if isinstance(values, np.ndarray):
         floats = values.astype(np.float64)
-    elif not isinstance(values, LabelColumn):
-        cells = (values.astype(str).tolist()
-                 if isinstance(values, np.ndarray) and values.dtype != object else values)
+    elif isinstance(values, list):
         try:
-            floats = np.fromiter(map(float, cells), np.float64, len(cells))
+            floats = np.fromiter(map(float, values), np.float64, len(values))
         except ValueError:
             pass
     if floats is None:
         column = values if isinstance(values, LabelColumn) else None
         codes, labels = ((column.codes, column.labels) if column is not None
-                         else _first_seen_codes(cells))
+                         else _first_seen_codes(values))
         held = np.bincount(codes, minlength=len(labels))
         # a label that no cell holds reads as empty, so it types nothing
         cells = [label if n else "" for label, n in zip(labels, held)]
@@ -209,12 +184,15 @@ def _typed_column(values, modulator: bool) -> tuple[Union[np.ndarray, LabelColum
                     "missing-token": tokens}
 
 
-def build_dataset(system_map: SystemMap, columns: Iterable[tuple[str, Union[np.ndarray, list]]],
-                  window: Union[np.ndarray, LabelColumn]) -> WindowedDataset:
+def build_dataset(system_map: SystemMap,
+                  columns: Iterable[tuple[str, Union[np.ndarray, LabelColumn, list[str]]]],
+                  window: LabelColumn) -> WindowedDataset:
     """A dataset from (name, cells) columns aligned with ``window``.
 
-    A name may be any member of an equivalence class; two columns from one
-    class are an error. Columns matching no map node, and non-finite or
+    Each column is a numeric array, a :class:`LabelColumn` or a list of
+    ``str`` cells, typed as the module docstring says. A name may be any
+    member of an equivalence class; two columns from one class are an
+    error. Columns matching no map node, and non-finite or
     missing-token cells (loaded as missing), are reported as warnings.
     """
     ds = WindowedDataset(columns={}, window=window)
@@ -383,8 +361,8 @@ def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> Window
     known = np.array([label in WINDOWS for label in window.labels], dtype=bool)
     bad = np.flatnonzero(~known[window.codes])
     if len(bad):
-        raise BadWindowLabel(
-            f"row {bad[0] + 2}: window label '{window[bad[0]]}' (expected ref/cur)")
+        label = window.labels[window.codes[bad[0]]]
+        raise BadWindowLabel(f"row {bad[0] + 2}: window label '{label}' (expected ref/cur)")
     return build_dataset(system_map, zip(header, columns), window)
 
 

@@ -18,7 +18,8 @@ parameters; scenarios change exactly one knob in the current window:
 Generation is fully deterministic given (scenario, n, seed); the
 reference window stream is independent of the scenario, so reference
 distributions are identical across scenarios at a fixed seed.
-:func:`generate` hands the generated arrays straight to the dataset;
+:func:`generate` hands the generated arrays straight to the dataset, the
+labels as a :class:`~mlsysmap.dataset.LabelColumn` of codes;
 :func:`generate_csv` formats the same arrays as CSV text, column by
 column: each distinct number is formatted once, as ``repr`` writes it.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import WindowedDataset, build_dataset
+from .dataset import LabelColumn, WindowedDataset, build_dataset
 from .errors import UnknownScenario
 from .mapcore import SystemMap
 from .msmformat import parse_map
@@ -226,8 +227,9 @@ def generate(config: ScenarioConfig) -> SimulationOutput:
     The dataset equals ``load_csv(churn_map(), generate_csv(config))``.
     """
     system_map = churn_map()
-    columns = _columns(config)
-    window = np.repeat(np.array(["ref", "cur"], dtype=object), config.n)
+    columns = [(c, LabelColumn.of(v.tolist()) if v.dtype.kind == "U" else v)
+               for c, v in _columns(config)]
+    window = LabelColumn.of(["ref"] * config.n + ["cur"] * config.n)
     return SimulationOutput(
         system_map=system_map,
         dataset=build_dataset(system_map, columns, window),

@@ -280,12 +280,14 @@ def trace(system_map: SystemMap, ds: WindowedDataset, alert: str,
     )
 
 
-def detect_alerts(system_map: SystemMap, ds: WindowedDataset,
-                  alpha: float = 0.01, B: int = DEFAULT_RESPLITS, seed: int = 0):
+def detect_alerts(system_map: SystemMap, ds: WindowedDataset, alpha: float = 0.01,
+                  B: int = DEFAULT_RESPLITS, seed: int = 0, warnings: Optional[list] = None):
     """Shift tests on every ML-system data variable; significant ones only.
 
     Returns ShiftTestResult entries with p <= alpha, sorted by ascending
-    p-value then node name. Variables without enough data are skipped.
+    p-value then node name. A variable without enough data is skipped;
+    ``warnings``, when given, gets one line per skipped variable that
+    quotes the ``InsufficientData`` reason.
     """
     system = system_map.system_view()
     results: list[ShiftTestResult] = []
@@ -294,7 +296,8 @@ def detect_alerts(system_map: SystemMap, ds: WindowedDataset,
     for i, qname in enumerate(nodes):
         try:
             results.append(shift_test(ds, system_map, qname, B=B, seed=[seed, i]))
-        except InsufficientData:
-            continue
+        except InsufficientData as exc:
+            if warnings is not None:
+                warnings.append(f"shift test skipped: {exc}")
     hits = [r for r in results if r.p_value <= alpha]
     return sorted(hits, key=lambda r: (r.p_value, r.node))

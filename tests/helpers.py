@@ -17,7 +17,9 @@ CSV writer formats every cell on its own, row by
 row, as ``generate_csv`` did before it wrote column by column. The
 random builders
 produce structurally valid maps and mechanism sets from a seeded
-generator, for property-style checks over many instances.
+generator, for property-style checks over many instances. ``cells_of``
+reads a typed column back as Python values, and ``game_value`` reads a
+mechanism-swap game at a subset of player names.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ import numpy as np
 from mlsysmap import mechanisms
 from mlsysmap.mapcore import (Node, NodeKind, Relation, RelationKind, View, ancestors,
                               build_map)
-from mlsysmap.attribution import EXACT_PLAYER_LIMIT, FALLBACK_SAMPLES, shapley_from_table
+from mlsysmap.attribution import (EXACT_PLAYER_LIMIT, FALLBACK_SAMPLES, MechanismSwapGame,
+                                  shapley_from_table)
+from mlsysmap.dataset import LabelColumn
 from mlsysmap.errors import StateSpaceTooLarge, TooManyPlayers
 from mlsysmap.mechanisms import (
     MechanismSet,
@@ -42,6 +46,23 @@ from mlsysmap.mechanisms import (
     target_marginal,
 )
 from mlsysmap.simulator import ScenarioConfig, _windows, generate
+
+
+# ---------------------------------------------------------------------------
+# readers of columns and games
+
+def cells_of(column) -> list:
+    """A typed column's cells: labels for a LabelColumn, floats for an array."""
+    if isinstance(column, LabelColumn):
+        return [column.labels[code] for code in column.codes.tolist()]
+    return column.tolist()
+
+
+def game_value(game: MechanismSwapGame, subset) -> float:
+    """v(subset): the key sums ``1 << (r-1-i)`` over the indices ``i`` of
+    the subset's players among the game's r sorted relevant ones."""
+    r = len(game.relevant)
+    return game._value(sum(1 << (r - 1 - i) for i, p in enumerate(game.relevant) if p in subset))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from mlsysmap.mapcore import View, ancestors
 from mlsysmap.mechanisms import fit_mechanisms
 from mlsysmap.msmformat import parse_map
 
-from helpers import (exact_shapley, random_mechanism_set, reference_exact_shapley,
-                     reference_game_value, sampled_shapley)
+from helpers import (exact_shapley, game_value, random_mechanism_set,
+                     reference_exact_shapley, reference_game_value, sampled_shapley)
 
 
 def dict_game(values):
@@ -150,16 +150,16 @@ def test_sampled_shapley_rejects_zero_permutations():
 def test_game_empty_set_is_zero():
     mech = random_mechanism_set(np.random.default_rng(31), n_nodes=4)
     game = MechanismSwapGame(mech, mech.nodes[-1])
-    assert game(frozenset()) == 0.0
-    assert MechanismSwapGame(mech, mech.nodes[-1])(frozenset()) == 0.0
+    assert game_value(game, frozenset()) == 0.0
+    assert game_value(MechanismSwapGame(mech, mech.nodes[-1]), frozenset()) == 0.0
 
 
 def test_game_values_cached_and_deterministic():
     mech = random_mechanism_set(np.random.default_rng(32), n_nodes=4)
     game = MechanismSwapGame(mech, mech.nodes[-1])
     s = frozenset(mech.nodes[:2])
-    assert game(s) == game(s)
-    assert game(s) == MechanismSwapGame(mech, mech.nodes[-1])(frozenset(s))
+    assert game_value(game, s) == game_value(game, s)
+    assert game_value(game, s) == game_value(MechanismSwapGame(mech, mech.nodes[-1]), s)
 
 
 def test_identical_windows_give_null_game():
@@ -257,7 +257,7 @@ def test_exact_mode_past_the_state_limit_samples_orders_when_they_cost_less(monk
     assert len(calls) <= 6
     game = MechanismSwapGame(mech, target, seed=4)
     assert game.used_sampling and game.runs == 16
-    assert result.phi == sampled_shapley(game, game.players, 1, seed=4)
+    assert result.phi == sampled_shapley(lambda s: game_value(game, s), game.players, 1, seed=4)
     assert result.mode == "sampled"
     many = random_mechanism_set(np.random.default_rng(32), n_nodes=18, max_states=2,
                                 p_edge=0.2)
@@ -363,7 +363,7 @@ def test_blocked_game_values_equal_per_coalition_reference(monkeypatch, batch_st
             rows.clear()
             for mask in range(1 << len(mech.nodes)):
                 s = frozenset(p for i, p in enumerate(mech.nodes) if mask >> i & 1)
-                assert game(s) == reference_game_value(mech, target, s)
+                assert game_value(game, s) == reference_game_value(mech, target, s)
             multi_block += len(rows) > 1
     assert multi_block >= (0 if batch_states == 1 << 18 else 8)
 
@@ -384,7 +384,7 @@ def test_blocked_values_with_many_state_victims_equal_reference(monkeypatch, bat
                                       for v in game._plan.order[:-1])
             for mask in range(1 << len(mech.nodes)):
                 s = frozenset(p for i, p in enumerate(mech.nodes) if mask >> i & 1)
-                assert game(s) == reference_game_value(mech, target, s)
+                assert game_value(game, s) == reference_game_value(mech, target, s)
     assert many_state_victims >= 5
 
 
@@ -474,8 +474,8 @@ def test_sparse_game_evaluates_each_requested_coalition_alone(monkeypatch):
 
             def v(s):
                 asked.add(frozenset(s) & relevant)
-                assert game(s) == reference_game_value(mech, target, s)
-                return game(s)
+                assert game_value(game, s) == reference_game_value(mech, target, s)
+                return game_value(game, s)
 
             rows.clear()
             sampled_shapley(v, mech.nodes, permutations=5, seed=seed)
@@ -498,13 +498,13 @@ def test_sparse_game_on_many_relevant_players(monkeypatch):
 
     def v(s):
         asked.add(frozenset(s) & relevant)
-        return game(s)
+        return game_value(game, s)
 
     phi = sampled_shapley(v, mech.nodes, permutations=4, seed=0)
     assert rows == [1] * (len(asked) - 1)
     for s in (frozenset(mech.nodes[::2]), frozenset(mech.nodes[1::3])):
-        assert game(s) == reference_game_value(mech, target, s)
-    assert sum(phi.values()) == pytest.approx(game(frozenset(mech.nodes)), abs=1e-12)
+        assert game_value(game, s) == reference_game_value(mech, target, s)
+    assert sum(phi.values()) == pytest.approx(game_value(game, frozenset(mech.nodes)), abs=1e-12)
 
 
 def test_auto_is_exact_over_relevant_players_past_the_limit():
@@ -517,7 +517,8 @@ def test_auto_is_exact_over_relevant_players_past_the_limit():
     assert len(relevant) == 11
     result = attribute(mech, target)
     assert result.mode == "exact"
-    reference = reference_exact_shapley(MechanismSwapGame(mech, target), relevant)
+    game = MechanismSwapGame(mech, target)
+    reference = reference_exact_shapley(lambda s: game_value(game, s), relevant)
     for p in mech.nodes:
         assert result.phi[p] == (pytest.approx(reference[p], abs=1e-12) if p in relevant
                                  else 0.0)
@@ -560,7 +561,7 @@ def test_auto_is_exact_only_where_the_table_costs_no_more_than_the_orders(monkey
             continue
         assert game.runs == 2 ** r
         few = attribute(mech, target, permutations=1, seed=3)
-        assert few.phi == sampled_shapley(game, game.players, 1, seed=3)
+        assert few.phi == sampled_shapley(lambda s: game_value(game, s), game.players, 1, seed=3)
         many = attribute(mech, target, permutations=2 ** r, seed=3)
         assert many.phi == table_phi(game)
         assert few.mode == many.mode == "sampled"
@@ -594,7 +595,7 @@ def test_sampled_orders_compute_only_the_blocks_they_reach(monkeypatch):
 
             def v(s):
                 asked.add(sum(weight.get(p, 0) for p in s))
-                return game(s)
+                return game_value(game, s)
 
             rows.clear()
             sampled_shapley(v, game.players, permutations=1, seed=seed)
@@ -603,7 +604,7 @@ def test_sampled_orders_compute_only_the_blocks_they_reach(monkeypatch):
             j = rows[0].bit_length() - 1
             assert len(rows) == len({key >> j for key in asked} - ({0} if j == 0 else set()))
             assert len(rows) < game.runs
-            assert all(game(s) == reference_game_value(mech, target, s)
+            assert all(game_value(game, s) == reference_game_value(mech, target, s)
                        for s in (frozenset(), frozenset(game.relevant[::2])))
             checked += 1
     assert checked >= 8
@@ -688,8 +689,8 @@ def test_sampled_phi_equals_the_set_function_solver(monkeypatch, build, state_li
     result = attribute(mech, target, mode="sampled", permutations=4, seed=9)
     game = MechanismSwapGame(mech, target, seed=9)
     assert game.used_sampling == (state_limit is not None)
-    assert result.phi == sampled_shapley(game, game.players, 4, seed=9)
-    assert result.total == game(frozenset(game.players))
+    assert result.phi == sampled_shapley(lambda s: game_value(game, s), game.players, 4, seed=9)
+    assert result.total == game_value(game, frozenset(game.players))
     outside = non_ancestors(mech, target)
     assert [result.phi[p] for p in outside] == [0.0] * len(outside)
     if build is many_player_game:

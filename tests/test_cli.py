@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from mlsysmap import mechanisms
 from mlsysmap.cli import build_parser, main
-from mlsysmap.dataset import load_csv
+from mlsysmap.dataset import LabelColumn, load_csv
 from mlsysmap.msmformat import parse_map
 from mlsysmap.simulator import EXPECTED_TRACES, ScenarioConfig, churn_map_text, generate_csv
 from mlsysmap.traversal import TraceConfig, detect_alerts
+
+from helpers import cells_of
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +292,28 @@ def test_dataset_warnings_reach_both_reports(workspace, tmp_path):
         assert doc["warnings"][0] == "column 'mystery' matches no map node", argv[0]
 
 
+def test_detect_warns_of_each_variable_it_cannot_test(tmp_path, capsys):
+    # every cur cell of the churn score blank: its shift test has no cur rows
+    map_path, data_path = str(tmp_path / "churn.msm"), str(tmp_path / "s2.csv")
+    assert main(["simulate", "--scenario", "S2", "--n", "300", "--seed", "1",
+                 "--out-data", data_path, "--out-map", map_path]) == 0
+    with open(data_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    score = rows[0].index("serving.churn_score_out")
+    for row in rows[1:]:
+        row[score] = "" if row[0] == "cur" else row[score]
+    with open(data_path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    warning = "shift test skipped: 'system.churn_score': 300 ref / 0 cur rows (need 30 each)"
+    out = tmp_path / "detect.json"
+    assert main(["detect", map_path, data_path, "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["warnings"] == [warning]
+    assert "system.churn_score" not in [a["node"] for a in doc["alerts"]]
+    assert main(["detect", map_path, data_path]) == 0
+    assert capsys.readouterr().out.endswith(f"warning: {warning}\n")
+
+
 def test_trace_alert_without_data_is_a_domain_error(workspace, tmp_path, capsys):
     _, map_path, data_path = workspace
     with open(data_path, newline="", encoding="utf-8") as fh:
@@ -407,7 +431,7 @@ def test_header_may_name_any_class_member(canonical_runs, tmp_path_factory, scen
     got, clean = load_csv(system_map, text_alias), load_csv(system_map, text)
     assert list(got.columns) == list(clean.columns) and got.warnings == clean.warnings == []
     for q, col in clean.columns.items():
-        assert got.columns[q].dtype == col.dtype
-        assert list(got.columns[q]) == list(col) if col.dtype == object else (
+        assert type(got.columns[q]) is type(col)
+        assert cells_of(got.columns[q]) == cells_of(col) if isinstance(col, LabelColumn) else (
             got.columns[q].tobytes() == col.tobytes())
     assert report_bytes(map_path, text_alias, tmp_path_factory.mktemp("alias"), scenario) == want

@@ -15,6 +15,7 @@ from mlsysmap import dataset
 from mlsysmap.dataset import (
     MISSING_TOKENS,
     WINDOWS,
+    LabelColumn,
     load_csv,
     present,
     resolve_column,
@@ -33,6 +34,8 @@ from mlsysmap.mapcore import View
 from mlsysmap.mechanisms import fit_mechanisms, fit_variable
 from mlsysmap.msmformat import parse_map
 from mlsysmap.simulator import SCENARIOS, ScenarioConfig, churn_map, generate, generate_csv
+
+from helpers import cells_of
 
 MAP = parse_map("""\
 map tiny
@@ -61,12 +64,12 @@ cur,4.0,0.4,b
 
 def test_load_basics():
     ds = load_csv(MAP, CSV)
-    assert ds.n_rows == 4
+    assert len(ds.window.codes) == 4
     assert list(ds.window_mask("ref")) == [True, True, False, False]
     assert list(ds.window_mask("cur")) == [False, False, True, True]
     # features column unified to the canonical class member
     assert "pipe.out" in ds.columns and "system.features" not in ds.columns
-    assert list(ds.columns["pipe.raw"]) == ["a", "b", "a", "b"]
+    assert cells_of(ds.columns["pipe.raw"]) == ["a", "b", "a", "b"]
     assert ds.warnings == []
 
 
@@ -123,14 +126,14 @@ def test_load_from_path(tmp_path):
     p = tmp_path / "data.csv"
     p.write_text(CSV, encoding="utf-8")
     ds = load_csv(MAP, str(p))
-    assert ds.n_rows == 4
+    assert len(ds.window.codes) == 4
 
 
 def test_load_from_path_with_comma(tmp_path):
     p = tmp_path / "a,b" / "d.csv"
     p.parent.mkdir()
     p.write_text(CSV, encoding="utf-8")
-    assert load_csv(MAP, str(p)).n_rows == 4
+    assert len(load_csv(MAP, str(p)).window.codes) == 4
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
@@ -139,7 +142,7 @@ def test_line_ends_read_alike_from_text_stream_and_path(tmp_path, end):
     p = tmp_path / "data.csv"
     p.write_bytes(text.encode())
     want = load_csv(churn_map(), generate_csv(ScenarioConfig("S2", n=40, seed=3)))
-    assert want.n_rows == 80
+    assert len(want.window.codes) == 80
     for source in (text, io.StringIO(text, newline=""), str(p)):
         _assert_same_dataset(load_csv(churn_map(), source), want)
 
@@ -158,17 +161,17 @@ def test_utf8_byte_order_mark_is_not_part_of_the_header(tmp_path, header):
     for ds in (load_csv(MAP, "\ufeff" + text), load_csv(MAP, str(p)),
                load_csv(MAP, io.StringIO("\ufeff" + text))):
         assert ds.warnings == []
-        assert list(ds.window) == list(clean.window)
+        assert cells_of(ds.window) == cells_of(clean.window)
         assert ds.columns.keys() == clean.columns.keys() == {
             "pipe.out", "system.score", "pipe.raw"}
-        assert all(np.array_equal(ds.columns[q], clean.columns[q]) for q in ds.columns)
+        assert all(cells_of(ds.columns[q]) == cells_of(clean.columns[q]) for q in ds.columns)
 
 
 def test_numeric_and_categorical_columns():
     ds = load_csv(MAP, CSV)
     assert ds.columns["pipe.out"].dtype == np.float64
     assert list(ds.columns["pipe.out"]) == [1.0, 2.0, 3.0, 4.0]
-    assert ds.columns["pipe.raw"].dtype == object
+    assert isinstance(ds.columns["pipe.raw"], LabelColumn)
 
 
 def test_modulator_column_stays_categorical():
@@ -176,15 +179,15 @@ def test_modulator_column_stays_categorical():
                   "view subsystem sub\n  data out\n  modulator knob\n"
                   "  edge knob -> out\nequiv sub.out = system.s\n")
     ds = load_csv(m, "window,sub.knob,sub.out\nref,1,1\ncur,2,2\nref,1,3\n")
-    assert ds.columns["sub.knob"].dtype == object
-    assert list(ds.columns["sub.knob"]) == ["1", "2", "1"]
+    assert isinstance(ds.columns["sub.knob"], LabelColumn)
+    assert cells_of(ds.columns["sub.knob"]) == ["1", "2", "1"]
     assert ds.columns["sub.out"].dtype == np.float64
 
 
 def test_mixed_values_are_categorical():
     ds = load_csv(MAP, "window,system.score\nref,1\nref,\ncur,a\n")
-    assert ds.columns["system.score"].dtype == object
-    assert list(ds.columns["system.score"]) == ["1", "", "a"]
+    assert isinstance(ds.columns["system.score"], LabelColumn)
+    assert cells_of(ds.columns["system.score"]) == ["1", "", "a"]
     assert list(present(ds.columns["system.score"])) == [True, False, True]
 
 
@@ -211,7 +214,7 @@ def test_missing_tokens_in_numeric_column():
     assert ds.warnings == [
         "column 'system.score': 2 missing-token cells loaded as missing"]
     # in a categorical column a token is a label like any other
-    assert list(ds.columns["pipe.raw"]) == ["NA", "a", "b", "", "None"]
+    assert cells_of(ds.columns["pipe.raw"]) == ["NA", "a", "b", "", "None"]
 
 
 def test_resolve_column_direct_and_proxy():
@@ -269,13 +272,13 @@ def test_view_matrix_no_data():
 def _assert_same_dataset(got, want):
     assert list(got.columns) == list(want.columns)
     for name, col in want.columns.items():
-        assert got.columns[name].dtype == col.dtype, name
-        if col.dtype == object:
-            assert list(got.columns[name]) == list(col), name
+        assert type(got.columns[name]) is type(col), name
+        if isinstance(col, LabelColumn):
+            assert cells_of(got.columns[name]) == cells_of(col), name
         else:    # bit for bit: -0.0 is not 0.0
+            assert got.columns[name].dtype == col.dtype, name
             assert got.columns[name].tobytes() == col.tobytes(), name
-    assert got.window.dtype == want.window.dtype
-    assert list(got.window) == list(want.window)
+    assert cells_of(got.window) == cells_of(want.window)
     assert got.warnings == want.warnings
 
 
@@ -366,7 +369,7 @@ def test_quoted_cell_loads_like_unquoted_text(tmp_path):
     p = tmp_path / "comma.csv"
     p.write_text(CSV.replace("cur,4.0,0.4,b", 'cur,4.0,0.4,"b,c"'), encoding="utf-8")
     ds, clean = load_csv(MAP, str(p)), load_csv(MAP, CSV)
-    assert list(ds.columns["pipe.raw"]) == ["a", "b", "a", "b,c"]
+    assert cells_of(ds.columns["pipe.raw"]) == ["a", "b", "a", "b,c"]
     cells = {q: ["a", "b", "a", "b,c"] if q == "pipe.raw" else col
              for q, col in clean.columns.items()}
     _assert_same_dataset(ds, dataset.build_dataset(MAP, cells.items(), clean.window))
@@ -392,8 +395,8 @@ def test_equal_labels_share_one_str():
     with mock.patch.object(dataset.sys, "intern", wraps=dataset.sys.intern) as intern:
         ds = load_csv(MAP, "window,pipe.raw,system.score,system.features\n"
                            "ref,ab,1,NA\nref,ab,2,0.5\ncur,ab,3,1.5\ncur,cd,4,2.5\n")
-    raw, window = ds.columns["pipe.raw"], ds.window
-    assert list(raw) == ["ab", "ab", "ab", "cd"]
+    raw, window = cells_of(ds.columns["pipe.raw"]), cells_of(ds.window)
+    assert raw == ["ab", "ab", "ab", "cd"]
     assert raw[0] is raw[1] is raw[2]
     assert window[0] is window[1] and window[2] is window[3]
     assert ds.columns["pipe.out"].dtype == np.float64
@@ -498,9 +501,9 @@ def test_c_reader_named_cells(cells, column, dtype, c_reader):
     rows = "".join(f"{w},{c},{i}\n" for i, (w, c) in enumerate(zip(("ref", "ref", "cur"), cells)))
     got, took_c_reader, want = _load_both(f"window,{column},system.features\n{rows}")
     _assert_same_outcome(got, want)
-    assert list(got.columns[MOD_MAP.canonical_name(column)]) == (
-        list(cells) if dtype is object else [1.0, float(cells[1]), 2.0])
-    assert got.columns[MOD_MAP.canonical_name(column)].dtype == dtype
+    typed = got.columns[MOD_MAP.canonical_name(column)]
+    assert cells_of(typed) == (list(cells) if dtype is object else [1.0, float(cells[1]), 2.0])
+    assert isinstance(typed, LabelColumn) if dtype is object else typed.dtype == dtype
     assert took_c_reader is c_reader
 
 
@@ -521,7 +524,9 @@ def test_label_codes_are_alike_on_every_route_and_fit_like_their_cells(data):
     quoted = load_csv(MOD_MAP, text.replace("ref,zz,", 'ref,"zz",', 1))
     window, raw, knob = (np.array(c, dtype=object) for c in zip(*rows))
     cells = {"pipe.raw": raw, "pipe.knob": knob}
-    built = dataset.build_dataset(MOD_MAP, cells.items(), window)
+    built = dataset.build_dataset(
+        MOD_MAP, [(q, LabelColumn.of(c.tolist())) for q, c in cells.items()],
+        LabelColumn.of(window.tolist()))
     for ds in (quoted, built):
         assert ds.window.labels == got.window.labels == ("cur", "ref")
         assert np.array_equal(ds.window.codes, got.window.codes)
@@ -596,7 +601,7 @@ def test_label_fields_hold_whole_cells():
     assert [f for f, _ in loadtxt.call_args.args[1].fields.values()] == [
         np.dtype("S8"), np.dtype(np.intp), np.dtype(np.float64)]
     _assert_same_outcome(got, want)
-    assert got.columns["pipe.raw"][0] == "u" * 300
+    assert cells_of(got.columns["pipe.raw"])[0] == "u" * 300
 
 
 def test_churn_label_fields_are_read_as_keys_in_one_call():
@@ -658,12 +663,55 @@ def test_load_holds_about_one_copy_of_the_file(tmp_path):
     assert held[0] < 2 * size     # the lines alone, about 1.5x; with the text, 2.5x
 
 
-def test_object_cells_mixing_numbers_and_text_read_as_their_str():
-    # 1 and "1" are one label, as they would be in CSV text
-    window = np.array(["ref", "ref", "cur", "cur"], dtype=object)
-    mixed = np.array([1, "1", 2.5, "a"], dtype=object)
-    ds = dataset.build_dataset(MOD_MAP, [("pipe.raw", mixed), ("pipe.knob", mixed.copy())],
-                               window)
-    for q in ("pipe.raw", "pipe.knob"):
-        assert ds.columns[q].labels == ("1", "2.5", "a")
-        assert list(ds.columns[q]) == ["1", "1", "2.5", "a"]
+
+# -- the three column forms that reach the typing ---------------------------
+
+def _form(values):
+    """The form of a column handed to ``_typed_column``, or None for any other."""
+    if isinstance(values, LabelColumn):
+        return "labels"
+    if isinstance(values, list) and all(type(cell) is str for cell in values):
+        return "cells"
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
+        return "numbers"
+    return None
+
+
+def _with_cell(text, column, row, cell):
+    """CSV text with the cell of ``column`` in data row ``row`` replaced."""
+    lines = text.split("\n")
+    i = lines[0].split(",").index(column)
+    cells = lines[row].split(",")
+    cells[i] = cell
+    lines[row] = ",".join(cells)
+    return "\n".join(lines)
+
+
+_S2 = ScenarioConfig("S2", n=300, seed=3)
+_S2_TEXT = generate_csv(_S2)
+
+
+@pytest.mark.parametrize("source, csv_reader, forms", [
+    (_S2_TEXT, False, {"numbers", "labels"}),
+    # a blank first cell makes a numeric column an object field of str cells
+    (_with_cell(_S2_TEXT, "serving.churn_score_out", 1, ""), False,
+     {"numbers", "labels", "cells"}),
+    (_with_cell(_S2_TEXT, "pipeline.data_freshness", 1, '"fresh"'), True, {"cells"}),
+    (_with_cell(_S2_TEXT, "serving.churn_score_out", 600, ""), True, {"cells"}),
+    (None, False, {"numbers", "labels"}),          # generate's arrays
+], ids=["clean", "blank-first-cell", "quoted-cell", "late-blank", "generate"])
+def test_every_column_reaches_the_typing_in_one_of_three_forms(source, csv_reader, forms):
+    seen, typed = [], dataset._typed_column
+
+    def record(values, modulator):
+        seen.append(_form(values))
+        return typed(values, modulator)
+
+    with mock.patch.object(dataset, "_typed_column", record), \
+            mock.patch.object(dataset, "_csv_columns", wraps=dataset._csv_columns) as reader:
+        if source is None:
+            generate(_S2)
+        else:
+            load_csv(churn_map(), source)
+    assert reader.called is csv_reader
+    assert len(seen) == 14 and set(seen) == forms

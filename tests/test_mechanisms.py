@@ -94,7 +94,7 @@ def test_modulator_is_always_categorical():
     mech = fit_mechanisms(BACKOFF_MAP, ds, View.subsystem("sub"))
     assert mech.disc["sub.m"] == CategoryList(("1", "2"))
     assert isinstance(mech.disc["sub.out"], NumericBins)
-    ref = LabelColumn.of(np.array(["1", "2", "1"], dtype=object))
+    ref = LabelColumn.of(["1", "2", "1"])
     assert fit_variable(ref, k=4, extra_values=ref[:0]) == CategoryList(("1", "2"))
 
 
@@ -104,12 +104,6 @@ def test_categories_come_from_reference_only():
     assert bins.categories == ("a", "b")
     assert bins.n_states == 3
     assert list(bins.encode(LabelColumn.of(["a", "c", "b"]))) == [0, 2, 1]
-
-
-def test_category_encode_matches_non_string_values():
-    bins = CategoryList(("1", "2"))
-    assert list(bins.encode(LabelColumn.of(np.array([1, 2, 3])))) == [0, 1, 2]
-    assert list(bins.encode(LabelColumn.of(np.array(["2", "1"], dtype=object)))) == [1, 0]
 
 
 def test_quantile_edges_ignore_non_finite_values():

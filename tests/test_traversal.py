@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from mlsysmap import report as report_mod
 from mlsysmap import traversal
 from mlsysmap.attribution import AttributionResult, Classification
-from mlsysmap.dataset import (MISSING_TOKENS, WindowedDataset, build_dataset, load_csv,
-                              present)
+from mlsysmap.dataset import (MISSING_TOKENS, LabelColumn, WindowedDataset, build_dataset,
+                              load_csv, present)
 from mlsysmap.errors import InsufficientData, UnknownAlert, ViewMismatch
 from mlsysmap.mechanisms import shift_test
 from mlsysmap.msmformat import parse_map
@@ -27,7 +27,7 @@ from mlsysmap.traversal import (
 
 from mlsysmap.simulator import EXPECTED_TRACES, ScenarioConfig, churn_map, generate_csv
 
-from helpers import simulate
+from helpers import cells_of, simulate
 
 
 def result_on(view, target, nodes, kind="concentrated"):
@@ -192,8 +192,8 @@ def test_detect_and_trace_invariant_to_monotone_relabeling(scenario):
     # bins are quantiles and sorted categories, so a strictly increasing
     # map of every number and an order-keeping relabeling change nothing
     relabeled = rebuilt(scenario, lambda q, col: (
-        3.0 * np.cbrt(col) + 7.0 if col.dtype != object
-        else np.array(["lbl_" + v for v in col], dtype=object)))
+        3.0 * np.cbrt(col) + 7.0 if not isinstance(col, LabelColumn)
+        else LabelColumn.of(["lbl_" + v for v in cells_of(col)])))
     assert detect_and_trace(scenario, relabeled) == baseline(scenario)
 
 
@@ -212,14 +212,14 @@ def drawn_renaming(scenario, data, keep_order):
     in the categories' sorted order when ``keep_order``, else in any."""
     renames = {}
     for q, col in sorted(simulate(scenario, n=1000).dataset.columns.items()):
-        if col.dtype == object:
-            old = sorted(set(col[present(col)]))
+        if isinstance(col, LabelColumn):
+            old = sorted(set(cells_of(col[present(col)])))
             new = data.draw(st.lists(st.text(min_size=1, max_size=6).filter(is_label),
                                      min_size=len(old), max_size=len(old), unique=True),
                             label=q)
             renames[q] = {"": "", **dict(zip(old, sorted(new) if keep_order else new))}
-    return rebuilt(scenario, lambda q, col: np.array(
-        [renames[q][v] for v in col], dtype=object) if q in renames else col)
+    return rebuilt(scenario, lambda q, col: LabelColumn.of(
+        [renames[q][v] for v in cells_of(col)]) if q in renames else col)
 
 
 @st.composite
@@ -245,7 +245,7 @@ def apply_map(col, knots, slopes, offset):
 @given(data=st.data())
 def test_detect_and_trace_invariant_to_piecewise_linear_maps(scenario, data):
     numeric = {q: col for q, col in simulate(scenario, n=1000).dataset.columns.items()
-               if col.dtype != object}
+               if not isinstance(col, LabelColumn)}
     maps = {q: data.draw(increasing_map(), label=q) for q in sorted(numeric)}
     for q, col in numeric.items():
         values = np.unique(col[present(col)])
