@@ -368,15 +368,14 @@ def load_csv(system_map: SystemMap, source: Union[str, io.TextIOBase]) -> Window
 
 @dataclass
 class ViewTable:
-    """Complete-case rows of one window over one view's nodes; no cell is
-    copied: node ``q``'s are ``ds.columns[t.columns[q]][t.rows]``."""
+    """Complete-case rows of both windows over one view's nodes; no cell is
+    copied: node ``q``'s in window ``w`` are ``ds.columns[t.columns[q]][t.rows[w]]``."""
 
     view: View
-    window: str
     nodes: tuple[str, ...]                 # included qnames, canonical node order
     columns: dict[str, str]                # qname -> the dataset column behind it
-    rows: np.ndarray                       # mask of the window's complete rows
-    excluded: tuple[str, ...]              # view nodes without any usable data
+    rows: dict[str, np.ndarray]            # window -> mask of its complete rows
+    excluded: tuple[str, ...]              # view nodes without data in both windows
 
 
 def resolve_column(ds: WindowedDataset, system_map: SystemMap, qname: str):
@@ -394,31 +393,30 @@ def resolve_column(ds: WindowedDataset, system_map: SystemMap, qname: str):
     return None
 
 
-def view_matrix(ds: WindowedDataset, system_map: SystemMap, view: View,
-                window: str) -> ViewTable:
-    """Complete-case table over one view for one window.
+def view_matrix(ds: WindowedDataset, system_map: SystemMap, view: View) -> ViewTable:
+    """Complete-case table over one view, decided once for both windows.
 
-    Nodes without a backing column (directly or through a measure proxy),
-    or whose column is entirely missing in the window, are excluded and
-    reported; ``rows`` masks the window's rows complete in the rest, and
-    ``NoDataForView`` is raised when there is none.
+    A node is included when its backing column (directly or through a
+    measure proxy) has a present cell in each window; the other nodes are
+    excluded, in node order. ``rows`` masks each window's rows complete in
+    the included nodes, so a column blank in every row of one window cuts
+    no row of the other. ``NoDataForView`` is raised when a window has no
+    complete row, or no node is included.
     """
-    graph = system_map.view_graph(view)
-    mask = ds.window_mask(window)
-
     excluded: list[str] = []
     source: dict[str, str] = {}    # included qname -> its column, in node order
-    for node in graph.nodes:
+    complete = np.ones(len(ds.window.codes), bool)
+    for node in system_map.view_graph(view).nodes:
         col = resolve_column(ds, system_map, node.qname)
-        if col is None or not np.any(present(ds.columns[col][mask])):
+        held = None if col is None else present(ds.columns[col])
+        if held is None or not all(np.any(held & ds.window_mask(w)) for w in WINDOWS):
             excluded.append(node.qname)
         else:
             source[node.qname] = col
-
-    complete = mask.copy()
-    for col in source.values():
-        complete &= present(ds.columns[col])
-    if not source or not complete.any():
-        raise NoDataForView(f"no complete rows for view '{view.name}' in window '{window}'")
-    return ViewTable(view=view, window=window, nodes=tuple(source), columns=source,
-                     rows=complete, excluded=tuple(excluded))
+            complete &= held
+    rows = {w: complete & ds.window_mask(w) for w in WINDOWS}
+    for w, mask in rows.items():
+        if not source or not mask.any():
+            raise NoDataForView(f"no complete rows for view '{view.name}' in window '{w}'")
+    return ViewTable(view=view, nodes=tuple(source), columns=source, rows=rows,
+                     excluded=tuple(excluded))

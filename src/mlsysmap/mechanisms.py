@@ -53,7 +53,6 @@ from .dataset import LabelColumn, WindowedDataset, present, resolve_column, view
 from .errors import (
     InsufficientData,
     LengthMismatch,
-    NoDataForView,
     NotNormalized,
     StateSpaceTooLarge,
 )
@@ -187,28 +186,23 @@ def _smoothed(counts: np.ndarray) -> np.ndarray:
 
 def fit_mechanisms(system_map: SystemMap, ds: WindowedDataset, view: View,
                    k: int = DEFAULT_BINS) -> MechanismSet:
-    """Fit ref and cur mechanisms for one view over a shared discretization."""
-    ref_t = view_matrix(ds, system_map, view, "ref")
-    cur_t = view_matrix(ds, system_map, view, "cur")
-    common = tuple(q for q in ref_t.nodes if q in set(cur_t.nodes))
-    if not common:
-        raise NoDataForView(f"no nodes with data in both windows for view '{view.name}'")
-    excluded = tuple(sorted(set(ref_t.excluded) | set(cur_t.excluded)
-                            | (set(ref_t.nodes) ^ set(cur_t.nodes))))
-
-    fits = {q: fit_discretization(ds, ref_t.columns[q], k) for q in common}
+    """Fit ref and cur mechanisms for one view over a shared discretization,
+    on the nodes and rows of :func:`~mlsysmap.dataset.view_matrix`: the
+    nodes whose column has a present cell in each window, fitted on each
+    window's rows complete in those nodes."""
+    t = view_matrix(ds, system_map, view)
+    fits = {q: fit_discretization(ds, t.columns[q], k) for q in t.nodes}
     disc = {q: bins for q, (bins, _) in fits.items()}
 
     graph = system_map.view_graph(view)
-    in_set = set(common)
-    parents = {q: tuple(p for p in graph.parents[q] if p in in_set) for q in common}
+    in_set = set(t.nodes)
+    parents = {q: tuple(p for p in graph.parents[q] if p in in_set) for q in t.nodes}
     topo = tuple(q for q in graph.topo if q in in_set)
 
-    codes = {w: {q: fits[q][1][t.rows] for q in common}
-             for w, t in (("ref", ref_t), ("cur", cur_t))}
+    codes = {w: {q: fits[q][1][rows] for q in t.nodes} for w, rows in t.rows.items()}
 
     tables: dict[str, dict[str, np.ndarray]] = {}
-    for q in common:
+    for q in t.nodes:
         pa = parents[q]
         child_k = disc[q].n_states
         pa_dims = tuple(disc[p].n_states for p in pa)
@@ -232,8 +226,8 @@ def fit_mechanisms(system_map: SystemMap, ds: WindowedDataset, view: View,
             tables[q][w] = tab.reshape(pa_dims + (child_k,))
 
     return MechanismSet(
-        view=view, nodes=common, parents=parents, topo=topo, disc=disc,
-        tables=tables, excluded=excluded,
+        view=view, nodes=t.nodes, parents=parents, topo=topo, disc=disc,
+        tables=tables, excluded=t.excluded,
     )
 
 

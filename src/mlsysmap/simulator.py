@@ -27,7 +27,7 @@ column: each distinct number is formatted once, as ``repr`` writes it.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,10 +82,6 @@ class ScenarioConfig:
     scenario: str
     n: int = 5000
     seed: int = 0
-    overrides: dict = field(default_factory=dict)
-
-    def current_params(self) -> WindowParams:
-        return replace(scenario_params(self.scenario), **self.overrides)
 
 
 # scenario -> (alert to trace, expected pattern path, expected verdict kind,
@@ -179,7 +175,7 @@ def _windows(config: ScenarioConfig):
         np.random.default_rng([config.seed, 0]), WindowParams(), config.n
     )
     cur = _generate_window(
-        np.random.default_rng([config.seed, 1]), config.current_params(), config.n
+        np.random.default_rng([config.seed, 1]), scenario_params(config.scenario), config.n
     )
     return ref, cur
 

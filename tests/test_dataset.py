@@ -229,18 +229,18 @@ def test_resolve_column_direct_and_proxy():
 
 def test_view_matrix_shapes_and_exclusions():
     ds = load_csv(MAP, CSV)
-    t = view_matrix(ds, MAP, View.system(), "ref")
+    t = view_matrix(ds, MAP, View.system())
     # node names stay view-local; data is sourced from canonical columns
     assert t.nodes == ("system.features", "system.score")
-    assert np.count_nonzero(t.rows) == 2
-    assert list(ds.columns[t.columns["system.score"]][t.rows]) == [0.1, 0.2]
-    assert list(ds.columns[t.columns["system.features"]][t.rows]) == [1.0, 2.0]
+    assert np.count_nonzero(t.rows["ref"]) == 2
+    assert list(ds.columns[t.columns["system.score"]][t.rows["ref"]]) == [0.1, 0.2]
+    assert list(ds.columns[t.columns["system.features"]][t.rows["ref"]]) == [1.0, 2.0]
 
-    sub = view_matrix(ds, MAP, View.subsystem("pipe"), "cur")
+    sub = view_matrix(ds, MAP, View.subsystem("pipe"))
     assert sub.nodes == ("pipe.out", "pipe.raw")
     assert sub.excluded == ()
 
-    env = view_matrix(ds, MAP, View.environment(), "cur")
+    env = view_matrix(ds, MAP, View.environment())
     assert env.nodes == ("env.world",)    # via the measure proxy
 
 
@@ -248,17 +248,16 @@ def test_view_matrix_drops_incomplete_rows():
     text = ("window,system.features,system.score\n"
             "ref,1.0,0.1\nref,,0.2\ncur,3.0,\ncur,4.0,0.4\n")
     ds = load_csv(MAP, text)
-    ref = view_matrix(ds, MAP, View.system(), "ref")
-    cur = view_matrix(ds, MAP, View.system(), "cur")
-    assert np.count_nonzero(ref.rows) == np.count_nonzero(cur.rows) == 1
-    assert list(ds.columns[cur.columns["system.features"]][cur.rows]) == [4.0]
+    t = view_matrix(ds, MAP, View.system())
+    assert np.count_nonzero(t.rows["ref"]) == np.count_nonzero(t.rows["cur"]) == 1
+    assert list(ds.columns[t.columns["system.features"]][t.rows["cur"]]) == [4.0]
 
 
 def test_view_matrix_excludes_all_missing_columns():
     text = ("window,system.features,system.score\n"
             "ref,1.0,\nref,2.0,\ncur,3.0,\ncur,4.0,\n")
     ds = load_csv(MAP, text)
-    t = view_matrix(ds, MAP, View.system(), "ref")
+    t = view_matrix(ds, MAP, View.system())
     assert t.nodes == ("system.features",)
     assert "system.score" in t.excluded
 
@@ -266,7 +265,7 @@ def test_view_matrix_excludes_all_missing_columns():
 def test_view_matrix_no_data():
     ds = load_csv(MAP, "window,system.score\nref,1\ncur,2\n")
     with pytest.raises(NoDataForView):
-        view_matrix(ds, MAP, View.subsystem("pipe"), "ref")
+        view_matrix(ds, MAP, View.subsystem("pipe"))
 
 
 def _assert_same_dataset(got, want):
@@ -560,7 +559,7 @@ def test_line_without_the_header_cells_is_ragged(text, n):
     CSV,
     CSV.replace("\n", "\r\n"),
     generate_csv(ScenarioConfig("S2", n=300, seed=3)),
-])
+], ids=["tiny", "tiny-crlf", "s2"])
 def test_clean_text_is_read_in_one_loadtxt_call(text):
     system_map = MAP if text.startswith("window,system.features") else churn_map()
     with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:

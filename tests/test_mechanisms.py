@@ -256,6 +256,40 @@ def test_a_column_is_binned_alike_in_every_view_and_its_shift_test():
     assert shift_test(ds, SHARED_MAP, "system.s", B=200, k=4).statistic == want
 
 
+BLANK_MAP = parse_map("""\
+map blank
+view system
+  data a
+  data b
+  data x
+  edge a -> b
+  edge x -> b
+""")
+
+_CELL = st.one_of(st.integers(-3, 3).map(str), st.floats(-5, 5, allow_nan=False).map(repr),
+                  st.sampled_from(["", "u", "v"]))
+_CELLS = st.lists(st.tuples(_CELL, _CELL, _CELL), min_size=1, max_size=20)
+
+
+def _fit_of(columns, rows):
+    """Each fitted node's parents, bins and table bytes, or None without data."""
+    text = ",".join(["window"] + columns) + "\n" + "".join(",".join(r) + "\n" for r in rows)
+    try:
+        mech = fit_mechanisms(BLANK_MAP, load_csv(BLANK_MAP, text), View.system(), k=4)
+    except NoDataForView:
+        return None
+    return {q: (mech.parents[q], repr(mech.disc[q]),
+                {w: t.tobytes() for w, t in mech.tables[q].items()}) for q in mech.nodes}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CELLS, _CELLS, st.sampled_from(["ref", "cur"]))
+def test_a_column_blank_in_one_window_changes_no_other_fit(ref, cur, blank):
+    rows = [("ref",) + r for r in ref] + [("cur",) + r for r in cur]
+    without = _fit_of(["system.a", "system.b"], [r[:3] for r in rows])
+    blanked = [r[:3] + ("" if r[0] == blank else r[3],) for r in rows]
+    assert _fit_of(["system.a", "system.b", "system.x"], blanked) == without
+
 def test_fit_discretization_is_kept_per_column_and_bin_count():
     ds = load_csv(ONE_MAP, _csv(range(40), range(20, 60)))
     four = fit_discretization(ds, "system.a", 4)

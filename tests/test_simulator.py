@@ -89,11 +89,6 @@ def test_scenario_params():
         scenario_params("S7")
 
 
-def test_config_overrides():
-    cfg = ScenarioConfig("S0", overrides={"parse_quality": 0.5})
-    assert cfg.current_params().parse_quality == 0.5
-
-
 def test_row_count_validation():
     with pytest.raises(ValueError):
         generate_csv(ScenarioConfig("S0", n=0))

@@ -147,6 +147,22 @@ def test_node_left_out_of_a_fit_is_named():
         "system.churn_score",)
 
 
+THREE_MAP = parse_map("map three\nview system\n  data a\n  data b\n  data x\n  edge a -> b\n")
+
+
+def test_node_blank_in_one_window_cuts_no_row_of_the_other():
+    # no change between the windows; x is blank in every cur row and in the
+    # ref rows where a > 0.5, so ref rows cut on x would fake a shift of a
+    rng = np.random.default_rng(0)
+    lines = ["window,system.a,system.b,system.x"]
+    for w in ("ref", "cur"):
+        a, noise, x = rng.random(5000), rng.normal(0, 0.1, 5000), rng.random(5000)
+        lines += (f"{w},{ai!r},{ai + ni!r},{'' if w == 'cur' or ai > 0.5 else repr(xi)}"
+                  for ai, ni, xi in zip(a.tolist(), noise.tolist(), x.tolist()))
+    report = trace(THREE_MAP, load_csv(THREE_MAP, "\n".join(lines) + "\n"), "system.b")
+    assert report.root.result.players == ("system.a", "system.b")
+    assert [v.kind for v in report.verdicts] == ["negligible"]
+
 def test_trace_s0_is_negligible():
     out = simulate("S0")
     report = trace(out.system_map, out.dataset, "system.promo_ranking")
