@@ -290,6 +290,7 @@ def test_a_column_blank_in_one_window_changes_no_other_fit(ref, cur, blank):
     blanked = [r[:3] + ("" if r[0] == blank else r[3],) for r in rows]
     assert _fit_of(["system.a", "system.b", "system.x"], blanked) == without
 
+
 def test_fit_discretization_is_kept_per_column_and_bin_count():
     ds = load_csv(ONE_MAP, _csv(range(40), range(20, 60)))
     four = fit_discretization(ds, "system.a", 4)

@@ -163,6 +163,7 @@ def test_node_blank_in_one_window_cuts_no_row_of_the_other():
     assert report.root.result.players == ("system.a", "system.b")
     assert [v.kind for v in report.verdicts] == ["negligible"]
 
+
 def test_trace_s0_is_negligible():
     out = simulate("S0")
     report = trace(out.system_map, out.dataset, "system.promo_ranking")
